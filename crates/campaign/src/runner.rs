@@ -62,7 +62,8 @@ use crate::journal::{read_journal, Fingerprint, JournalError, JournalWriter, Rec
 use crate::resume::load_journal_state;
 use bqsim_core::{
     artifact_key, schedule, ArtifactStore, BqSimOptions, BqSimulator, BqsimError, CompileSource,
-    EllCacheStats, FaultBudget, FaultPlan, Precision, RecoveryPolicy, RunHealth, StoreStats,
+    CompileWall, EllCacheStats, FaultBudget, FaultPlan, Precision, RecoveryPolicy, RunHealth,
+    StoreStats,
 };
 use bqsim_faults::CancelToken;
 use bqsim_gpu::ExecMode;
@@ -217,6 +218,10 @@ pub struct CampaignResult {
     /// Compile-time ELL conversion-cache counters of the simulator the
     /// campaign ran (loaded verbatim from the artifact on a warm start).
     pub cache_stats: EllCacheStats,
+    /// Host wall-clock of the compile stages that produced the simulator
+    /// (fusion / conversion / publish; on a warm start, the artifact load
+    /// under `fusion_ns` and zeros elsewhere).
+    pub compile_wall: CompileWall,
     /// Batches whose narrow-precision run drifted past the integrity
     /// budget and were transparently re-executed at the `f64` reference,
     /// completing cleanly instead of quarantining. Always `0` for `f64`
@@ -845,6 +850,7 @@ pub fn run_campaign(
         compile_source,
         store_stats: store.as_ref().map(ArtifactStore::stats),
         cache_stats: sim.conversion_cache_stats(),
+        compile_wall: sim.compile_wall(),
         precision_retries,
     })
 }

@@ -169,16 +169,16 @@ impl BqSimulator {
                 }
                 // The leader's artifact vanished or failed validation
                 // before we could read it — compile ourselves.
-                let sim = Self::compile(circuit, opts)?;
-                let published = store.publish(&sim.to_artifact(key)).is_ok();
+                let mut sim = Self::compile(circuit, opts)?;
+                let published = sim.publish_to(store, key);
                 Ok((sim, CompileSource::Cold { published }))
             }
             Flight::Leader(guard) => {
                 // No double-check load here: we held the miss a moment
                 // ago, and losing the tiny race costs one duplicate
                 // compile of identical bytes (publication is atomic).
-                let sim = Self::compile(circuit, opts)?;
-                let published = store.publish(&sim.to_artifact(key)).is_ok();
+                let mut sim = Self::compile(circuit, opts)?;
+                let published = sim.publish_to(store, key);
                 drop(guard);
                 Ok((sim, CompileSource::Cold { published }))
             }
@@ -192,9 +192,19 @@ impl BqSimulator {
         key: u64,
         warning: String,
     ) -> Result<(Self, CompileSource), BqsimError> {
-        let sim = Self::compile(circuit, opts)?;
-        let _ = store.publish(&sim.to_artifact(key));
+        let mut sim = Self::compile(circuit, opts)?;
+        sim.publish_to(store, key);
         Ok((sim, CompileSource::RecompiledCorrupt { warning }))
+    }
+
+    /// Publishes this simulator's artifact under `key`, recording the
+    /// wall time it took. Returns whether the publication succeeded (a
+    /// failed publish leaves the simulator itself unaffected).
+    fn publish_to(&mut self, store: &ArtifactStore, key: u64) -> bool {
+        let started = Instant::now();
+        let published = store.publish(&self.to_artifact(key)).is_ok();
+        self.set_publish_wall_ns(started.elapsed().as_nanos() as u64);
+        published
     }
 
     /// Serializes this compiled simulator as a circuit executable keyed

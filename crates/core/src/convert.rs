@@ -8,7 +8,7 @@
 
 use crate::fusion::FusedGate;
 use crate::kernels::DdToEllKernel;
-use bqsim_ell::convert::{ell_from_dd_cpu, ell_from_gpu_dd};
+use bqsim_ell::convert::{conversion_work, ell_from_dd_cpu};
 use bqsim_ell::{EllMatrix, GpuDd};
 use bqsim_gpu::{
     CpuSpec, DeviceMemory, DeviceSpec, Engine, ExecMode, HostMemory, LaunchMode, TaskGraph,
@@ -283,7 +283,7 @@ impl HybridConverter {
         } else {
             ConversionMethod::Gpu
         };
-        self.convert_with(dd, gate, n, method)
+        self.convert_flat(dd, gate, n, method, gdd)
     }
 
     /// Converts with a forced method (used by the Fig. 5 / Fig. 9
@@ -295,7 +295,20 @@ impl HybridConverter {
         n: usize,
         method: ConversionMethod,
     ) -> ConvertedGate {
-        let gdd = Arc::new(GpuDd::from_dd(dd, gate.edge, n));
+        let gdd = GpuDd::from_dd(dd, gate.edge, n);
+        self.convert_flat(dd, gate, n, method, gdd)
+    }
+
+    /// The conversion proper, over the gate's already-flattened DD.
+    fn convert_flat(
+        &self,
+        dd: &mut bqsim_qdd::DdPackage,
+        gate: &FusedGate,
+        n: usize,
+        method: ConversionMethod,
+        gdd: GpuDd,
+    ) -> ConvertedGate {
+        let gdd = Arc::new(gdd);
         // Functional result always comes from the reference CPU path (both
         // paths are proven equivalent in bqsim-ell's tests); only the
         // *timing* differs by method.
@@ -306,7 +319,15 @@ impl HybridConverter {
         // streaming the full expanded tensor.
         ell.detect_pattern();
         let ell = Arc::new(ell);
-        let (_, work) = ell_from_gpu_dd(&gdd, ell.max_nzr());
+        // The cost model only needs Algorithm 1's step counters, which
+        // have a closed form over the flattened DD; debug builds still run
+        // the per-row emulation and cross-check every real conversion.
+        let work = conversion_work(&gdd);
+        debug_assert_eq!(
+            work,
+            bqsim_ell::convert::ell_from_gpu_dd(&gdd, ell.max_nzr()).1,
+            "closed-form conversion work disagrees with Algorithm 1 (n={n})"
+        );
         #[cfg(debug_assertions)]
         verify_conversion(dd, gate.edge, n, &ell);
         let conversion_ns = match method {

@@ -211,6 +211,20 @@ pub struct RunResult {
     pub power: PowerReport,
 }
 
+/// Real host wall-clock of the compile stages, as opposed to the modelled
+/// virtual times of [`RunBreakdown`]. `bqsim run` prints it after a cold
+/// compile so a slow start explains itself without a bench.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CompileWall {
+    /// Gate fusion (on a warm artifact load: the load, which replaces it).
+    pub fusion_ns: u64,
+    /// DD-to-ELL conversion of the fused gates (0 on a warm load).
+    pub conversion_ns: u64,
+    /// Serialising and publishing the artifact (0 without a store or on a
+    /// warm load).
+    pub publish_ns: u64,
+}
+
 /// A circuit compiled by the BQSim pipeline into reusable ELL gates.
 ///
 /// Compile once, run any number of batches — the paper's key amortisation
@@ -224,7 +238,7 @@ pub struct BqSimulator {
     circuit: Circuit,
     opts: BqSimOptions,
     fusion_ns: u64,
-    fusion_wall_ns: u64,
+    wall: CompileWall,
     conversion_ns: u64,
     cache_stats: EllCacheStats,
     // The tuning record that rode in with a warm artifact load or was
@@ -297,6 +311,7 @@ impl BqSimulator {
         // Repeated fused gates (layered ansätze, QAOA/QFT structure) share a
         // canonical DD edge, so the cache converts each distinct gate once;
         // the conversion stage is charged for distinct conversions only.
+        let conversion_wall = Instant::now();
         let mut cache = EllCache::new();
         let gates: Vec<ConvertedGate> = fused
             .iter()
@@ -306,6 +321,11 @@ impl BqSimulator {
             })
             .collect();
         let conversion_ns = cache.unique_conversion_ns();
+        let wall = CompileWall {
+            fusion_ns: fusion_wall_ns,
+            conversion_ns: conversion_wall.elapsed().as_nanos() as u64,
+            publish_ns: 0,
+        };
 
         Ok(BqSimulator {
             num_qubits: n,
@@ -313,7 +333,7 @@ impl BqSimulator {
             circuit: circuit.clone(),
             opts,
             fusion_ns,
-            fusion_wall_ns,
+            wall,
             conversion_ns,
             cache_stats: cache.stats(),
             stored_tuning: None,
@@ -343,12 +363,21 @@ impl BqSimulator {
             circuit,
             opts,
             fusion_ns,
-            fusion_wall_ns,
+            wall: CompileWall {
+                fusion_ns: fusion_wall_ns,
+                ..CompileWall::default()
+            },
             conversion_ns,
             cache_stats,
             stored_tuning: None,
             pool: Arc::new(BufferPool::new()),
         }
+    }
+
+    /// Crate-internal: records how long publishing this simulator's
+    /// artifact took (see [`BqSimulator::compile_or_load`]).
+    pub(crate) fn set_publish_wall_ns(&mut self, ns: u64) {
+        self.wall.publish_ns = ns;
     }
 
     /// Crate-internal: attaches the tuning record a warm artifact load
@@ -387,7 +416,7 @@ impl BqSimulator {
                 ..self.opts.clone()
             },
             fusion_ns: self.fusion_ns,
-            fusion_wall_ns: self.fusion_wall_ns,
+            wall: self.wall,
             conversion_ns: self.conversion_ns,
             cache_stats: self.cache_stats,
             stored_tuning: self.stored_tuning,
@@ -421,7 +450,7 @@ impl BqSimulator {
                 ..self.opts.clone()
             },
             fusion_ns: self.fusion_ns,
-            fusion_wall_ns: self.fusion_wall_ns,
+            wall: self.wall,
             conversion_ns: self.conversion_ns,
             cache_stats: self.cache_stats,
             stored_tuning: None,
@@ -478,7 +507,18 @@ impl BqSimulator {
     /// Real wall-clock the fusion stage took on this host (informational;
     /// the breakdown uses the modelled virtual time).
     pub fn fusion_wall_ns(&self) -> u64 {
-        self.fusion_wall_ns
+        self.wall.fusion_ns
+    }
+
+    /// Real wall-clock the DD-to-ELL conversion stage took on this host
+    /// (0 when the gates came from a warm artifact load).
+    pub fn conversion_wall_ns(&self) -> u64 {
+        self.wall.conversion_ns
+    }
+
+    /// Host wall-clock of every compile stage, publication included.
+    pub fn compile_wall(&self) -> CompileWall {
+        self.wall
     }
 
     /// Compile-time conversion-cache stats, as one coherent

@@ -156,6 +156,91 @@ pub fn ell_from_gpu_dd(gdd: &GpuDd, max_nzr: usize) -> (EllMatrix, ConversionWor
     (ell, work)
 }
 
+/// The [`ConversionWork`] of running Algorithm 1 over every row of `gdd`,
+/// computed in closed form from the flattened DD instead of by running it.
+///
+/// A row's DFS visits a node edge three times (descend left, descend
+/// right, pop) plus whatever its two column children under the row's bit
+/// cost, and a zero or terminal edge once. So the per-row step vector of a
+/// node at level `l` is `3 + S(c[2b]) + S(c[2b+1])` on row half `b` — one
+/// vector per node, built bottom-up, level by level. `total_steps` is the
+/// root vector's sum. `max_row_steps` is its max, which is why whole
+/// vectors are kept and not per-node scalars: both column children are
+/// indexed by the *same* lower row bits, so the max of their sum is not
+/// the sum of their maxes.
+///
+/// Equal to `ell_from_gpu_dd(gdd, max_nzr).1` on both counters (asserted in
+/// debug builds on every conversion and by property tests); that function
+/// stays the oracle and the Fig. 5 bench path.
+///
+/// # Panics
+///
+/// Panics if `gdd` skips levels (a child of a level-`l` node not at level
+/// `l - 1`, or a root below level `n - 1`) — [`GpuDd::from_dd`] never
+/// produces such a diagram.
+pub fn conversion_work(gdd: &GpuDd) -> ConversionWork {
+    let nodes = gdd.nodes();
+    let edges = gdd.edges();
+    let root = edges[0].node;
+    if root == NIL {
+        // A 1×1 matrix: the single row emits the terminal in one step.
+        return ConversionWork {
+            total_steps: 1,
+            max_row_steps: 1,
+        };
+    }
+    let n = gdd.num_qubits();
+    assert_eq!(
+        nodes[root as usize].qubit_lv as usize + 1,
+        n,
+        "root node must sit at the top level"
+    );
+    let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, node) in nodes.iter().enumerate() {
+        by_level[node.qubit_lv as usize].push(i);
+    }
+    // steps[i][r]: DFS iterations row `r` spends below node `i`. Only two
+    // adjacent levels are alive at a time.
+    let mut steps: Vec<Vec<u64>> = vec![Vec::new(); nodes.len()];
+    for level in 0..n {
+        let half = 1usize << level;
+        for &i in &by_level[level] {
+            let mut rows = vec![3u64; 2 * half];
+            for (slot, &eptr) in nodes[i].edges.iter().enumerate() {
+                let out = &mut rows[(slot / 2) * half..][..half];
+                let child = match eptr {
+                    NIL => NIL,
+                    e => edges[e as usize].node,
+                };
+                if child == NIL {
+                    // Constant-zero edge or terminal: one iteration.
+                    out.iter_mut().for_each(|s| *s += 1);
+                } else {
+                    assert_eq!(
+                        nodes[child as usize].qubit_lv as usize + 1,
+                        level,
+                        "flattened DD skips a level"
+                    );
+                    for (s, c) in out.iter_mut().zip(&steps[child as usize]) {
+                        *s += c;
+                    }
+                }
+            }
+            steps[i] = rows;
+        }
+        if level > 0 {
+            for &i in &by_level[level - 1] {
+                steps[i] = Vec::new();
+            }
+        }
+    }
+    let rows = &steps[root as usize];
+    ConversionWork {
+        total_steps: rows.iter().sum(),
+        max_row_steps: rows.iter().copied().max().unwrap_or(0),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +271,7 @@ mod tests {
         }
         assert!(work.total_steps > 0);
         assert!(work.max_row_steps <= work.total_steps);
+        assert_eq!(conversion_work(&gdd), work, "closed-form work counters");
     }
 
     #[test]
@@ -217,8 +303,9 @@ mod tests {
             let cpu = ell_from_dd_cpu(&mut dd, prod, 4);
             assert!(cpu.to_dense().approx_eq(&dense, 1e-9));
             let gdd = GpuDd::from_dd(&dd, prod, 4);
-            let (gpu, _) = ell_from_gpu_dd(&gdd, cpu.max_nzr());
+            let (gpu, work) = ell_from_gpu_dd(&gdd, cpu.max_nzr());
             assert!(gpu.to_dense().approx_eq(&dense, 1e-9));
+            assert_eq!(conversion_work(&gdd), work, "seed {seed}");
         }
     }
 

@@ -1,8 +1,7 @@
 //! GPU-resident DD layout: the paper's Fig. 6 edge array + node array.
 
-use bqsim_num::Complex;
+use bqsim_num::{Complex, FxHashMap};
 use bqsim_qdd::{DdPackage, MEdge, MNodeId};
-use std::collections::HashMap;
 
 /// Null pointer sentinel for edge/node arrays (the paper's ∅).
 pub const NIL: u32 = u32::MAX;
@@ -56,14 +55,17 @@ impl GpuDd {
             nodes: Vec::new(),
             num_qubits: n,
         };
-        let mut node_index: HashMap<MNodeId, u32> = HashMap::new();
-        let root_node = out.intern_node(dd, e.node, &mut node_index);
+        // DD node -> flat index, plus the DD ids in flat order. Both maps
+        // here are keyed by arena / weight indices (fast hasher applies).
+        let mut node_index: FxHashMap<MNodeId, u32> = FxHashMap::default();
+        let mut order: Vec<MNodeId> = Vec::new();
+        let root_node = out.intern_node(dd, e.node, &mut node_index, &mut order);
         out.edges.push(GpuDdEdge {
             weight: dd.value(e.w),
             node: root_node,
         });
         // Now wire children breadth-first so edge pointers are stable.
-        out.wire_edges(dd, &node_index);
+        out.wire_edges(dd, &node_index, &order);
         out
     }
 
@@ -72,7 +74,8 @@ impl GpuDd {
         &mut self,
         dd: &DdPackage,
         id: MNodeId,
-        node_index: &mut HashMap<MNodeId, u32>,
+        node_index: &mut FxHashMap<MNodeId, u32>,
+        order: &mut Vec<MNodeId>,
     ) -> u32 {
         if id.is_terminal() {
             return NIL;
@@ -82,13 +85,14 @@ impl GpuDd {
         }
         let idx = self.nodes.len() as u32;
         node_index.insert(id, idx);
+        order.push(id);
         self.nodes.push(GpuDdNode {
             qubit_lv: dd.mat_level(id),
             edges: [NIL; 4],
         });
         for c in dd.mat_children(id) {
             if !c.is_zero() {
-                self.intern_node(dd, c.node, node_index);
+                self.intern_node(dd, c.node, node_index, order);
             }
         }
         idx
@@ -98,18 +102,20 @@ impl GpuDd {
     /// node entries to them. Shared DD edges (same child edge reached from
     /// different parents) get one edge entry per (parent, slot) reference,
     /// mirroring how Fig. 6 materialises each drawn edge.
-    fn wire_edges(&mut self, dd: &DdPackage, node_index: &HashMap<MNodeId, u32>) {
+    fn wire_edges(
+        &mut self,
+        dd: &DdPackage,
+        node_index: &FxHashMap<MNodeId, u32>,
+        order: &[MNodeId],
+    ) {
         // Deduplicate identical (weight, node) edges like the figure does
         // (edges (5) and (8) of Fig. 1a are distinct arrows but a flattened
         // array can share one entry safely since entries are immutable).
-        let mut edge_dedup: HashMap<(u32, u32), u32> = HashMap::new();
-        // Wire in node-interning order, not HashMap order: the map's
-        // randomised iteration would permute edge indices between two
-        // flattens of the same DD, and the artifact store's audit relies
-        // on flattening being a pure function of the DD's structure.
-        let mut by_flat: Vec<(MNodeId, u32)> = node_index.iter().map(|(&d, &f)| (d, f)).collect();
-        by_flat.sort_unstable_by_key(|&(_, flat_id)| flat_id);
-        for (dd_id, flat_id) in by_flat {
+        let mut edge_dedup: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+        // Wire in node-interning order, never in map-iteration order: the
+        // artifact store's audit relies on flattening being a pure
+        // function of the DD's structure.
+        for (flat_id, &dd_id) in order.iter().enumerate() {
             let children = dd.mat_children(dd_id);
             for (slot, c) in children.into_iter().enumerate() {
                 if c.is_zero() {
@@ -129,7 +135,7 @@ impl GpuDd {
                     });
                     idx
                 });
-                self.nodes[flat_id as usize].edges[slot] = edge_idx;
+                self.nodes[flat_id].edges[slot] = edge_idx;
             }
         }
     }

@@ -36,9 +36,11 @@ mod complex;
 mod table;
 
 pub mod approx;
+pub mod hash;
 pub mod narrow;
 
 pub use complex::Complex;
+pub use hash::FxHashMap;
 pub use table::{CIdx, ComplexTable};
 
 /// Default absolute tolerance used for complex-value canonicalisation and

@@ -63,7 +63,75 @@ impl Family {
         }
     }
 
+    /// Every family, in declaration order.
+    pub const ALL: [Family; 9] = [
+        Family::Qnn,
+        Family::Vqe,
+        Family::PortfolioOpt,
+        Family::GraphState,
+        Family::Tsp,
+        Family::Routing,
+        Family::Supremacy,
+        Family::Ghz,
+        Family::Qft,
+    ];
+
+    /// The family's command-line / submission-file token (`--family`,
+    /// `family=`).
+    pub fn token(self) -> &'static str {
+        match self {
+            Family::Qnn => "qnn",
+            Family::Vqe => "vqe",
+            Family::PortfolioOpt => "portfolio",
+            Family::GraphState => "graph",
+            Family::Tsp => "tsp",
+            Family::Routing => "routing",
+            Family::Supremacy => "supremacy",
+            Family::Ghz => "ghz",
+            Family::Qft => "qft",
+        }
+    }
+
+    /// The family named by a [`token`](Self::token), if any.
+    pub fn from_token(token: &str) -> Option<Family> {
+        Family::ALL.into_iter().find(|f| f.token() == token)
+    }
+
+    /// The narrowest register the family's generator accepts (its own
+    /// `assert!`). User-facing callers check this first, via
+    /// [`try_build`](Self::try_build), so a too-small `--qubits` is a
+    /// usage error and not a panic.
+    pub fn min_qubits(self) -> usize {
+        match self {
+            Family::Qft => 1,
+            Family::GraphState => 3,
+            _ => 2,
+        }
+    }
+
+    /// [`build`](Self::build) for widths that come from outside the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the family and its minimum when `n` is below
+    /// [`min_qubits`](Self::min_qubits).
+    pub fn try_build(self, n: usize, seed: u64) -> Result<Circuit, String> {
+        if n < self.min_qubits() {
+            return Err(format!(
+                "family `{}` needs at least {} qubit(s), got {n}",
+                self.token(),
+                self.min_qubits()
+            ));
+        }
+        Ok(self.build(n, seed))
+    }
+
     /// Builds a circuit of this family over `n` qubits with the given seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is below [`min_qubits`](Self::min_qubits).
     pub fn build(self, n: usize, seed: u64) -> Circuit {
         match self {
             Family::Qnn => qnn(n, seed),
@@ -425,6 +493,19 @@ mod tests {
             );
             assert_eq!(c.num_qubits(), n);
         }
+    }
+
+    #[test]
+    fn every_family_builds_at_its_minimum_and_rejects_below() {
+        for family in Family::ALL {
+            let min = family.min_qubits();
+            let c = family.try_build(min, 42).expect("minimum width builds");
+            assert_eq!(c.num_qubits(), min);
+            let err = family.try_build(min - 1, 42).unwrap_err();
+            assert!(err.contains(family.token()) && err.contains("at least"));
+            assert_eq!(Family::from_token(family.token()), Some(family));
+        }
+        assert_eq!(Family::from_token("nope"), None);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! memoised in a map `T` keyed by node.
 
 use crate::edge::{MEdge, MNodeId, VEdge, VNodeId};
+use crate::package::CountAxis;
 use crate::DdPackage;
-use bqsim_num::Complex;
-use std::collections::HashMap;
+use bqsim_num::{Complex, FxHashMap};
 
 /// Computes the NZRV of a matrix DD spanning `n` levels as a vector DD with
 /// non-negative integer (real) weights: entry `r` is the number of
@@ -19,17 +19,22 @@ use std::collections::HashMap;
 ///
 /// This is the paper's Fig. 3 algorithm. The zero matrix yields the zero
 /// edge; a 1×1 non-zero matrix yields the terminal one-edge (count 1).
+///
+/// The map `T` lives in the package (per node, until the next garbage
+/// collection), so a query only descends into nodes no earlier query has
+/// seen — classifying a fused product visits just the nodes the multiply
+/// created.
 pub fn nzrv(dd: &mut DdPackage, e: MEdge, n: usize) -> VEdge {
-    let mut memo: HashMap<MNodeId, VEdge> = HashMap::new();
-    nzrv_edge(dd, e, n, &mut memo)
+    count_edge(dd, CountAxis::Row, e, n)
 }
 
-fn nzrv_edge(
-    dd: &mut DdPackage,
-    e: MEdge,
-    span: usize,
-    memo: &mut HashMap<MNodeId, VEdge>,
-) -> VEdge {
+/// Computes the NZCV (non-zeros per **column**) of a matrix DD — the
+/// column-wise dual of [`nzrv`], used to detect permutation matrices.
+pub fn nzcv(dd: &mut DdPackage, e: MEdge, n: usize) -> VEdge {
+    count_edge(dd, CountAxis::Col, e, n)
+}
+
+fn count_edge(dd: &mut DdPackage, axis: CountAxis, e: MEdge, span: usize) -> VEdge {
     if e.is_zero() {
         return VEdge::ZERO;
     }
@@ -37,58 +42,26 @@ fn nzrv_edge(
         debug_assert_eq!(span, 0);
         return VEdge::ONE; // one non-zero entry in this 1×1 block
     }
-    if let Some(&hit) = memo.get(&e.node) {
+    if let Some(hit) = dd.count_memo_get(axis, e.node) {
         return hit;
     }
     let level = dd.mat_level(e.node) as usize;
     debug_assert_eq!(level + 1, span);
     let c = dd.mat_children(e.node);
-    // Row block r of [[c0, c1], [c2, c3]] has NZRV(c_{2r}) + NZRV(c_{2r+1}).
-    let t0 = nzrv_edge(dd, c[0], level, memo);
-    let t1 = nzrv_edge(dd, c[1], level, memo);
-    let top = dd.vec_add(t0, t1);
-    let b0 = nzrv_edge(dd, c[2], level, memo);
-    let b1 = nzrv_edge(dd, c[3], level, memo);
-    let bottom = dd.vec_add(b0, b1);
-    let result = dd.vec_concat(top, bottom, level);
-    memo.insert(e.node, result);
-    result
-}
-
-/// Computes the NZCV (non-zeros per **column**) of a matrix DD — the
-/// column-wise dual of [`nzrv`], used to detect permutation matrices.
-pub fn nzcv(dd: &mut DdPackage, e: MEdge, n: usize) -> VEdge {
-    let mut memo: HashMap<MNodeId, VEdge> = HashMap::new();
-    nzcv_edge(dd, e, n, &mut memo)
-}
-
-fn nzcv_edge(
-    dd: &mut DdPackage,
-    e: MEdge,
-    span: usize,
-    memo: &mut HashMap<MNodeId, VEdge>,
-) -> VEdge {
-    if e.is_zero() {
-        return VEdge::ZERO;
-    }
-    if e.is_terminal() {
-        debug_assert_eq!(span, 0);
-        return VEdge::ONE;
-    }
-    if let Some(&hit) = memo.get(&e.node) {
-        return hit;
-    }
-    let level = dd.mat_level(e.node) as usize;
-    let c = dd.mat_children(e.node);
-    // Column block c of [[c0, c1], [c2, c3]] has NZCV(c_c) + NZCV(c_{c+2}).
-    let l0 = nzcv_edge(dd, c[0], level, memo);
-    let l1 = nzcv_edge(dd, c[2], level, memo);
-    let left = dd.vec_add(l0, l1);
-    let r0 = nzcv_edge(dd, c[1], level, memo);
-    let r1 = nzcv_edge(dd, c[3], level, memo);
-    let right = dd.vec_add(r0, r1);
-    let result = dd.vec_concat(left, right, level);
-    memo.insert(e.node, result);
+    // Row block r of [[c0, c1], [c2, c3]] has NZRV(c_{2r}) + NZRV(c_{2r+1});
+    // column block c has NZCV(c_c) + NZCV(c_{c+2}).
+    let [first, second] = match axis {
+        CountAxis::Row => [(c[0], c[1]), (c[2], c[3])],
+        CountAxis::Col => [(c[0], c[2]), (c[1], c[3])],
+    };
+    let a0 = count_edge(dd, axis, first.0, level);
+    let a1 = count_edge(dd, axis, first.1, level);
+    let low = dd.vec_add(a0, a1);
+    let b0 = count_edge(dd, axis, second.0, level);
+    let b1 = count_edge(dd, axis, second.1, level);
+    let high = dd.vec_add(b0, b1);
+    let result = dd.vec_concat(low, high, level);
+    dd.count_memo_put(axis, e.node, result);
     result
 }
 
@@ -98,12 +71,12 @@ pub fn max_entry(dd: &DdPackage, v: VEdge) -> usize {
     if v.is_zero() {
         return 0;
     }
-    let mut memo: HashMap<VNodeId, f64> = HashMap::new();
+    let mut memo: FxHashMap<VNodeId, f64> = FxHashMap::default();
     let node_max = max_entry_node(dd, v.node, &mut memo);
     (dd.value(v.w).re * node_max).round() as usize
 }
 
-fn max_entry_node(dd: &DdPackage, id: VNodeId, memo: &mut HashMap<VNodeId, f64>) -> f64 {
+fn max_entry_node(dd: &DdPackage, id: VNodeId, memo: &mut FxHashMap<VNodeId, f64>) -> f64 {
     if id.is_terminal() {
         return 1.0;
     }
@@ -138,7 +111,7 @@ fn moments(dd: &DdPackage, v: VEdge) -> (f64, f64) {
     if v.is_zero() {
         return (0.0, 0.0);
     }
-    let mut memo: HashMap<VNodeId, (f64, f64)> = HashMap::new();
+    let mut memo: FxHashMap<VNodeId, (f64, f64)> = FxHashMap::default();
     let (s, s2) = moments_node(dd, v.node, &mut memo);
     let w = dd.value(v.w).re;
     (w * s, w * w * s2)
@@ -147,7 +120,7 @@ fn moments(dd: &DdPackage, v: VEdge) -> (f64, f64) {
 fn moments_node(
     dd: &DdPackage,
     id: VNodeId,
-    memo: &mut HashMap<VNodeId, (f64, f64)>,
+    memo: &mut FxHashMap<VNodeId, (f64, f64)>,
 ) -> (f64, f64) {
     if id.is_terminal() {
         return (1.0, 1.0);
@@ -193,11 +166,11 @@ pub fn nzr_coefficient_of_variation(dd: &mut DdPackage, e: MEdge, n: usize) -> f
 
 /// Whether a matrix DD is diagonal (all off-diagonal blocks zero).
 pub fn is_diagonal_dd(dd: &DdPackage, e: MEdge) -> bool {
-    let mut memo: HashMap<MNodeId, bool> = HashMap::new();
+    let mut memo: FxHashMap<MNodeId, bool> = FxHashMap::default();
     diag_rec(dd, e, &mut memo)
 }
 
-fn diag_rec(dd: &DdPackage, e: MEdge, memo: &mut HashMap<MNodeId, bool>) -> bool {
+fn diag_rec(dd: &DdPackage, e: MEdge, memo: &mut FxHashMap<MNodeId, bool>) -> bool {
     if e.is_zero() || e.is_terminal() {
         return true;
     }

@@ -3,8 +3,7 @@
 
 use crate::edge::{MEdge, VEdge};
 use crate::package::{CacheOp, DdPackage};
-use bqsim_num::{CIdx, Complex};
-use std::collections::HashMap;
+use bqsim_num::{CIdx, Complex, FxHashMap};
 
 impl DdPackage {
     /// Scales a matrix edge by a canonical weight.
@@ -225,7 +224,7 @@ impl DdPackage {
     /// structured states. Used for fidelity checks between simulator
     /// outputs without densifying.
     pub fn vec_inner_product(&mut self, a: VEdge, b: VEdge) -> Complex {
-        let mut memo: HashMap<(u32, u32), Complex> = HashMap::new();
+        let mut memo: FxHashMap<(u32, u32), Complex> = FxHashMap::default();
         self.inner_rec(a, b, &mut memo)
     }
 
@@ -233,7 +232,7 @@ impl DdPackage {
         &mut self,
         a: VEdge,
         b: VEdge,
-        memo: &mut HashMap<(u32, u32), Complex>,
+        memo: &mut FxHashMap<(u32, u32), Complex>,
     ) -> Complex {
         if a.is_zero() || b.is_zero() {
             return Complex::ZERO;

@@ -1,8 +1,8 @@
 //! The DD package: arenas, unique tables, normalisation, constructors.
 
 use crate::edge::{MEdge, MNode, MNodeId, VEdge, VNode, VNodeId};
-use bqsim_num::{CIdx, Complex, ComplexTable};
-use std::collections::HashMap;
+use bqsim_num::{CIdx, Complex, ComplexTable, FxHashMap};
+use std::collections::hash_map::Entry;
 
 /// Operation tags for the compute caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -10,6 +10,15 @@ pub(crate) enum CacheOp {
     MatMul,
     Conjugate,
     Transpose,
+}
+
+/// Which non-zero count vector of a matrix the NZRV memo holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CountAxis {
+    /// Non-zeros per row (the paper's NZRV).
+    Row = 0,
+    /// Non-zeros per column (NZCV).
+    Col = 1,
 }
 
 /// Counters describing the package's current size and cache behaviour.
@@ -42,12 +51,22 @@ pub struct DdPackage {
     pub(crate) ctab: ComplexTable,
     pub(crate) mnodes: Vec<MNode>,
     pub(crate) vnodes: Vec<VNode>,
-    munique: HashMap<MNode, u32>,
-    vunique: HashMap<VNode, u32>,
-    pub(crate) cache_mm: HashMap<(CacheOp, u32, u32), MEdge>,
-    pub(crate) cache_mv: HashMap<(u32, u32), VEdge>,
-    pub(crate) cache_madd: HashMap<(u32, u32, u32), MEdge>,
-    pub(crate) cache_vadd: HashMap<(u32, u32, u32), VEdge>,
+    // Every map below is keyed by arena / weight indices the package
+    // itself hands out, hence the fast deterministic hasher.
+    munique: FxHashMap<MNode, u32>,
+    vunique: FxHashMap<VNode, u32>,
+    pub(crate) cache_mm: FxHashMap<(CacheOp, u32, u32), MEdge>,
+    pub(crate) cache_mv: FxHashMap<(u32, u32), VEdge>,
+    pub(crate) cache_madd: FxHashMap<(u32, u32, u32), MEdge>,
+    pub(crate) cache_vadd: FxHashMap<(u32, u32, u32), VEdge>,
+    /// The NZRV algorithm's map `T` (paper Fig. 3), one dense side-array
+    /// per [`CountAxis`] indexed by `MNodeId`: the count vector of a
+    /// hash-consed node is a pure function of the node, so it is computed
+    /// once per node lifetime instead of once per query. `VEdge::ZERO`
+    /// marks "not computed" — a canonical node has a non-zero child, so
+    /// its count vector is never zero. Grown on demand; cleared with the
+    /// compute caches (entries name arena indices on both sides).
+    count_memo: [Vec<VEdge>; 2],
     /// Cached identity edges: `identity[k]` spans levels `0..k`.
     identity: Vec<MEdge>,
     pub(crate) hits: u64,
@@ -61,12 +80,13 @@ impl DdPackage {
             ctab: ComplexTable::new(),
             mnodes: Vec::new(),
             vnodes: Vec::new(),
-            munique: HashMap::new(),
-            vunique: HashMap::new(),
-            cache_mm: HashMap::new(),
-            cache_mv: HashMap::new(),
-            cache_madd: HashMap::new(),
-            cache_vadd: HashMap::new(),
+            munique: FxHashMap::default(),
+            vunique: FxHashMap::default(),
+            cache_mm: FxHashMap::default(),
+            cache_mv: FxHashMap::default(),
+            cache_madd: FxHashMap::default(),
+            cache_vadd: FxHashMap::default(),
+            count_memo: [Vec::new(), Vec::new()],
             identity: vec![MEdge::ONE],
             hits: 0,
             misses: 0,
@@ -204,7 +224,7 @@ impl DdPackage {
             );
         }
         // Normalise.
-        let norm_idx = match self.pick_norm_index(children.iter().map(|c| c.w)) {
+        let norm_idx = match self.pick_norm_index(children.map(|c| c.w)) {
             Some(i) => i,
             None => return MEdge::ZERO, // all children zero
         };
@@ -215,13 +235,12 @@ impl DdPackage {
             }
         }
         let node = MNode { level, children };
-        let id = match self.munique.get(&node) {
-            Some(&id) => id,
-            None => {
+        let id = match self.munique.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(slot) => {
                 let id = u32::try_from(self.mnodes.len()).expect("matrix arena overflow");
                 self.mnodes.push(node);
-                self.munique.insert(node, id);
-                id
+                *slot.insert(id)
             }
         };
         MEdge {
@@ -243,7 +262,7 @@ impl DdPackage {
                 "terminal child under level {level} > 0"
             );
         }
-        let norm_idx = match self.pick_norm_index(children.iter().map(|c| c.w)) {
+        let norm_idx = match self.pick_norm_index(children.map(|c| c.w)) {
             Some(i) => i,
             None => return VEdge::ZERO,
         };
@@ -254,13 +273,12 @@ impl DdPackage {
             }
         }
         let node = VNode { level, children };
-        let id = match self.vunique.get(&node) {
-            Some(&id) => id,
-            None => {
+        let id = match self.vunique.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(slot) => {
                 let id = u32::try_from(self.vnodes.len()).expect("vector arena overflow");
                 self.vnodes.push(node);
-                self.vunique.insert(node, id);
-                id
+                *slot.insert(id)
             }
         };
         VEdge {
@@ -285,12 +303,37 @@ impl DdPackage {
         self.identity = std::iter::once(MEdge::ONE).chain(remapped).collect();
     }
 
-    /// Clears every compute cache (their keys reference arena indices).
+    /// Clears everything keyed by an arena index: the compute caches and
+    /// the NZRV/NZCV memo. This is the package's single invalidation
+    /// point — whatever renumbers or drops nodes calls it.
     pub(crate) fn clear_compute_caches(&mut self) {
         self.cache_mm.clear();
         self.cache_mv.clear();
         self.cache_madd.clear();
         self.cache_vadd.clear();
+        for memo in &mut self.count_memo {
+            memo.clear();
+        }
+    }
+
+    /// The memoised count vector of matrix node `id` along `axis`, if one
+    /// was recorded since the last [`DdPackage::clear_compute_caches`].
+    #[inline]
+    pub(crate) fn count_memo_get(&self, axis: CountAxis, id: MNodeId) -> Option<VEdge> {
+        self.count_memo[axis as usize]
+            .get(id.index())
+            .copied()
+            .filter(|v| !v.is_zero())
+    }
+
+    /// Records the count vector of matrix node `id` along `axis`.
+    pub(crate) fn count_memo_put(&mut self, axis: CountAxis, id: MNodeId, v: VEdge) {
+        debug_assert!(!v.is_zero(), "a canonical node has a non-zero entry");
+        let memo = &mut self.count_memo[axis as usize];
+        if memo.len() <= id.index() {
+            memo.resize(self.mnodes.len(), VEdge::ZERO);
+        }
+        memo[id.index()] = v;
     }
 
     /// Rebuilds the matrix unique table from the (compacted) arena.
@@ -315,16 +358,14 @@ impl DdPackage {
 
     /// Picks the normalisation child: largest magnitude, lowest index on
     /// (tolerance-aware) ties. `None` if all weights are zero.
-    fn pick_norm_index(&self, weights: impl Iterator<Item = CIdx>) -> Option<usize> {
-        let mags: Vec<f64> = weights
-            .map(|w| {
-                if w.is_zero() {
-                    0.0
-                } else {
-                    self.ctab.value(w).abs()
-                }
-            })
-            .collect();
+    fn pick_norm_index<const N: usize>(&self, weights: [CIdx; N]) -> Option<usize> {
+        let mags = weights.map(|w| {
+            if w.is_zero() {
+                0.0
+            } else {
+                self.ctab.value(w).abs()
+            }
+        });
         let max = mags.iter().cloned().fold(0.0f64, f64::max);
         if max == 0.0 {
             return None;

@@ -33,13 +33,13 @@ use bqsim_campaign::{
 };
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
-    AuditVerdict, BqSimOptions, BqSimulator, CompileSource, FaultBudget, FaultPlan,
+    AuditVerdict, BqSimOptions, BqSimulator, CompileSource, CompileWall, FaultBudget, FaultPlan,
     ModelCheckBudget, ModelCheckOptions, Precision, RecoveryPolicy, SeededDefect, StoreStats,
     TuneOutcome, TuningSource,
 };
 use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
-use bqsim_qcir::{dense, generators, qasm, Circuit};
+use bqsim_qcir::{dense, generators::Family, qasm, Circuit};
 use bqsim_serve::{
     read_status, run_service, DeviceLossSpec, ServeError, ServiceConfig, StatusState,
     SubmissionOutcome, SubmitSpec, TenantQuota,
@@ -719,6 +719,10 @@ fn compile_auto_tuned(
             if let CompileSource::RecompiledCorrupt { warning } = &source {
                 eprintln!("warning: artifact store: {warning}; recompiled and republished");
             }
+            if !source.is_warm() {
+                // The campaign that follows loads this publication warm.
+                print_compile_wall(sim.compile_wall());
+            }
             let outcome = tune_or_stored(
                 &mut sim,
                 Precision::F32,
@@ -752,21 +756,10 @@ fn build_circuit(args: &Args) -> Result<Circuit, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return qasm::parse(&text).map_err(|e| e.to_string());
     }
-    let family = args.family.as_deref().unwrap_or("vqe");
-    let n = args.qubits;
-    let c = match family {
-        "qnn" => generators::qnn(n, args.seed),
-        "vqe" => generators::vqe(n, args.seed),
-        "portfolio" => generators::portfolio_opt(n, args.seed),
-        "graph" => generators::graph_state(n),
-        "tsp" => generators::tsp(n, args.seed),
-        "routing" => generators::routing(n, args.seed),
-        "supremacy" => generators::supremacy(n, 8, args.seed),
-        "ghz" => generators::ghz(n),
-        "qft" => generators::qft(n),
-        other => return Err(format!("unknown family `{other}` (see --help)")),
-    };
-    Ok(c)
+    let token = args.family.as_deref().unwrap_or("vqe");
+    let family = Family::from_token(token)
+        .ok_or_else(|| format!("unknown family `{token}` (see --help)"))?;
+    family.try_build(args.qubits, args.seed)
 }
 
 fn main() -> ExitCode {
@@ -1131,6 +1124,9 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         "conversion cache: {} hit(s) / {} miss(es) / {} eviction(s)",
         cache.hits, cache.misses, cache.evictions
     );
+    if !matches!(result.compile_source, Some(CompileSource::Warm)) {
+        print_compile_wall(result.compile_wall);
+    }
     if let Some(source) = &result.compile_source {
         println!(
             "artifact store: {} compile — {}",
@@ -1145,6 +1141,18 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Where a cold start's host time went (a warm start compiled nothing,
+/// so callers skip it there).
+fn print_compile_wall(wall: CompileWall) {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    println!(
+        "compile: fusion {:.1} ms conversion {:.1} ms publish {:.1} ms",
+        ms(wall.fusion_ns),
+        ms(wall.conversion_ns),
+        ms(wall.publish_ns),
+    );
 }
 
 /// One-word provenance tag for a campaign/service compile.

@@ -15,7 +15,7 @@ use crate::error::ServeError;
 use bqsim_core::Precision;
 use bqsim_faults::FaultBudget;
 use bqsim_num::Complex;
-use bqsim_qcir::{generators, Circuit};
+use bqsim_qcir::{generators::Family, Circuit};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -185,26 +185,15 @@ impl SubmitSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidSpec`] for an unknown family.
+    /// [`ServeError::InvalidSpec`] for an unknown family, or a width
+    /// below the family's minimum.
     pub fn build_circuit(&self) -> Result<Circuit, ServeError> {
-        let n = self.qubits;
-        let c = match self.family.as_str() {
-            "qnn" => generators::qnn(n, self.seed),
-            "vqe" => generators::vqe(n, self.seed),
-            "portfolio" => generators::portfolio_opt(n, self.seed),
-            "graph" => generators::graph_state(n),
-            "tsp" => generators::tsp(n, self.seed),
-            "routing" => generators::routing(n, self.seed),
-            "supremacy" => generators::supremacy(n, 8, self.seed),
-            "ghz" => generators::ghz(n),
-            "qft" => generators::qft(n),
-            other => {
-                return Err(ServeError::InvalidSpec(format!(
-                    "unknown circuit family `{other}`"
-                )))
-            }
-        };
-        Ok(c)
+        let family = Family::from_token(&self.family).ok_or_else(|| {
+            ServeError::InvalidSpec(format!("unknown circuit family `{}`", self.family))
+        })?;
+        family
+            .try_build(self.qubits, self.seed)
+            .map_err(ServeError::InvalidSpec)
     }
 
     /// The input batches the spec's campaign runs over — identical to
@@ -381,6 +370,8 @@ mod tests {
             "tenant=a id=j qubits=0 batches=1 batch-size=1",   // zero qubits
             "tenant=a id=j qubits=2 batches=0 batch-size=1",   // zero batches
             "tenant=a id=j qubits=2 batches=1 batch-size=1 family=nope", // family
+            "tenant=a id=j qubits=1 batches=1 batch-size=1",   // ghz needs 2 qubits
+            "tenant=a id=j qubits=2 batches=1 batch-size=1 family=graph", // ring needs 3
             "tenant=a id=j qubits=2 batches=1 batch-size=1 bogus=1", // unknown key
             "tenant=a id=j qubits=2 batches=1 batch-size=1 priority=urgent", // priority
             "tenant=a qubits=2 batches=1 batch-size=1",        // missing id

@@ -90,6 +90,13 @@ fn concurrent_processes_single_flight_and_later_process_warm_hits() {
             !stderr.contains("warning"),
             "cold races must not warn: {stderr}"
         );
+        // The stage-time line is for whoever compiled: the race's leader
+        // prints it, a follower that loaded the leader's artifact does not.
+        assert_eq!(
+            stdout.contains("compile: fusion "),
+            stdout.contains("artifact store: cold compile"),
+            "compile line must accompany exactly the cold compiles: {stdout}"
+        );
     }
     let published: Vec<_> = std::fs::read_dir(&store)
         .expect("read store dir")
@@ -109,6 +116,10 @@ fn concurrent_processes_single_flight_and_later_process_warm_hits() {
     assert!(
         stdout.contains("artifact store: warm compile"),
         "third process must warm-hit: {stdout}"
+    );
+    assert!(
+        !stdout.contains("compile: fusion "),
+        "a warm start compiled nothing: {stdout}"
     );
     assert_eq!(digest_of(&outputs[0].0), digest_of(&stdout));
 

@@ -357,7 +357,10 @@ cargo run -q -p bqsim-bench --release --bin report_pr8 -- --quick --out /dev/nul
 echo "==> adaptive-precision report smoke (report_pr10 --quick)"
 cargo run -q -p bqsim-bench --release --bin report_pr10 -- --quick --out /dev/null
 
-echo "==> journaling overhead on routing-6 (target < 2%, recorded in BENCH_pr4.json)"
-cargo run -q -p bqsim-bench --release --bin report_pr4
+echo "==> journaling overhead on routing-6 (target < 2%; the tracked BENCH_pr4.json is not rewritten)"
+cargo run -q -p bqsim-bench --release --bin report_pr4 -- --out "$svc_root/BENCH_pr4.json"
+
+echo "==> git diff --exit-code (a CI run must leave every tracked file as it found it)"
+git diff --exit-code
 
 echo "CI gate passed."
