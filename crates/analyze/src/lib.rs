@@ -17,10 +17,8 @@
 //!   operand layout (§3.2), plus a bit-exact round-trip check that a
 //!   row-pattern annotation decodes to the tensor it compresses.
 //! * **Precision safety** ([`check_precision_safety`]) — verifies the
-//!   obligations of narrow-precision execution plans: every mixed-
-//!   precision measurement/integrity checkpoint is covered by an `f64`
-//!   renorm point, and the depth-derived error estimate fits the
-//!   campaign's integrity budget.
+//!   obligation of narrow-precision execution plans: the depth-derived
+//!   error estimate fits the campaign's integrity budget.
 //! * **Recovery schedules** ([`check_recovery_schedule`]) — given the
 //!   executed timeline of a fault-injected run, verifies retry attempts
 //!   keep per-task discipline, preserve happens-before across

@@ -144,7 +144,7 @@ mod tests {
         use bqsim_ell::{Layout, Precision};
         let mut a = sample_artifact(0xabcd);
         a.tuning = Some(TuningRecord {
-            precision: Precision::Mixed,
+            precision: Precision::F32,
             layout: Layout::Planar,
             threads: 4,
             use_pattern: true,
@@ -155,12 +155,22 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(
             back.tuning.unwrap().to_string(),
-            "precision=mixed layout=planar threads=4 pattern=on"
+            "precision=f32 layout=planar threads=4 pattern=on"
         );
         // Tuning is execution metadata: the artifact key and everything
         // before the tuning section are unchanged by its presence.
         let plain = encode_artifact(&sample_artifact(0xabcd));
         assert_eq!(&bytes[8..16], &plain[8..16], "same content key");
+
+        // Tag 2 was the retired third precision: a CRC-valid file that
+        // carries it is corrupt (so the store recompiles), never f64.
+        let mut retired = bytes.clone();
+        let tag = retired.len() - 5 * 8;
+        retired[tag..tag + 8].copy_from_slice(&2u64.to_le_bytes());
+        let crc = fnv1a(&retired[32..]);
+        retired[24..32].copy_from_slice(&crc.to_le_bytes());
+        let err = decode_artifact(&retired, Some(0xabcd)).unwrap_err();
+        assert!(err.to_string().contains("precision tag 2"), "{err}");
     }
 
     #[test]

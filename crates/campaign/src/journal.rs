@@ -555,7 +555,12 @@ fn parse_kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
     token.strip_prefix(key)?.strip_prefix('=')
 }
 
-fn parse_header(payload: &str) -> Option<(Fingerprint, StateMode)> {
+/// Parses the `plan` header; `None` when it is malformed. A header that
+/// is well-formed except for a precision token this build does not execute
+/// (a journal written when `precision=mixed` existed) is a campaign this
+/// build cannot resume, not damage: it is a fingerprint mismatch on
+/// `precision`.
+fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), JournalError>> {
     let mut t = payload.split(' ');
     if t.next()? != "plan" {
         return None;
@@ -572,7 +577,7 @@ fn parse_header(payload: &str) -> Option<(Fingerprint, StateMode)> {
     };
     let threads = parse_kv(t.next()?, "threads")?.parse().ok()?;
     let layout = Layout::parse(parse_kv(t.next()?, "layout")?)?;
-    let precision = Precision::parse(parse_kv(t.next()?, "precision")?)?;
+    let precision = Precision::parse(parse_kv(t.next()?, "precision")?);
     let num_batches = parse_kv(t.next()?, "batches")?.parse().ok()?;
     let batch_size = parse_kv(t.next()?, "batch_size")?.parse().ok()?;
     let amps = parse_kv(t.next()?, "amps")?.parse().ok()?;
@@ -580,7 +585,12 @@ fn parse_header(payload: &str) -> Option<(Fingerprint, StateMode)> {
     if t.next().is_some() {
         return None;
     }
-    Some((
+    let Some(precision) = precision else {
+        return Some(Err(JournalError::FingerprintMismatch {
+            field: "precision",
+        }));
+    };
+    Some(Ok((
         Fingerprint {
             circuit,
             options,
@@ -595,7 +605,7 @@ fn parse_header(payload: &str) -> Option<(Fingerprint, StateMode)> {
             amps,
         },
         mode,
-    ))
+    )))
 }
 
 fn parse_record(payload: &str) -> Option<Record> {
@@ -642,7 +652,8 @@ fn check_line(line: &str) -> Option<&str> {
 ///
 /// [`JournalError::Corrupt`] for damage a torn write cannot explain,
 /// [`JournalError::MissingHeader`] when the first record is not a valid
-/// `plan` header, plus filesystem errors.
+/// `plan` header, [`JournalError::FingerprintMismatch`] when the header
+/// names a precision this build does not execute, plus filesystem errors.
 pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -678,10 +689,7 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
             });
         };
         if i == 0 {
-            let Some(parsed) = parse_header(payload) else {
-                return Err(JournalError::MissingHeader);
-            };
-            fingerprint = Some(parsed);
+            fingerprint = Some(parse_header(payload).ok_or(JournalError::MissingHeader)??);
         } else if payload.starts_with("plan ") {
             return Err(JournalError::Corrupt {
                 line: i + 1,
@@ -772,6 +780,35 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             "a clean journal's valid prefix is the whole file"
         );
+        cleanup(&path);
+    }
+
+    /// A journal written when `precision=mixed` existed is refused as a
+    /// plan mismatch (exit 4), not parsed as f64 and not called corrupt.
+    #[test]
+    fn retired_precision_token_is_a_fingerprint_mismatch() {
+        let path = tmp("retired-precision");
+        let header = render_header(&fp(), StateMode::ChecksumOnly);
+        assert!(header.contains(" precision=f64 "));
+        std::fs::write(
+            &path,
+            render_line(&header.replace(" precision=f64 ", " precision=mixed ")),
+        )
+        .unwrap();
+        match read_journal(&path) {
+            Err(JournalError::FingerprintMismatch { field: "precision" }) => {}
+            other => panic!("expected a precision mismatch, got {other:?}"),
+        }
+        // Any other malformed header field is still a missing header.
+        std::fs::write(
+            &path,
+            render_line(&header.replace(" layout=planar ", " layout=diagonal ")),
+        )
+        .unwrap();
+        assert!(matches!(
+            read_journal(&path),
+            Err(JournalError::MissingHeader)
+        ));
         cleanup(&path);
     }
 

@@ -193,17 +193,15 @@ pub fn analyze_pipeline(
         converted.len(),
     ));
 
-    // Stage ④: precision obligations of the plan — renorm coverage for
-    // mixed precision and, when an integrity budget is supplied, the
-    // depth-derived tolerance audit (would this precision's worst-case
-    // drift fit the budget, or would every batch quarantine?).
-    let pfacts = analyze::PrecisionFacts::from_plan(
-        opts.effective_precision(),
-        converted.len(),
-        num_batches,
-        integrity_budget,
-    );
-    diags.merge(analyze::check_precision_safety(&pfacts));
+    // Stage ④: the plan's precision obligation — when an integrity
+    // budget is supplied, the depth-derived tolerance audit (would this
+    // precision's worst-case drift fit the budget, or would every batch
+    // quarantine?).
+    diags.merge(analyze::check_precision_safety(&analyze::PrecisionFacts {
+        precision: opts.effective_precision(),
+        depth: converted.len(),
+        budget: integrity_budget,
+    }));
 
     Ok(PipelineAnalysis {
         diagnostics: diags,
@@ -336,20 +334,16 @@ pub enum SeededDefect {
     Pool,
     /// Audit a journal whose record sequence completes a batch twice.
     Journal,
-    /// Check a mixed-precision plan whose final integrity checkpoint
-    /// lost its covering `f64` renorm point (renorm-coverage violation).
-    Renorm,
 }
 
 impl SeededDefect {
     /// Every defect, in the order the CI corpus iterates them.
-    pub const ALL: [SeededDefect; 6] = [
+    pub const ALL: [SeededDefect; 5] = [
         SeededDefect::Race,
         SeededDefect::LockOrder,
         SeededDefect::Wake,
         SeededDefect::Pool,
         SeededDefect::Journal,
-        SeededDefect::Renorm,
     ];
 
     /// The CLI name of the defect.
@@ -360,7 +354,6 @@ impl SeededDefect {
             SeededDefect::Wake => "wake",
             SeededDefect::Pool => "pool",
             SeededDefect::Journal => "journal",
-            SeededDefect::Renorm => "renorm",
         }
     }
 
@@ -623,38 +616,6 @@ pub fn model_check_pipeline(
             analyze::check_journal(&journal),
         );
     }
-
-    // ⑥ Precision safety: renorm coverage of measurement/integrity
-    // checkpoints and the depth-derived tolerance estimate. The seeded
-    // defect forces a mixed-precision plan whose *last* checkpoint lost
-    // its covering renorm point.
-    let pfacts = if mc.defect == Some(SeededDefect::Renorm) {
-        let mut f = analyze::PrecisionFacts::from_plan(
-            crate::Precision::Mixed,
-            sim.gates().len(),
-            num_batches.max(1),
-            None,
-        );
-        f.renorm_points.pop();
-        f
-    } else {
-        analyze::PrecisionFacts::from_plan(
-            opts.effective_precision(),
-            sim.gates().len(),
-            num_batches,
-            None,
-        )
-    };
-    report.push_section(
-        "precision safety",
-        format!(
-            "precision {}; {} checkpoint(s), {} renorm point(s)",
-            pfacts.precision.token(),
-            pfacts.checkpoints.len(),
-            pfacts.renorm_points.len()
-        ),
-        analyze::check_precision_safety(&pfacts),
-    );
 
     Ok(ModelCheckReport {
         traces_explored: outcome.traces_explored,

@@ -4,7 +4,7 @@
 //! for the timing model plus functional semantics against device buffers.
 
 use bqsim_ell::convert::{convert_row_algorithm1, ConversionWork};
-use bqsim_ell::{EllMatrix, GpuDd, Precision};
+use bqsim_ell::{AmpPlanes, EllMatrix, GpuDd, Lane, Precision};
 use bqsim_gpu::{AmpStore, BufferId, DeviceMemory, Kernel, KernelProfile};
 use bqsim_num::Complex;
 use std::sync::Arc;
@@ -83,11 +83,11 @@ impl EllSpmmKernel {
         )
     }
 
-    /// Full constructor: additionally selects the amplitude precision of
-    /// the planar sweep (`f32`/mixed kernels run only against `f32`
-    /// planar buffers — the simulator's `effective_precision` guarantees
-    /// the buffer/precision pairing) and whether the planar arms exploit
-    /// the pattern-compression annotation.
+    /// Full constructor: additionally names the amplitude precision the
+    /// cost profile charges plane traffic at (execution follows the
+    /// buffers' own width — the simulator's `effective_precision`
+    /// allocates them to match) and whether the planar arms exploit the
+    /// pattern-compression annotation.
     #[allow(clippy::too_many_arguments)]
     pub fn with_tuning(
         gate: Arc<EllMatrix>,
@@ -128,6 +128,55 @@ impl EllSpmmKernel {
             .min(self.gate.num_rows())
             .min((total / MIN_ELEMS_PER_LANE).max(1))
     }
+
+    /// Output rows per lane of a row-partitioned launch.
+    fn rows_per_lane(&self) -> usize {
+        self.gate.num_rows().div_ceil(self.effective_lanes())
+    }
+
+    /// One planar launch at either lane type, row-partitioned across
+    /// [`effective_lanes`](Self::effective_lanes) scoped workers: each
+    /// lane owns the same disjoint row window of both output planes and
+    /// only reads the (shared) input, so the split is race-free by
+    /// construction.
+    fn sweep_planar<T: Lane>(&self, input: &AmpPlanes<T>, output: &mut AmpPlanes<T>) {
+        let (ire, iim) = input.planes();
+        let (ore, oim) = output.planes_mut();
+        let run = |cre: &mut [T], cim: &mut [T], first_row: usize| {
+            self.gate
+                .spmm_rows_planar(ire, iim, cre, cim, first_row, self.batch, self.use_pattern)
+        };
+        if self.effective_lanes() == 1 {
+            return run(ore, oim, 0);
+        }
+        let chunk_rows = self.rows_per_lane();
+        std::thread::scope(|scope| {
+            for (lane, (cre, cim)) in ore
+                .chunks_mut(chunk_rows * self.batch)
+                .zip(oim.chunks_mut(chunk_rows * self.batch))
+                .enumerate()
+            {
+                let run = &run;
+                scope.spawn(move || run(cre, cim, lane * chunk_rows));
+            }
+        });
+    }
+
+    /// The AoS counterpart of [`sweep_planar`](Self::sweep_planar).
+    fn sweep_aos(&self, input: &[Complex], output: &mut [Complex]) {
+        if self.effective_lanes() == 1 {
+            return self.gate.spmm(input, output, self.batch);
+        }
+        let chunk_rows = self.rows_per_lane();
+        std::thread::scope(|scope| {
+            for (lane, chunk) in output.chunks_mut(chunk_rows * self.batch).enumerate() {
+                scope.spawn(move || {
+                    self.gate
+                        .spmm_rows(input, chunk, lane * chunk_rows, self.batch)
+                });
+            }
+        });
+    }
 }
 
 impl Kernel for EllSpmmKernel {
@@ -166,89 +215,15 @@ impl Kernel for EllSpmmKernel {
             self.gate.spmm_generic(&input, &mut output, self.batch);
             return;
         }
-        let lanes = self.effective_lanes();
-        let rows = self.gate.num_rows();
-        let chunk_rows = rows.div_ceil(lanes);
-        let batch = self.batch;
-        let gate = &*self.gate;
-        let use_pattern = self.use_pattern;
         // Dispatch on the buffers' store variant: the simulator allocates
         // all four state buffers in one layout and width, so input and
-        // output always agree (the `as_*` accessors panic if a
-        // scheduling bug mixes them).
-        if matches!(input.store(), AmpStore::PlanarF32(_)) {
-            let (ire, iim) = input.store().as_planar_f32().planes();
-            let (ore, oim) = output.store_mut().as_planar_f32_mut().planes_mut();
-            // Both narrow arms take the f64 gate values and make their
-            // dispatch decisions on them, so arm selection is identical
-            // to the reference; `mixed` additionally accumulates in f64.
-            let mixed = self.precision == Precision::Mixed;
-            let run = |cre: &mut [f32], cim: &mut [f32], first_row: usize| {
-                if mixed {
-                    gate.spmm_rows_planar_mixed(ire, iim, cre, cim, first_row, batch, use_pattern);
-                } else {
-                    gate.spmm_rows_planar_f32(ire, iim, cre, cim, first_row, batch, use_pattern);
-                }
-            };
-            if lanes == 1 {
-                run(ore, oim, 0);
-                return;
-            }
-            std::thread::scope(|scope| {
-                for (lane, (cre, cim)) in ore
-                    .chunks_mut(chunk_rows * batch)
-                    .zip(oim.chunks_mut(chunk_rows * batch))
-                    .enumerate()
-                {
-                    let run = &run;
-                    scope.spawn(move || run(cre, cim, lane * chunk_rows));
-                }
-            });
-            return;
+        // output always agree.
+        match (input.store(), output.store_mut()) {
+            (AmpStore::Planar(i), AmpStore::Planar(o)) => self.sweep_planar(i, o),
+            (AmpStore::PlanarF32(i), AmpStore::PlanarF32(o)) => self.sweep_planar(i, o),
+            (AmpStore::Aos(i), AmpStore::Aos(o)) => self.sweep_aos(i, o),
+            _ => panic!("kernel input and output buffers disagree in layout or width"),
         }
-        if matches!(input.store(), AmpStore::Planar(_)) {
-            let (ire, iim) = input.store().as_planar().planes();
-            let (ore, oim) = output.store_mut().as_planar_mut().planes_mut();
-            if lanes == 1 {
-                gate.spmm_rows_planar_cfg(ire, iim, ore, oim, 0, batch, use_pattern);
-                return;
-            }
-            // Row-partition as in the AoS path below; each worker owns the
-            // same row window of both output planes.
-            std::thread::scope(|scope| {
-                for (lane, (cre, cim)) in ore
-                    .chunks_mut(chunk_rows * batch)
-                    .zip(oim.chunks_mut(chunk_rows * batch))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        gate.spmm_rows_planar_cfg(
-                            ire,
-                            iim,
-                            cre,
-                            cim,
-                            lane * chunk_rows,
-                            batch,
-                            use_pattern,
-                        )
-                    });
-                }
-            });
-            return;
-        }
-        if lanes == 1 {
-            gate.spmm(&input, &mut output, self.batch);
-            return;
-        }
-        // Row-partition one launch across `lanes` scoped workers: each
-        // lane owns a disjoint window of output rows and only reads the
-        // (shared) input, so the split is race-free by construction.
-        let input = &*input;
-        std::thread::scope(|scope| {
-            for (lane, chunk) in output.chunks_mut(chunk_rows * batch).enumerate() {
-                scope.spawn(move || gate.spmm_rows(input, chunk, lane * chunk_rows, batch));
-            }
-        });
     }
 
     fn buffer_reads(&self) -> Vec<BufferId> {

@@ -63,9 +63,8 @@ pub struct BqSimOptions {
     /// default honours `BQSIM_LAYOUT` and falls back to planar.
     pub layout: Layout,
     /// Amplitude precision of the planar execution path: `f64` (the
-    /// bit-identity reference), `f32` (narrow storage and arithmetic),
-    /// or mixed (`f32` storage, `f64` accumulation, per-batch
-    /// renormalisation). Only the planar layout has narrow kernels, so
+    /// bit-identity reference) or `f32` (narrow storage and arithmetic).
+    /// Only the planar layout has narrow kernels, so
     /// [`BqSimOptions::effective_precision`] falls back to `f64`
     /// whenever the effective layout is AoS. The default honours
     /// `BQSIM_PRECISION` and falls back to `f64`.
@@ -103,43 +102,84 @@ impl BqSimOptions {
     }
 }
 
+/// Reads the `BQSIM_*` variable `name` through `parse`: `Ok(None)` when
+/// unset, an error naming the variable and the accepted values (`want`)
+/// when set to anything `parse` does not recognise.
+fn env_value<T>(
+    name: &str,
+    want: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} must be {want}")),
+        Ok(s) => parse(s.trim())
+            .map(Some)
+            .ok_or_else(|| format!("{name} must be {want}, got `{s}`")),
+    }
+}
+
+fn env_threads() -> Result<Option<usize>, String> {
+    env_value("BQSIM_THREADS", "a positive integer", |s| {
+        s.parse().ok().filter(|&n| n >= 1)
+    })
+}
+
+fn env_layout() -> Result<Option<Layout>, String> {
+    env_value("BQSIM_LAYOUT", "`aos` or `planar`", Layout::parse)
+}
+
+/// `auto` is recognised but reads as unset: it is a tuner request the CLI
+/// resolves, not a precision.
+fn env_precision() -> Result<Option<Precision>, String> {
+    env_value("BQSIM_PRECISION", "`f64`, `f32`, or `auto`", |s| {
+        if s == "auto" {
+            Some(None)
+        } else {
+            Precision::parse(s).map(Some)
+        }
+    })
+    .map(Option::flatten)
+}
+
+/// Checks `BQSIM_THREADS`, `BQSIM_LAYOUT` and `BQSIM_PRECISION`: a set
+/// but unrecognised value is an error naming the variable. The
+/// `default_*` functions below cannot fail (they back `Default`), so
+/// they fall back on such a value; a front end calls this first so a
+/// misspelt or retired token is a usage error rather than a silent `f64`.
+///
+/// # Errors
+///
+/// The first offending variable, with the values it accepts.
+pub fn validate_env() -> Result<(), String> {
+    env_threads()?;
+    env_layout()?;
+    env_precision()?;
+    Ok(())
+}
+
 /// Default worker-thread count: `BQSIM_THREADS` if set to a positive
 /// integer, else the host's available parallelism, else 1.
 pub fn default_threads() -> usize {
-    if let Ok(s) = std::env::var("BQSIM_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env_threads().ok().flatten().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Default amplitude layout: `BQSIM_LAYOUT` if set to a recognised token
 /// (`aos` / `planar`), else [`Layout::Planar`].
 pub fn default_layout() -> Layout {
-    if let Ok(s) = std::env::var("BQSIM_LAYOUT") {
-        if let Some(l) = Layout::parse(s.trim()) {
-            return l;
-        }
-    }
-    Layout::default()
+    env_layout().ok().flatten().unwrap_or_default()
 }
 
 /// Default amplitude precision: `BQSIM_PRECISION` if set to a recognised
-/// token (`f64` / `f32` / `mixed`), else [`Precision::F64`]. The `auto`
-/// token is resolved by the CLI/auto-tuner before options are built and
-/// is not recognised here.
+/// token (`f64` / `f32`), else [`Precision::F64`]. The `auto` token is
+/// resolved by the CLI/auto-tuner before options are built and reads as
+/// unset here.
 pub fn default_precision() -> Precision {
-    if let Ok(s) = std::env::var("BQSIM_PRECISION") {
-        if let Some(p) = Precision::parse(s.trim()) {
-            return p;
-        }
-    }
-    Precision::default()
+    env_precision().ok().flatten().unwrap_or_default()
 }
 
 impl Default for BqSimOptions {
@@ -793,7 +833,7 @@ impl BqSimulator {
         );
         let timeline = faulted.timeline.clone();
 
-        let mut outputs_data: Vec<Vec<Vec<Complex>>> = if functional {
+        let outputs_data: Vec<Vec<Vec<Complex>>> = if functional {
             outputs
                 .iter()
                 .map(|&h| host.buffer(h).store().unpack_states(batch_size))
@@ -801,28 +841,6 @@ impl BqSimulator {
         } else {
             Vec::new()
         };
-        // Mixed precision scrubs norm drift at every batch boundary: the
-        // gates are unitary, so each output state's true L2 norm equals
-        // its input's. Rescaling in f64 right after the widening unpack
-        // puts a renormalisation point in front of every downstream
-        // integrity checkpoint (the analyzer's precision-safety pass
-        // audits exactly this coverage). Pure f32 deliberately skips it —
-        // its drift is what the quarantine path is tested against.
-        if functional && precision == Precision::Mixed {
-            for (batch_out, batch_in) in outputs_data.iter_mut().zip(batches) {
-                for (state, input) in batch_out.iter_mut().zip(batch_in) {
-                    let want = bqsim_num::approx::l2_norm(input);
-                    let got = bqsim_num::approx::l2_norm(state);
-                    if got > 0.0 && want > 0.0 {
-                        let k = want / got;
-                        for z in state.iter_mut() {
-                            *z = z.scale(k);
-                        }
-                    }
-                }
-            }
-        }
-
         let breakdown = RunBreakdown {
             fusion_ns: self.fusion_ns,
             conversion_ns: self.conversion_ns,

@@ -965,11 +965,11 @@ mod tests {
         }
         let batch = 5;
         let input = batched(8, batch, 7);
-        let pin = crate::AmpBuffer::from_aos(&input);
-        let mut plain = crate::AmpBuffer::zeroed(8 * batch);
+        let pin = crate::AmpPlanes::<f64>::from_aos(&input);
+        let mut plain = crate::AmpPlanes::zeroed(8 * batch);
         ell.spmm_planar(&pin, &mut plain, batch);
         assert_eq!(ell.detect_pattern(), Some(2));
-        let mut patterned = crate::AmpBuffer::zeroed(8 * batch);
+        let mut patterned = crate::AmpPlanes::zeroed(8 * batch);
         ell.spmm_planar(&pin, &mut patterned, batch);
         assert_eq!(plain, patterned);
     }

@@ -41,7 +41,6 @@ mod csr;
 mod format;
 mod gpu_dd;
 mod planar;
-mod planar32;
 mod precision;
 
 pub mod convert;
@@ -49,6 +48,5 @@ pub mod convert;
 pub use csr::CsrMatrix;
 pub use format::{pack_batch, unpack_batch, EllMatrix};
 pub use gpu_dd::{GpuDd, GpuDdEdge, GpuDdNode, NIL};
-pub use planar::{AmpBuffer, Layout, TILE};
-pub use planar32::AmpBufferF32;
+pub use planar::{AmpPlanes, Lane, Layout, TILE};
 pub use precision::{precision_tolerance, Precision};

@@ -1,24 +1,34 @@
-//! Planar (SoA) amplitude buffers and width-tiled spMM microkernels.
+//! Planar (SoA) amplitude planes and the width-tiled spMM microkernels.
 //!
 //! The AoS spMM paths in [`format`](crate::format) walk `Vec<Complex>`
 //! buffers whose re/im components interleave in memory. That layout costs
 //! the auto-vectoriser dearly: every SIMD lane has to shuffle re/im pairs
 //! apart before it can multiply, and the real-valued arms (the dominant
 //! post-fusion case) still drag the unused imaginary halves through the
-//! cache. This module stores the batch in **planar** form — one `f64`
-//! plane for the real parts and one for the imaginary parts, both in the
-//! same amplitude-major order (`plane[r * batch + b]`) — and rewrites the
+//! cache. This module stores the batch in **planar** form — one plane for
+//! the real parts and one for the imaginary parts, both in the same
+//! amplitude-major order (`plane[r * batch + b]`) — and rewrites the
 //! shape-specialised kernels as width-generic microkernels along the
 //! batch dimension: per-plane split passes the auto-vectoriser turns into
 //! [`TILE`]-wide unrolled SIMD loops (see the lane-primitive section).
 //!
+//! **One kernel family, two lane types.** [`AmpPlanes`] and
+//! [`EllMatrix::spmm_rows_planar`] are generic over the plane element
+//! type [`Lane`]: `f64` is the reference, `f32` halves the plane traffic
+//! of the bandwidth-bound sweep. Gate values stay `f64`; every dispatch
+//! decision (unit value, all-real row) is made on them, so both
+//! instantiations take identical arms on identical matrices, and each arm
+//! narrows its gate values once through [`Lane::narrow`] (the identity at
+//! `f64`) before multiplying in the lane type.
+//!
 //! **Bit identity.** Every microkernel arm evaluates *exactly* the same
 //! per-element expression tree as its AoS counterpart in
 //! [`EllMatrix::spmm_rows`] (same operand order, same association, same
-//! value-pattern dispatch), so outputs are bit-identical to the AoS path —
-//! including signed zeros and NaN payloads. That is what lets
-//! `BqSimOptions::layout` switch layouts without perturbing campaign
-//! digests, and what the `spmm_layouts` property test pins down.
+//! value-pattern dispatch), so the `f64` instantiation is bit-identical
+//! to the AoS path — including signed zeros and NaN payloads. That is what
+//! lets `BqSimOptions::layout` switch layouts without perturbing campaign
+//! digests, and what the `spmm_layouts` property test pins down (for both
+//! lane types, against a scalar reference evaluated in the lane type).
 //!
 //! **Pattern execution.** When the matrix carries a detected row pattern
 //! (see [`EllMatrix::detect_pattern`]), the planar kernels read values and
@@ -29,8 +39,10 @@
 //! unchanged.
 
 use crate::format::EllMatrix;
+use bqsim_num::narrow::to_f32;
 use bqsim_num::Complex;
 use core::fmt;
+use core::ops::{Add, AddAssign, Mul, Sub};
 
 /// Nominal element count of one microkernel tile along the batch
 /// dimension: the width the auto-vectoriser unrolls each per-plane pass
@@ -46,7 +58,7 @@ pub enum Layout {
     /// Interleaved array-of-structures `Vec<Complex>` — the PR 3 layout,
     /// kept as the ablation baseline.
     Aos,
-    /// Planar structure-of-arrays [`AmpBuffer`] — separate re/im planes,
+    /// Planar structure-of-arrays [`AmpPlanes`] — separate re/im planes,
     /// batch-major (the default).
     #[default]
     Planar,
@@ -78,29 +90,77 @@ impl fmt::Display for Layout {
     }
 }
 
-/// A batch of state vectors in planar (SoA) layout: one `f64` plane per
-/// component, both in the amplitude-major order of
-/// [`pack_batch`](crate::pack_batch) (`plane[r * batch + b]`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AmpBuffer {
-    re: Vec<f64>,
-    im: Vec<f64>,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
 }
 
-impl AmpBuffer {
-    /// An all-zero buffer holding `len` amplitudes.
+/// The element type of an amplitude plane: `f64` (the bit-identity
+/// reference) or `f32` (narrow storage and arithmetic). Sealed — the
+/// kernels' bit-identity argument covers exactly these two.
+///
+/// Widening back to `f64` is the `Into<f64>` supertrait (exact for both).
+pub trait Lane:
+    sealed::Sealed
+    + Copy
+    + Default
+    + PartialEq
+    + fmt::Debug
+    + Send
+    + Sync
+    + Into<f64>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + AddAssign
+    + 'static
+{
+    /// Narrows an `f64` component to the lane type: the identity at
+    /// `f64`, one round-to-nearest-even (via [`bqsim_num::narrow`], the
+    /// workspace's only sanctioned narrowing point) at `f32`.
+    fn narrow(v: f64) -> Self;
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn narrow(v: f64) -> f64 {
+        v
+    }
+}
+
+impl Lane for f32 {
+    #[inline(always)]
+    fn narrow(v: f64) -> f32 {
+        to_f32(v)
+    }
+}
+
+/// A batch of state vectors in planar (SoA) layout: one plane of `T` per
+/// component, both in the amplitude-major order of
+/// [`pack_batch`](crate::pack_batch) (`plane[r * batch + b]`).
+///
+/// Copies *into* `f32` planes narrow (each amplitude rounds exactly once
+/// on entry — the staging path's intended precision-loss point); copies
+/// *out* widen exactly. At `f64` both directions are pure component
+/// moves.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AmpPlanes<T> {
+    re: Vec<T>,
+    im: Vec<T>,
+}
+
+impl<T: Lane> AmpPlanes<T> {
+    /// All-zero planes holding `len` amplitudes.
     pub fn zeroed(len: usize) -> Self {
-        AmpBuffer {
-            re: vec![0.0; len],
-            im: vec![0.0; len],
-        }
+        AmpPlanes::zeroed_with_capacity(len, len)
     }
 
-    /// An all-zero buffer of `len` amplitudes whose planes reserve room
-    /// for `cap` (buffer pools allocate whole size classes up front so a
-    /// later checkout of any length in the class never reallocates).
+    /// All-zero planes of `len` amplitudes reserving room for `cap`
+    /// (buffer pools allocate whole size classes up front so a later
+    /// checkout of any length in the class never reallocates).
     pub fn zeroed_with_capacity(len: usize, cap: usize) -> Self {
-        let mut b = AmpBuffer {
+        let mut b = AmpPlanes {
             re: Vec::with_capacity(cap.max(len)),
             im: Vec::with_capacity(cap.max(len)),
         };
@@ -112,9 +172,9 @@ impl AmpBuffer {
     /// capacity — no heap traffic when `len <= capacity()`.
     pub fn reset_zeroed(&mut self, len: usize) {
         self.re.clear();
-        self.re.resize(len, 0.0);
+        self.re.resize(len, T::default());
         self.im.clear();
-        self.im.resize(len, 0.0);
+        self.im.resize(len, T::default());
     }
 
     /// Amplitudes the planes can hold without reallocating.
@@ -129,7 +189,7 @@ impl AmpBuffer {
         self.re.len()
     }
 
-    /// Whether the buffer holds no amplitudes.
+    /// Whether the planes hold no amplitudes.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.re.is_empty()
@@ -137,25 +197,24 @@ impl AmpBuffer {
 
     /// Both planes, `(re, im)`.
     #[inline]
-    pub fn planes(&self) -> (&[f64], &[f64]) {
+    pub fn planes(&self) -> (&[T], &[T]) {
         (&self.re, &self.im)
     }
 
     /// Both planes mutably, `(re, im)`.
     #[inline]
-    pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+    pub fn planes_mut(&mut self) -> (&mut [T], &mut [T]) {
         (&mut self.re, &mut self.im)
     }
 
     /// Sets every amplitude to `v` (used for zeroing and NaN poisoning).
     pub fn fill(&mut self, v: Complex) {
-        self.re.fill(v.re);
-        self.im.fill(v.im);
+        self.re.fill(T::narrow(v.re));
+        self.im.fill(T::narrow(v.im));
     }
 
     /// De-interleaves `src` into the leading `src.len()` amplitudes —
-    /// the planar equivalent of `dst[..len].copy_from_slice(src)`. Pure
-    /// component moves, no arithmetic, so bit-exact.
+    /// the planar equivalent of `dst[..len].copy_from_slice(src)`.
     ///
     /// # Panics
     ///
@@ -166,8 +225,8 @@ impl AmpBuffer {
         // and scattered to both planes (H2D runs this per batch, so it is
         // memory-bound traffic worth not doubling).
         for ((dr, di), s) in self.re.iter_mut().zip(self.im.iter_mut()).zip(src) {
-            *dr = s.re;
-            *di = s.im;
+            *dr = T::narrow(s.re);
+            *di = T::narrow(s.im);
         }
     }
 
@@ -180,27 +239,34 @@ impl AmpBuffer {
     pub fn copy_to_aos(&self, dst: &mut [Complex]) {
         assert!(dst.len() <= self.len(), "planar prefix copy overrun");
         for (d, (&re, &im)) in dst.iter_mut().zip(self.re.iter().zip(&self.im)) {
-            *d = Complex::new(re, im);
+            *d = Complex::new(re.into(), im.into());
         }
     }
 
-    /// Copies the leading `src.len()` amplitudes from another planar
-    /// buffer — two plane `memcpy`s, the layout-matched H2D/D2H fast
-    /// path (no de/re-interleave pass at all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() > self.len()`.
-    pub fn copy_prefix_from(&mut self, src: &AmpBuffer) {
-        let len = src.len();
-        assert!(len <= self.len(), "planar prefix copy overrun");
-        self.re[..len].copy_from_slice(&src.re);
-        self.im[..len].copy_from_slice(&src.im);
+    /// Copies the leading `min(src.len(), self.len())` amplitudes from
+    /// planes of the same lane type — two plane `memcpy`s, the
+    /// layout-matched H2D/D2H fast path.
+    pub fn copy_prefix_from(&mut self, src: &AmpPlanes<T>) {
+        let len = src.len().min(self.len());
+        self.re[..len].copy_from_slice(&src.re[..len]);
+        self.im[..len].copy_from_slice(&src.im[..len]);
     }
 
-    /// Builds a planar buffer from an interleaved slice.
+    /// [`copy_prefix_from`](Self::copy_prefix_from) across lane types:
+    /// `f64 → f32` narrows once per amplitude, `f32 → f64` widens exactly.
+    pub fn convert_prefix_from<U: Lane>(&mut self, src: &AmpPlanes<U>) {
+        let len = src.len().min(self.len());
+        for (d, &s) in self.re[..len].iter_mut().zip(&src.re[..len]) {
+            *d = T::narrow(s.into());
+        }
+        for (d, &s) in self.im[..len].iter_mut().zip(&src.im[..len]) {
+            *d = T::narrow(s.into());
+        }
+    }
+
+    /// Builds planes from an interleaved slice.
     pub fn from_aos(src: &[Complex]) -> Self {
-        let mut b = AmpBuffer::zeroed(src.len());
+        let mut b = AmpPlanes::zeroed(src.len());
         b.copy_from_aos(src);
         b
     }
@@ -221,31 +287,32 @@ impl AmpBuffer {
 // writing both planes) defeats the auto-vectoriser on this workload — the
 // two write streams force it into scatter-shaped addressing — while each
 // single-plane pass is a textbook map over equal-length slices that it
-// turns into [`TILE`]-wide unrolled SIMD (measured ~1.5× over the
-// interleaved AoS loops at batch 128 on the reference host; see
-// `report_pr5`). The per-element expressions are copied verbatim from the
-// AoS arms (see `format.rs`) and the real/imaginary components of a
-// complex expression never feed each other within one arm, so splitting
-// the passes cannot change a single output bit; the doc comment of each
-// primitive names the AoS expression it mirrors.
+// turns into [`TILE`]-wide unrolled SIMD (twice as many elements per
+// vector register at `f32`). The per-element expressions are copied
+// verbatim from the AoS arms (see `format.rs`) and the real/imaginary
+// components of a complex expression never feed each other within one
+// arm, so splitting the passes cannot change a single output bit; the doc
+// comment of each primitive names the AoS expression it mirrors. Gate
+// values arrive as `f64` and are narrowed once, before the loops.
 
 /// `out_row.fill(Complex::ZERO)`.
 #[inline(always)]
-fn lane_zero(or: &mut [f64], oi: &mut [f64]) {
-    or.fill(0.0);
-    oi.fill(0.0);
+fn lane_zero<T: Lane>(or: &mut [T], oi: &mut [T]) {
+    or.fill(T::default());
+    oi.fill(T::default());
 }
 
 /// `out_row.copy_from_slice(src)` — unit-value row copy.
 #[inline(always)]
-fn lane_copy(or: &mut [f64], oi: &mut [f64], xr: &[f64], xi: &[f64]) {
+fn lane_copy<T: Lane>(or: &mut [T], oi: &mut [T], xr: &[T], xi: &[T]) {
     or.copy_from_slice(xr);
     oi.copy_from_slice(xi);
 }
 
 /// `*o = rscale(s, *x)` — plane-independent real scale.
 #[inline(always)]
-fn lane_rscale(s: f64, or: &mut [f64], oi: &mut [f64], xr: &[f64], xi: &[f64]) {
+fn lane_rscale<T: Lane>(s: f64, or: &mut [T], oi: &mut [T], xr: &[T], xi: &[T]) {
+    let s = T::narrow(s);
     for (o, &a) in or.iter_mut().zip(xr) {
         *o = s * a;
     }
@@ -257,41 +324,57 @@ fn lane_rscale(s: f64, or: &mut [f64], oi: &mut [f64], xr: &[f64], xi: &[f64]) {
 /// `*o = v * *x` — full complex scale:
 /// `(v.re·a − v.im·b, v.re·b + v.im·a)` for `x = (a, b)`.
 #[inline(always)]
-fn lane_cscale(v: Complex, or: &mut [f64], oi: &mut [f64], xr: &[f64], xi: &[f64]) {
+fn lane_cscale<T: Lane>(v: Complex, or: &mut [T], oi: &mut [T], xr: &[T], xi: &[T]) {
+    let (vr, vi) = (T::narrow(v.re), T::narrow(v.im));
     for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-        *o = v.re * a - v.im * b;
+        *o = vr * a - vi * b;
     }
     for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-        *o = v.re * b + v.im * a;
+        *o = vr * b + vi * a;
+    }
+}
+
+/// The single-slot row: unit copy, real scale, or full complex scale,
+/// chosen on the `f64` gate value.
+#[inline(always)]
+fn lane_scale<T: Lane>(v: Complex, or: &mut [T], oi: &mut [T], xr: &[T], xi: &[T]) {
+    if v == Complex::ONE {
+        lane_copy(or, oi, xr, xi);
+    } else if v.im == 0.0 {
+        lane_rscale(v.re, or, oi, xr, xi);
+    } else {
+        lane_cscale(v, or, oi, xr, xi);
     }
 }
 
 /// `*o += vk * *x` — the accumulation sweep step of the wide fallback.
 #[inline(always)]
-fn lane_axpy(v: Complex, or: &mut [f64], oi: &mut [f64], xr: &[f64], xi: &[f64]) {
+fn lane_axpy<T: Lane>(v: Complex, or: &mut [T], oi: &mut [T], xr: &[T], xi: &[T]) {
+    let (vr, vi) = (T::narrow(v.re), T::narrow(v.im));
     for (o, (&a, &b)) in or.iter_mut().zip(xr.iter().zip(xi)) {
-        *o += v.re * a - v.im * b;
+        *o += vr * a - vi * b;
     }
     for (o, (&a, &b)) in oi.iter_mut().zip(xr.iter().zip(xi)) {
-        *o += v.re * b + v.im * a;
+        *o += vr * b + vi * a;
     }
 }
+
+/// One `(re, im)` input-row plane pair.
+type Planes<'a, T> = (&'a [T], &'a [T]);
 
 /// `*o = Complex::new(s0·a.re + s1·b.re, s0·a.im + s1·b.im)` — the
 /// all-real pair combine. Each plane pass touches only its own component
 /// planes.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // planar kernels take one slice per plane
-fn lane_pair_r(
+fn lane_pair_r<T: Lane>(
     s0: f64,
     s1: f64,
-    or: &mut [f64],
-    oi: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
+    or: &mut [T],
+    oi: &mut [T],
+    (ar, ai): Planes<'_, T>,
+    (br, bi): Planes<'_, T>,
 ) {
+    let (s0, s1) = (T::narrow(s0), T::narrow(s1));
     for (o, (&a, &b)) in or.iter_mut().zip(ar.iter().zip(br)) {
         *o = s0 * a + s1 * b;
     }
@@ -302,29 +385,25 @@ fn lane_pair_r(
 
 /// `*o = v0 * *a + v1 * *b` — the complex pair combine.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // planar kernels take one slice per plane
-fn lane_pair_c(
+fn lane_pair_c<T: Lane>(
     v0: Complex,
     v1: Complex,
-    or: &mut [f64],
-    oi: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
+    or: &mut [T],
+    oi: &mut [T],
+    (ar, ai): Planes<'_, T>,
+    (br, bi): Planes<'_, T>,
 ) {
     let n = or.len();
     let (ar, ai, br, bi) = (&ar[..n], &ai[..n], &br[..n], &bi[..n]);
+    let (v0r, v0i) = (T::narrow(v0.re), T::narrow(v0.im));
+    let (v1r, v1i) = (T::narrow(v1.re), T::narrow(v1.im));
     for (t, o) in or.iter_mut().enumerate() {
-        *o = (v0.re * ar[t] - v0.im * ai[t]) + (v1.re * br[t] - v1.im * bi[t]);
+        *o = (v0r * ar[t] - v0i * ai[t]) + (v1r * br[t] - v1i * bi[t]);
     }
     for (t, o) in oi[..n].iter_mut().enumerate() {
-        *o = (v0.re * ai[t] + v0.im * ar[t]) + (v1.re * bi[t] + v1.im * br[t]);
+        *o = (v0r * ai[t] + v0i * ar[t]) + (v1r * bi[t] + v1i * br[t]);
     }
 }
-
-/// One `(re, im)` input-row plane pair.
-type Planes<'a> = (&'a [f64], &'a [f64]);
 
 /// `Complex::new(s0·a.re + s1·b.re + …, …)` — the all-real 3/4-slot
 /// single-pass combine, generic over slot count. The inner sum starts
@@ -332,8 +411,14 @@ type Planes<'a> = (&'a [f64], &'a [f64]);
 /// expression bit-for-bit (the AoS arm already computes the re and im
 /// sums independently, so per-plane passes are the same arithmetic).
 #[inline(always)]
-fn lane_multi_r<const K: usize>(s: [f64; K], or: &mut [f64], oi: &mut [f64], x: [Planes<'_>; K]) {
+fn lane_multi_r<T: Lane, const K: usize>(
+    s: [f64; K],
+    or: &mut [T],
+    oi: &mut [T],
+    x: [Planes<'_, T>; K],
+) {
     let n = or.len();
+    let s = s.map(T::narrow);
     for (t, o) in or.iter_mut().enumerate() {
         let mut re = s[0] * x[0].0[t];
         for k in 1..K {
@@ -354,28 +439,30 @@ fn lane_multi_r<const K: usize>(s: [f64; K], or: &mut [f64], oi: &mut [f64], x: 
 /// combine, generic over slot count; same left fold of full products as
 /// the AoS arm.
 #[inline(always)]
-fn lane_multi_c<const K: usize>(
+fn lane_multi_c<T: Lane, const K: usize>(
     v: [Complex; K],
-    or: &mut [f64],
-    oi: &mut [f64],
-    x: [Planes<'_>; K],
+    or: &mut [T],
+    oi: &mut [T],
+    x: [Planes<'_, T>; K],
 ) {
     let n = or.len();
+    let vr = v.map(|z| T::narrow(z.re));
+    let vi = v.map(|z| T::narrow(z.im));
     for (t, o) in or.iter_mut().enumerate() {
         let (a, b) = (x[0].0[t], x[0].1[t]);
-        let mut re = v[0].re * a - v[0].im * b;
+        let mut re = vr[0] * a - vi[0] * b;
         for k in 1..K {
             let (a, b) = (x[k].0[t], x[k].1[t]);
-            re += v[k].re * a - v[k].im * b;
+            re += vr[k] * a - vi[k] * b;
         }
         *o = re;
     }
     for (t, o) in oi[..n].iter_mut().enumerate() {
         let (a, b) = (x[0].0[t], x[0].1[t]);
-        let mut im = v[0].re * b + v[0].im * a;
+        let mut im = vr[0] * b + vi[0] * a;
         for k in 1..K {
             let (a, b) = (x[k].0[t], x[k].1[t]);
-            im += v[k].re * b + v[k].im * a;
+            im += vr[k] * b + vi[k] * a;
         }
         *o = im;
     }
@@ -383,14 +470,19 @@ fn lane_multi_c<const K: usize>(
 
 impl EllMatrix {
     /// Planar counterpart of [`EllMatrix::spmm`]: applies the gate to a
-    /// batch held in an [`AmpBuffer`], writing a second one. Outputs are
-    /// bit-identical to the AoS path on the interleaved view of the same
-    /// data.
+    /// batch held in [`AmpPlanes`], writing a second pair. At `f64` the
+    /// outputs are bit-identical to the AoS path on the interleaved view
+    /// of the same data.
     ///
     /// # Panics
     ///
     /// Panics if either buffer does not hold `rows × batch` amplitudes.
-    pub fn spmm_planar(&self, input: &AmpBuffer, output: &mut AmpBuffer, batch: usize) {
+    pub fn spmm_planar<T: Lane>(
+        &self,
+        input: &AmpPlanes<T>,
+        output: &mut AmpPlanes<T>,
+        batch: usize,
+    ) {
         assert_eq!(input.len(), self.num_rows() * batch, "input size mismatch");
         assert_eq!(
             output.len(),
@@ -399,7 +491,7 @@ impl EllMatrix {
         );
         let (ire, iim) = input.planes();
         let (ore, oim) = output.planes_mut();
-        self.spmm_rows_planar(ire, iim, ore, oim, 0, batch);
+        self.spmm_rows_planar(ire, iim, ore, oim, 0, batch, true);
     }
 
     /// Planar counterpart of [`EllMatrix::spmm_rows`]: computes the
@@ -408,30 +500,12 @@ impl EllMatrix {
     /// `batch`). This is the unit the parallel executor hands each worker
     /// when row-partitioning a planar launch.
     ///
-    /// When the matrix carries a detected pattern period `d` (see
+    /// With `use_pattern` and a detected pattern period `d` (see
     /// [`EllMatrix::detect_pattern`]), each row reads its slots from the
     /// template block `0..d` and rebases columns by the block offset —
     /// one decoded pattern per block, a working set of `d` rows instead
-    /// of `rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any size mismatch or window overrun.
-    pub fn spmm_rows_planar(
-        &self,
-        in_re: &[f64],
-        in_im: &[f64],
-        out_re: &mut [f64],
-        out_im: &mut [f64],
-        first_row: usize,
-        batch: usize,
-    ) {
-        self.spmm_rows_planar_cfg(in_re, in_im, out_re, out_im, first_row, batch, true);
-    }
-
-    /// [`EllMatrix::spmm_rows_planar`] with an explicit pattern-execution
-    /// toggle: `use_pattern = false` addresses every row's own slots even
-    /// when a pattern annotation exists. The annotation is template-exact
+    /// of `rows`. `use_pattern = false` addresses every row's own slots
+    /// even when an annotation exists. The annotation is template-exact
     /// by construction, so both settings are bit-identical — the toggle
     /// exists for the auto-tuner to *measure* the addressing variants on
     /// a circuit's real shapes, not to change semantics.
@@ -440,12 +514,12 @@ impl EllMatrix {
     ///
     /// Panics on any size mismatch or window overrun.
     #[allow(clippy::too_many_arguments)] // one slice per plane plus the toggle
-    pub fn spmm_rows_planar_cfg(
+    pub fn spmm_rows_planar<T: Lane>(
         &self,
-        in_re: &[f64],
-        in_im: &[f64],
-        out_re: &mut [f64],
-        out_im: &mut [f64],
+        in_re: &[T],
+        in_im: &[T],
+        out_re: &mut [T],
+        out_im: &mut [T],
         first_row: usize,
         batch: usize,
         use_pattern: bool,
@@ -466,7 +540,7 @@ impl EllMatrix {
         } else {
             None
         };
-        let src = |col: u32| -> Planes<'_> {
+        let src = |col: u32| -> Planes<'_, T> {
             let at = col as usize * batch;
             (&in_re[at..at + batch], &in_im[at..at + batch])
         };
@@ -486,43 +560,27 @@ impl EllMatrix {
             let nnz = row_nnz[t] as usize;
             let v = &values[base..base + max_nzr];
             let col = |k: usize| cols[base + k] + offset;
-            // Mirror the AoS shape dispatch exactly: max_nzr 1 → the
-            // gather-scale arms, max_nzr 2 → the pair arms (whose nnz==1
-            // case deliberately stays a full complex scale), otherwise
-            // the general single-pass arms with the wide fallback.
+            // Mirror the AoS shape dispatch exactly: a single slot is the
+            // gather-scale arm — except under max_nzr 2, whose pair kernel
+            // deliberately keeps its nnz==1 case a full complex scale —
+            // then the pair arms, the general single-pass arms, and the
+            // wide fallback.
             match (max_nzr, nnz) {
                 (_, 0) => lane_zero(or, oi),
-                (1, _) => {
-                    let (xr, xi) = src(col(0));
-                    if v[0] == Complex::ONE {
-                        lane_copy(or, oi, xr, xi);
-                    } else if v[0].im == 0.0 {
-                        lane_rscale(v[0].re, or, oi, xr, xi);
-                    } else {
-                        lane_cscale(v[0], or, oi, xr, xi);
-                    }
-                }
                 (2, 1) => {
                     let (xr, xi) = src(col(0));
                     lane_cscale(v[0], or, oi, xr, xi);
                 }
                 (_, 1) => {
                     let (xr, xi) = src(col(0));
-                    if v[0] == Complex::ONE {
-                        lane_copy(or, oi, xr, xi);
-                    } else if v[0].im == 0.0 {
-                        lane_rscale(v[0].re, or, oi, xr, xi);
-                    } else {
-                        lane_cscale(v[0], or, oi, xr, xi);
-                    }
+                    lane_scale(v[0], or, oi, xr, xi);
                 }
                 (_, 2) => {
-                    let (ar, ai) = src(col(0));
-                    let (br, bi) = src(col(1));
+                    let (a, b) = (src(col(0)), src(col(1)));
                     if v[0].im == 0.0 && v[1].im == 0.0 {
-                        lane_pair_r(v[0].re, v[1].re, or, oi, ar, ai, br, bi);
+                        lane_pair_r(v[0].re, v[1].re, or, oi, a, b);
                     } else {
-                        lane_pair_c(v[0], v[1], or, oi, ar, ai, br, bi);
+                        lane_pair_c(v[0], v[1], or, oi, a, b);
                     }
                 }
                 (_, 3) => {
@@ -557,6 +615,22 @@ impl EllMatrix {
 mod tests {
     use super::*;
 
+    fn test_matrix(nzr: usize, fill: usize, rows: usize) -> EllMatrix {
+        let mut ell = EllMatrix::zeros(rows, nzr);
+        for r in 0..rows {
+            for s in 0..fill.min(nzr) {
+                let c = (r * 5 + s * 3 + 2) % rows;
+                let v = match (r + s) % 3 {
+                    0 => Complex::ONE,
+                    1 => Complex::new(0.25 + s as f64, 0.0),
+                    _ => Complex::new(-0.5, 0.75 + r as f64 * 0.125),
+                };
+                ell.set_slot(r, s, c, v);
+            }
+        }
+        ell
+    }
+
     #[test]
     fn layout_tokens_roundtrip() {
         for l in [Layout::Aos, Layout::Planar] {
@@ -572,20 +646,48 @@ mod tests {
         let src: Vec<Complex> = (0..7)
             .map(|i| Complex::new(i as f64, -0.5 * i as f64))
             .collect();
-        let buf = AmpBuffer::from_aos(&src);
+        let buf = AmpPlanes::<f64>::from_aos(&src);
         assert_eq!(buf.len(), 7);
         assert_eq!(buf.to_aos(), src);
 
         // Prefix copies mirror `copy_from_slice` on a shorter slice.
-        let mut wide = AmpBuffer::zeroed(10);
+        let mut wide = AmpPlanes::<f64>::zeroed(10);
         wide.copy_from_aos(&src);
         let mut back = vec![Complex::ZERO; 7];
         wide.copy_to_aos(&mut back);
         assert_eq!(back, src);
 
-        let mut filled = AmpBuffer::zeroed(3);
+        let mut filled = AmpPlanes::<f64>::zeroed(3);
         filled.fill(Complex::new(2.0, -1.0));
         assert_eq!(filled.to_aos(), vec![Complex::new(2.0, -1.0); 3]);
+    }
+
+    /// Staging into `f32` planes rounds each amplitude exactly once, and
+    /// the cross-width plane copies agree with the AoS round trip in both
+    /// directions (narrowing in, exact widening out, truncating to the
+    /// shorter side).
+    #[test]
+    fn amp_planes_f32_roundtrip_and_narrow_once() {
+        let src: Vec<Complex> = (0..7)
+            .map(|i| Complex::new(0.1 * i as f64, -0.3 * i as f64))
+            .collect();
+        let buf = AmpPlanes::<f32>::from_aos(&src);
+        assert_eq!(buf.len(), 7);
+        for (orig, back) in src.iter().zip(buf.to_aos()) {
+            assert_eq!(back.re, f64::from(to_f32(orig.re)));
+            assert_eq!(back.im, f64::from(to_f32(orig.im)));
+        }
+        let wide = AmpPlanes::<f64>::from_aos(&src);
+        let mut narrow = AmpPlanes::<f32>::zeroed(7);
+        narrow.convert_prefix_from(&wide);
+        assert_eq!(narrow, buf);
+        let mut back = AmpPlanes::<f64>::zeroed(9);
+        back.convert_prefix_from(&narrow);
+        assert_eq!(back.to_aos()[..7], buf.to_aos()[..]);
+        assert_eq!(back.to_aos()[7..], [Complex::ZERO; 2]);
+        let mut short = AmpPlanes::<f32>::zeroed(4);
+        short.copy_prefix_from(&narrow);
+        assert_eq!(short.to_aos()[..], buf.to_aos()[..4]);
     }
 
     /// Planar spMM must agree bit-for-bit with the AoS fast paths on a
@@ -596,18 +698,7 @@ mod tests {
     fn planar_matches_aos_smoke() {
         for (nzr, fill) in [(1usize, 1usize), (2, 1), (2, 2), (3, 3), (4, 4), (5, 5)] {
             let rows = 16;
-            let mut ell = EllMatrix::zeros(rows, nzr);
-            for r in 0..rows {
-                for s in 0..fill.min(nzr) {
-                    let c = (r * 5 + s * 3 + 2) % rows;
-                    let v = match (r + s) % 3 {
-                        0 => Complex::ONE,
-                        1 => Complex::new(0.25 + s as f64, 0.0),
-                        _ => Complex::new(-0.5, 0.75 + r as f64 * 0.125),
-                    };
-                    ell.set_slot(r, s, c, v);
-                }
-            }
+            let ell = test_matrix(nzr, fill, rows);
             // 17 exercises the ragged tail (17 % TILE != 0).
             for batch in [1usize, 8, 17] {
                 let input: Vec<Complex> = (0..rows * batch)
@@ -615,8 +706,8 @@ mod tests {
                     .collect();
                 let mut aos = vec![Complex::ZERO; rows * batch];
                 ell.spmm(&input, &mut aos, batch);
-                let pin = AmpBuffer::from_aos(&input);
-                let mut pout = AmpBuffer::zeroed(rows * batch);
+                let pin = AmpPlanes::<f64>::from_aos(&input);
+                let mut pout = AmpPlanes::zeroed(rows * batch);
                 ell.spmm_planar(&pin, &mut pout, batch);
                 let planar = pout.to_aos();
                 for (a, p) in aos.iter().zip(&planar) {
@@ -624,6 +715,45 @@ mod tests {
                         (a.re.to_bits(), a.im.to_bits()),
                         (p.re.to_bits(), p.im.to_bits()),
                         "nzr={nzr} fill={fill} batch={batch}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every dispatch arm of the `f32` instantiation stays within a small
+    /// multiple of f32 epsilon of the `f64` one, and pattern on/off is
+    /// bit-identical.
+    #[test]
+    fn f32_tracks_the_f64_reference() {
+        for (nzr, fill) in [(1usize, 1usize), (2, 1), (2, 2), (3, 3), (4, 4), (5, 5)] {
+            let rows = 16;
+            let ell = test_matrix(nzr, fill, rows);
+            for batch in [1usize, 8, 17] {
+                let input: Vec<Complex> = (0..rows * batch)
+                    .map(|i| Complex::new(0.01 * i as f64 - 0.3, 0.7 - 0.02 * i as f64))
+                    .collect();
+                let pin = AmpPlanes::<f64>::from_aos(&input);
+                let mut pout = AmpPlanes::zeroed(rows * batch);
+                ell.spmm_planar(&pin, &mut pout, batch);
+
+                let fin = AmpPlanes::<f32>::from_aos(&input);
+                let mut fout = AmpPlanes::zeroed(rows * batch);
+                ell.spmm_planar(&fin, &mut fout, batch);
+                let mut fout_nopat = AmpPlanes::zeroed(rows * batch);
+                {
+                    let (ire, iim) = fin.planes();
+                    let (nre, nim) = fout_nopat.planes_mut();
+                    ell.spmm_rows_planar(ire, iim, nre, nim, 0, batch, false);
+                }
+                assert_eq!(fout, fout_nopat, "pattern toggle must be bit-identical");
+                // Inputs are O(1) and rows touch ≤ 5 slots, so a few
+                // ulps of f32 per term bounds the divergence.
+                let tol = 16.0 * f64::from(f32::EPSILON) * (nzr as f64 + 1.0);
+                for (want, got) in pout.to_aos().iter().zip(&fout.to_aos()) {
+                    assert!(
+                        (want.re - got.re).abs() <= tol && (want.im - got.im).abs() <= tol,
+                        "nzr={nzr} fill={fill} batch={batch}: {want:?} vs {got:?}"
                     );
                 }
             }

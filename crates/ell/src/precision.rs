@@ -1,22 +1,19 @@
 //! The amplitude-precision axis and its depth-derived error estimator.
 //!
 //! The planar spMM sweep is memory-bandwidth bound, so storing amplitude
-//! planes in `f32` halves the dominant traffic. Three modes:
+//! planes in `f32` halves the dominant traffic. Two modes, one per
+//! [`Lane`](crate::Lane) type of the planar kernel family:
 //!
 //! * [`Precision::F64`] — the reference: `f64` planes, bit-identical
 //!   across layouts and thread counts (the campaign-digest anchor).
-//! * [`Precision::F32`] — `f32` planes *and* `f32` arithmetic: fastest,
-//!   with round-off compounding per gate and no renormalisation.
-//! * [`Precision::Mixed`] — `f32` planes with `f64` accumulation inside
-//!   every kernel arm (one rounding per output element per gate) plus a
-//!   per-batch `f64` renormalisation, so norm drift is scrubbed at every
-//!   integrity checkpoint.
+//! * [`Precision::F32`] — `f32` planes *and* `f32` arithmetic, with
+//!   round-off compounding per gate.
 //!
-//! Gate matrices, integrity checks, and renormalisation always stay in
-//! `f64`; only amplitude storage (and, for pure `F32`, the kernel
-//! arithmetic) narrows. [`precision_tolerance`] estimates the norm drift
-//! a clean run may exhibit, derived from circuit depth — the analyzer's
-//! tolerance audit compares it against the configured integrity budget.
+//! Gate matrices and integrity checks always stay in `f64`; only
+//! amplitude storage and kernel arithmetic narrow.
+//! [`precision_tolerance`] estimates the norm drift a clean run may
+//! exhibit, derived from circuit depth — the analyzer's tolerance audit
+//! compares it against the configured integrity budget.
 
 use core::fmt;
 
@@ -29,9 +26,6 @@ pub enum Precision {
     F64,
     /// Single-precision planes and arithmetic.
     F32,
-    /// Single-precision planes, double-precision accumulation and
-    /// per-batch renormalisation.
-    Mixed,
 }
 
 impl Precision {
@@ -41,7 +35,6 @@ impl Precision {
         match self {
             Precision::F64 => "f64",
             Precision::F32 => "f32",
-            Precision::Mixed => "mixed",
         }
     }
 
@@ -51,7 +44,6 @@ impl Precision {
         match s {
             "f64" => Some(Precision::F64),
             "f32" => Some(Precision::F32),
-            "mixed" => Some(Precision::Mixed),
             _ => None,
         }
     }
@@ -61,16 +53,15 @@ impl Precision {
     pub fn storage_bytes(self) -> usize {
         match self {
             Precision::F64 => 16,
-            Precision::F32 | Precision::Mixed => 8,
+            Precision::F32 => 8,
         }
     }
 
-    /// Accuracy rank, higher is more accurate: `F64` > `Mixed` > `F32`.
-    /// Tenant quota floors compare ranks ("at least mixed").
+    /// Accuracy rank, higher is more accurate: `F64` > `F32`. Tenant
+    /// quota floors compare ranks.
     pub fn rank(self) -> u8 {
         match self {
-            Precision::F64 => 2,
-            Precision::Mixed => 1,
+            Precision::F64 => 1,
             Precision::F32 => 0,
         }
     }
@@ -90,18 +81,14 @@ impl fmt::Display for Precision {
 /// The model is RMS round-off accumulation: each of the `depth` gate
 /// applications contributes an independent relative rounding of order
 /// the storage epsilon, so the drift grows like `ε·√(depth+1)`. The
-/// leading constants are calibrated loose (×16 for `f32`, whose
-/// arithmetic also rounds; ×8 for `mixed`, which rounds only at the
-/// per-element store and scrubs norms at every batch boundary) so a
-/// clean run never trips its own estimate. `F64` uses the same model at
-/// double epsilon.
+/// leading constant is calibrated loose (×16) so a clean run never trips
+/// its own estimate.
 pub fn precision_tolerance(depth: usize, precision: Precision) -> f64 {
-    let gates = (depth + 1) as f64;
-    match precision {
-        Precision::F64 => 16.0 * f64::EPSILON * gates.sqrt(),
-        Precision::F32 => 16.0 * f64::from(f32::EPSILON) * gates.sqrt(),
-        Precision::Mixed => 8.0 * f64::from(f32::EPSILON) * gates.sqrt(),
-    }
+    let epsilon = match precision {
+        Precision::F64 => f64::EPSILON,
+        Precision::F32 => f64::from(f32::EPSILON),
+    };
+    16.0 * epsilon * ((depth + 1) as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -110,30 +97,25 @@ mod tests {
 
     #[test]
     fn precision_tokens_roundtrip() {
-        for p in [Precision::F64, Precision::F32, Precision::Mixed] {
+        for p in [Precision::F64, Precision::F32] {
             assert_eq!(Precision::parse(p.token()), Some(p));
             assert_eq!(format!("{p}"), p.token());
         }
         assert_eq!(Precision::parse("auto"), None);
+        // The retired third precision must not parse as anything.
+        assert_eq!(Precision::parse("mixed"), None);
         assert_eq!(Precision::default(), Precision::F64);
         assert_eq!(Precision::F64.storage_bytes(), 16);
         assert_eq!(Precision::F32.storage_bytes(), 8);
-        assert_eq!(Precision::Mixed.storage_bytes(), 8);
-        assert!(Precision::F64.rank() > Precision::Mixed.rank());
-        assert!(Precision::Mixed.rank() > Precision::F32.rank());
+        assert!(Precision::F64.rank() > Precision::F32.rank());
     }
 
     #[test]
     fn tolerance_grows_with_depth_and_tightens_with_precision() {
-        for p in [Precision::F64, Precision::F32, Precision::Mixed] {
+        for p in [Precision::F64, Precision::F32] {
             assert!(precision_tolerance(64, p) > precision_tolerance(4, p));
         }
-        let (f64t, mixed, f32t) = (
-            precision_tolerance(10, Precision::F64),
-            precision_tolerance(10, Precision::Mixed),
-            precision_tolerance(10, Precision::F32),
-        );
-        assert!(f64t < mixed && mixed < f32t);
+        assert!(precision_tolerance(10, Precision::F64) < precision_tolerance(10, Precision::F32));
         // The f64 estimate stays within the repo's default integrity
         // budget (1e-9) for any realistic circuit depth.
         assert!(precision_tolerance(10_000, Precision::F64) < 1e-9);

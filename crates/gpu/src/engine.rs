@@ -648,7 +648,7 @@ pub(crate) fn execute_task(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
     match &task.kind {
         TaskKind::H2D { host: h, dev, .. } => {
             // Layout-matched pairs (the simulator stages hosts in the
-            // device layout) move whole planes; mixed pairs convert on
+            // device layout) move whole planes; mismatched pairs convert on
             // the fly. Pure component moves either way, so the staged
             // bytes are identical regardless of layout.
             let src = host.buffer(*h);

@@ -3,8 +3,7 @@
 //! allocation-free.
 
 use crate::DeviceSpec;
-use bqsim_ell::{AmpBuffer, AmpBufferF32, Layout};
-use bqsim_num::narrow::to_f32;
+use bqsim_ell::{AmpPlanes, Lane, Layout};
 use bqsim_num::Complex;
 use core::fmt;
 use std::collections::HashMap;
@@ -12,32 +11,70 @@ use std::error::Error;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// One arena buffer's amplitude storage, in whichever layout the pipeline
-/// selected (`BqSimOptions::layout`).
+/// One arena buffer's amplitude storage, in whichever layout and width the
+/// pipeline selected (`BqSimOptions::{layout, precision}`).
 ///
 /// The AoS variant is the PR 3 interleaved `Vec<Complex>`; the planar
-/// variant holds the same amplitudes as separate re/im planes
-/// ([`AmpBuffer`]). Conversions between the two are pure component moves
-/// (no arithmetic), so staging through either layout is bit-exact.
-///
-/// The `PlanarF32` variant backs the adaptive-precision execution arms
-/// (`Precision::{F32, Mixed}`): same planar layout, `f32` planes. Copies
-/// *into* it narrow (the staging path's intended one-rounding-per-entry
-/// precision-loss point); copies *out* widen exactly.
+/// variants hold the same amplitudes as separate re/im planes
+/// ([`AmpPlanes`]) of `f64` or `f32`. Width-matched conversions are pure
+/// component moves (no arithmetic), so staging through either layout is
+/// bit-exact; copies *into* `f32` planes narrow (the staging path's
+/// intended one-rounding-per-entry precision-loss point) and copies *out*
+/// widen exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AmpStore {
     /// Interleaved array-of-structures storage.
     Aos(Vec<Complex>),
     /// Planar structure-of-arrays storage.
-    Planar(AmpBuffer),
+    Planar(AmpPlanes<f64>),
     /// Planar storage with single-precision planes.
-    PlanarF32(AmpBufferF32),
+    PlanarF32(AmpPlanes<f32>),
 }
 
 /// State-vector block width for the staging/unpacking transposes: small
 /// enough that one cache line per in-flight vector fits L1 with room to
 /// spare, large enough to amortise the loop over amplitudes.
 const STAGE_TILE: usize = 64;
+
+/// Transposes `vectors` into amplitude-major planes (`plane[r * batch + b]`),
+/// narrowing each amplitude once as it lands. See
+/// [`HostMemory::alloc_staged_amp`] for the blocking.
+fn stage_planes<T: Lane>(planes: &mut AmpPlanes<T>, vectors: &[Vec<Complex>]) {
+    let batch = vectors.len();
+    let dim = planes.len() / batch;
+    let (re, im) = planes.planes_mut();
+    for (block, chunk) in vectors.chunks(STAGE_TILE).enumerate() {
+        let s0 = block * STAGE_TILE;
+        for r in 0..dim {
+            let row_re = &mut re[r * batch + s0..r * batch + s0 + chunk.len()];
+            let row_im = &mut im[r * batch + s0..r * batch + s0 + chunk.len()];
+            for ((o_re, o_im), v) in row_re.iter_mut().zip(row_im.iter_mut()).zip(chunk) {
+                let a = v[r];
+                *o_re = T::narrow(a.re);
+                *o_im = T::narrow(a.im);
+            }
+        }
+    }
+}
+
+/// Gathers amplitude-major planes back into one (pre-reserved, empty)
+/// state vector per batch member, widening exactly. See
+/// [`AmpStore::unpack_states`] for the blocking.
+fn unpack_planes<T: Lane>(planes: &AmpPlanes<T>, states: &mut [Vec<Complex>]) {
+    let batch = states.len();
+    let dim = planes.len() / batch;
+    let (re, im) = planes.planes();
+    for (block, chunk) in states.chunks_mut(STAGE_TILE).enumerate() {
+        let s0 = block * STAGE_TILE;
+        for r in 0..dim {
+            let row_re = &re[r * batch + s0..r * batch + s0 + chunk.len()];
+            let row_im = &im[r * batch + s0..r * batch + s0 + chunk.len()];
+            for ((st, &a), &b) in chunk.iter_mut().zip(row_re).zip(row_im) {
+                st.push(Complex::new(a.into(), b.into()));
+            }
+        }
+    }
+}
 
 impl AmpStore {
     /// An all-zero store of `len` amplitudes in the given layout, with
@@ -54,12 +91,7 @@ impl AmpStore {
     /// Panics on an unsupported width, or width 8 with AoS layout (the
     /// narrow store is planar-only, like the kernels that read it).
     pub fn zeroed_width(len: usize, layout: Layout, width: usize) -> Self {
-        match (layout, width) {
-            (Layout::Aos, 16) => AmpStore::Aos(vec![Complex::ZERO; len]),
-            (Layout::Planar, 16) => AmpStore::Planar(AmpBuffer::zeroed(len)),
-            (Layout::Planar, 8) => AmpStore::PlanarF32(AmpBufferF32::zeroed(len)),
-            (l, w) => panic!("unsupported amplitude store shape: {l:?} width {w}"),
-        }
+        AmpStore::zeroed_with_capacity(len, len, layout, width)
     }
 
     /// Like [`AmpStore::zeroed_width`] but reserving capacity for `cap`
@@ -71,10 +103,8 @@ impl AmpStore {
                 v.resize(len, Complex::ZERO);
                 AmpStore::Aos(v)
             }
-            (Layout::Planar, 16) => AmpStore::Planar(AmpBuffer::zeroed_with_capacity(len, cap)),
-            (Layout::Planar, 8) => {
-                AmpStore::PlanarF32(AmpBufferF32::zeroed_with_capacity(len, cap))
-            }
+            (Layout::Planar, 16) => AmpStore::Planar(AmpPlanes::zeroed_with_capacity(len, cap)),
+            (Layout::Planar, 8) => AmpStore::PlanarF32(AmpPlanes::zeroed_with_capacity(len, cap)),
             (l, w) => panic!("unsupported amplitude store shape: {l:?} width {w}"),
         }
     }
@@ -149,81 +179,35 @@ impl AmpStore {
     /// Copies the leading `min(src.len(), self.len())` amplitudes from an
     /// interleaved slice — the H2D copy semantics, layout-transparent.
     pub fn copy_prefix_from(&mut self, src: &[Complex]) {
+        let src = &src[..src.len().min(self.len())];
         match self {
-            AmpStore::Aos(v) => {
-                let len = src.len().min(v.len());
-                v[..len].copy_from_slice(&src[..len]);
-            }
-            AmpStore::Planar(b) => {
-                let len = src.len().min(b.len());
-                b.copy_from_aos(&src[..len]);
-            }
-            AmpStore::PlanarF32(b) => {
-                let len = src.len().min(b.len());
-                b.copy_from_aos(&src[..len]);
-            }
+            AmpStore::Aos(v) => v[..src.len()].copy_from_slice(src),
+            AmpStore::Planar(b) => b.copy_from_aos(src),
+            AmpStore::PlanarF32(b) => b.copy_from_aos(src),
         }
     }
 
     /// Copies the leading `min(src.len(), self.len())` amplitudes from
     /// another store. Layout-matched, width-matched pairs move whole
-    /// planes (plain `memcpy`s); layout-mixed pairs de/re-interleave on
-    /// the fly. Width-matched combinations are pure component moves, so
-    /// the staged bytes are bit-identical regardless of either side's
-    /// layout; copies *into* an `f32` store narrow (one rounding per
-    /// amplitude) and copies *out of* one widen exactly.
+    /// planes; layout-mismatched pairs de/re-interleave on the fly.
+    /// Width-matched combinations are pure component moves, so the staged
+    /// bytes are bit-identical regardless of either side's layout; copies
+    /// *into* an `f32` store narrow (one rounding per amplitude) and
+    /// copies *out of* one widen exactly.
     pub fn copy_store_from(&mut self, src: &AmpStore) {
         match (self, src) {
-            (AmpStore::Aos(d), AmpStore::Aos(s)) => {
-                let len = s.len().min(d.len());
-                d[..len].copy_from_slice(&s[..len]);
-            }
-            (AmpStore::Planar(d), AmpStore::Planar(s)) if s.len() <= d.len() => {
-                d.copy_prefix_from(s);
-            }
-            (AmpStore::Planar(d), AmpStore::Planar(s)) => {
-                let (sre, sim) = s.planes();
-                let (dre, dim) = d.planes_mut();
-                let len = dre.len();
-                dre.copy_from_slice(&sre[..len]);
-                dim.copy_from_slice(&sim[..len]);
-            }
-            (dst @ AmpStore::Planar(_), AmpStore::Aos(s)) => dst.copy_prefix_from(s),
-            (AmpStore::Aos(d), AmpStore::Planar(s)) => {
-                let len = s.len().min(d.len());
-                s.copy_to_aos(&mut d[..len]);
-            }
-            (AmpStore::PlanarF32(d), AmpStore::PlanarF32(s)) if s.len() <= d.len() => {
-                d.copy_prefix_from(s);
-            }
-            (AmpStore::PlanarF32(d), AmpStore::PlanarF32(s)) => {
-                let (sre, sim) = s.planes();
-                let (dre, dim) = d.planes_mut();
-                let len = dre.len();
-                dre.copy_from_slice(&sre[..len]);
-                dim.copy_from_slice(&sim[..len]);
-            }
-            (dst @ AmpStore::PlanarF32(_), AmpStore::Aos(s)) => dst.copy_prefix_from(s),
-            (AmpStore::PlanarF32(d), AmpStore::Planar(s)) => {
-                let len = s.len().min(d.len());
-                let (sre, sim) = s.planes();
-                d.copy_from_planes_f64(&sre[..len], &sim[..len]);
-            }
-            (AmpStore::Aos(d), AmpStore::PlanarF32(s)) => {
-                let len = s.len().min(d.len());
-                s.copy_to_aos(&mut d[..len]);
-            }
-            (AmpStore::Planar(d), AmpStore::PlanarF32(s)) => {
-                let len = s.len().min(d.len());
-                let (dre, dim) = d.planes_mut();
-                s.copy_to_planes_f64(&mut dre[..len], &mut dim[..len]);
-            }
+            (dst, AmpStore::Aos(s)) => dst.copy_prefix_from(s),
+            (AmpStore::Aos(d), src) => src.copy_prefix_to(d),
+            (AmpStore::Planar(d), AmpStore::Planar(s)) => d.copy_prefix_from(s),
+            (AmpStore::Planar(d), AmpStore::PlanarF32(s)) => d.convert_prefix_from(s),
+            (AmpStore::PlanarF32(d), AmpStore::Planar(s)) => d.convert_prefix_from(s),
+            (AmpStore::PlanarF32(d), AmpStore::PlanarF32(s)) => d.copy_prefix_from(s),
         }
     }
 
     /// Unpacks the amplitude-major batch layout back into one state
     /// vector per batch member — the layout-aware counterpart of
-    /// [`bqsim_ell::unpack_batch`]. The planar arm gathers straight from
+    /// [`bqsim_ell::unpack_batch`]. The planar arms gather straight from
     /// the component planes, so no interleaved intermediate is built.
     ///
     /// The transpose runs amplitude-outer over blocks of
@@ -246,10 +230,10 @@ impl AmpStore {
         // written exactly once, so pre-zeroing would be a second full
         // pass over the output.
         let mut states: Vec<Vec<Complex>> = (0..batch).map(|_| Vec::with_capacity(dim)).collect();
-        for (block, chunk) in states.chunks_mut(STAGE_TILE).enumerate() {
-            let s0 = block * STAGE_TILE;
-            match self {
-                AmpStore::Aos(v) => {
+        match self {
+            AmpStore::Aos(v) => {
+                for (block, chunk) in states.chunks_mut(STAGE_TILE).enumerate() {
+                    let s0 = block * STAGE_TILE;
                     for r in 0..dim {
                         let row = &v[r * batch + s0..r * batch + s0 + chunk.len()];
                         for (st, &a) in chunk.iter_mut().zip(row) {
@@ -257,27 +241,9 @@ impl AmpStore {
                         }
                     }
                 }
-                AmpStore::Planar(b) => {
-                    for r in 0..dim {
-                        let (re, im) = b.planes();
-                        let row_re = &re[r * batch + s0..r * batch + s0 + chunk.len()];
-                        let row_im = &im[r * batch + s0..r * batch + s0 + chunk.len()];
-                        for ((st, &a), &b) in chunk.iter_mut().zip(row_re).zip(row_im) {
-                            st.push(Complex::new(a, b));
-                        }
-                    }
-                }
-                AmpStore::PlanarF32(b) => {
-                    for r in 0..dim {
-                        let (re, im) = b.planes();
-                        let row_re = &re[r * batch + s0..r * batch + s0 + chunk.len()];
-                        let row_im = &im[r * batch + s0..r * batch + s0 + chunk.len()];
-                        for ((st, &a), &b) in chunk.iter_mut().zip(row_re).zip(row_im) {
-                            st.push(Complex::new(f64::from(a), f64::from(b)));
-                        }
-                    }
-                }
             }
+            AmpStore::Planar(b) => unpack_planes(b, &mut states),
+            AmpStore::PlanarF32(b) => unpack_planes(b, &mut states),
         }
         states
     }
@@ -285,19 +251,12 @@ impl AmpStore {
     /// Copies the leading `min(self.len(), dst.len())` amplitudes into an
     /// interleaved slice — the D2H copy semantics, layout-transparent.
     pub fn copy_prefix_to(&self, dst: &mut [Complex]) {
+        let len = self.len().min(dst.len());
+        let dst = &mut dst[..len];
         match self {
-            AmpStore::Aos(v) => {
-                let len = v.len().min(dst.len());
-                dst[..len].copy_from_slice(&v[..len]);
-            }
-            AmpStore::Planar(b) => {
-                let len = b.len().min(dst.len());
-                b.copy_to_aos(&mut dst[..len]);
-            }
-            AmpStore::PlanarF32(b) => {
-                let len = b.len().min(dst.len());
-                b.copy_to_aos(&mut dst[..len]);
-            }
+            AmpStore::Aos(v) => dst.copy_from_slice(&v[..len]),
+            AmpStore::Planar(b) => b.copy_to_aos(dst),
+            AmpStore::PlanarF32(b) => b.copy_to_aos(dst),
         }
     }
 
@@ -328,50 +287,6 @@ impl AmpStore {
             AmpStore::Planar(_) | AmpStore::PlanarF32(_) => {
                 panic!("planar amplitude store accessed as AoS")
             }
-        }
-    }
-
-    /// The planar buffer of a planar store.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an AoS store (layout-mismatched kernel dispatch).
-    #[inline]
-    pub fn as_planar(&self) -> &AmpBuffer {
-        match self {
-            AmpStore::Planar(b) => b,
-            _ => panic!("non-f64-planar amplitude store accessed as planar"),
-        }
-    }
-
-    /// Mutable planar buffer; see [`AmpStore::as_planar`].
-    #[inline]
-    pub fn as_planar_mut(&mut self) -> &mut AmpBuffer {
-        match self {
-            AmpStore::Planar(b) => b,
-            _ => panic!("non-f64-planar amplitude store accessed as planar"),
-        }
-    }
-
-    /// The `f32` planar buffer of an `f32` planar store.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other store (width-mismatched kernel dispatch).
-    #[inline]
-    pub fn as_planar_f32(&self) -> &AmpBufferF32 {
-        match self {
-            AmpStore::PlanarF32(b) => b,
-            _ => panic!("non-f32 amplitude store accessed as f32 planar"),
-        }
-    }
-
-    /// Mutable `f32` planar buffer; see [`AmpStore::as_planar_f32`].
-    #[inline]
-    pub fn as_planar_f32_mut(&mut self) -> &mut AmpBufferF32 {
-        match self {
-            AmpStore::PlanarF32(b) => b,
-            _ => panic!("non-f32 amplitude store accessed as f32 planar"),
         }
     }
 }
@@ -988,21 +903,14 @@ impl HostMemory {
 
     /// Allocates a zero-filled host buffer of `len` amplitudes.
     pub fn alloc_zeroed(&mut self, len: usize) -> HostBufId {
-        self.alloc_zeroed_layout(len, Layout::Aos)
-    }
-
-    /// Allocates a zero-filled host buffer of `len` amplitudes in the
-    /// given layout. Staging hosts in the device buffers' layout turns
-    /// the H2D/D2H copies into plane `memcpy`s instead of per-batch
-    /// de/re-interleave passes.
-    pub fn alloc_zeroed_layout(&mut self, len: usize, layout: Layout) -> HostBufId {
-        self.alloc_zeroed_amp(len, layout, 16)
+        self.alloc_zeroed_amp(len, Layout::Aos, 16)
     }
 
     /// Allocates a zero-filled host buffer of `len` amplitudes in the
     /// given layout and element width (see [`AmpStore::zeroed_width`]).
-    /// Staging hosts at the device buffers' width keeps the H2D/D2H
-    /// copies conversion-free in the narrow-precision arms too.
+    /// Staging hosts in the device buffers' layout and width turns the
+    /// H2D/D2H copies into plane copies instead of per-batch
+    /// de/re-interleave or narrowing passes.
     pub fn alloc_zeroed_amp(&mut self, len: usize, layout: Layout, width: usize) -> HostBufId {
         let store = match &self.pool {
             Some(pool) => pool.checkout(len, layout, width),
@@ -1058,10 +966,10 @@ impl HostMemory {
             Some(pool) => pool.checkout(len, layout, width),
             None => AmpStore::zeroed_width(len, layout, width),
         };
-        for (block, chunk) in vectors.chunks(STAGE_TILE).enumerate() {
-            let s0 = block * STAGE_TILE;
-            match &mut store {
-                AmpStore::Aos(out) => {
+        match &mut store {
+            AmpStore::Aos(out) => {
+                for (block, chunk) in vectors.chunks(STAGE_TILE).enumerate() {
+                    let s0 = block * STAGE_TILE;
                     for r in 0..dim {
                         let row = &mut out[r * batch + s0..r * batch + s0 + chunk.len()];
                         for (o, v) in row.iter_mut().zip(chunk) {
@@ -1069,33 +977,9 @@ impl HostMemory {
                         }
                     }
                 }
-                AmpStore::Planar(b) => {
-                    let (re, im) = b.planes_mut();
-                    for r in 0..dim {
-                        let row_re = &mut re[r * batch + s0..r * batch + s0 + chunk.len()];
-                        let row_im = &mut im[r * batch + s0..r * batch + s0 + chunk.len()];
-                        for ((o_re, o_im), v) in row_re.iter_mut().zip(row_im.iter_mut()).zip(chunk)
-                        {
-                            let a = v[r];
-                            *o_re = a.re;
-                            *o_im = a.im;
-                        }
-                    }
-                }
-                AmpStore::PlanarF32(b) => {
-                    let (re, im) = b.planes_mut();
-                    for r in 0..dim {
-                        let row_re = &mut re[r * batch + s0..r * batch + s0 + chunk.len()];
-                        let row_im = &mut im[r * batch + s0..r * batch + s0 + chunk.len()];
-                        for ((o_re, o_im), v) in row_re.iter_mut().zip(row_im.iter_mut()).zip(chunk)
-                        {
-                            let a = v[r];
-                            *o_re = to_f32(a.re);
-                            *o_im = to_f32(a.im);
-                        }
-                    }
-                }
             }
+            AmpStore::Planar(b) => stage_planes(b, vectors),
+            AmpStore::PlanarF32(b) => stage_planes(b, vectors),
         }
         self.buffers.push(RwLock::new(store));
         HostBufId(self.buffers.len() - 1)
@@ -1309,10 +1193,10 @@ mod tests {
             assert_eq!(mem.pool_stats().unwrap().misses, 2);
             assert_eq!(mem.pooled_idle_bytes(), 0);
             // NaN poison from the previous arena must not leak through.
-            let guard = mem.buffer(a);
-            let (re, im) = guard.store().as_planar().planes();
-            assert!(re.iter().chain(im).all(|&x| x == 0.0));
-            drop(guard);
+            assert_eq!(
+                mem.buffer(a).store().unpack_states(1),
+                vec![vec![Complex::ZERO; 96]]
+            );
             assert!(mem.buffer(b).iter().all(|&c| c == Complex::ZERO));
             // High-water still tracks live bytes only.
             assert_eq!(mem.high_water_bytes(), (96 + 64) * 16);
@@ -1391,9 +1275,10 @@ mod tests {
             let d = mem.alloc_amp(64, Layout::Planar, 8).unwrap();
             assert_eq!(mem.pool_stats().unwrap().hits, 1);
             assert_eq!(mem.buffer(d).store().elem_bytes(), 8);
-            let guard = mem.buffer(d);
-            let (re, im) = guard.store().as_planar_f32().planes();
-            assert!(re.iter().chain(im).all(|&x| x == 0.0));
+            assert_eq!(
+                mem.buffer(d).store().unpack_states(1),
+                vec![vec![Complex::ZERO; 64]]
+            );
         }
         let events = pool.events();
         assert!(events.iter().all(|e| e.width == 8 || e.width == 16));

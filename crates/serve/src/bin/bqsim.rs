@@ -41,8 +41,8 @@ use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
 use bqsim_qcir::{dense, generators::Family, qasm, Circuit};
 use bqsim_serve::{
-    read_status, run_service, DeviceLossSpec, ServeError, ServiceConfig, StatusState,
-    SubmissionOutcome, SubmitSpec, TenantQuota,
+    check_campaign_shape, read_status, run_service, DeviceLossSpec, ServeError, ServiceConfig,
+    StatusState, SubmissionOutcome, SubmitSpec, TenantQuota,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -299,7 +299,7 @@ fn parse_args() -> Result<Args, String> {
                 args.precision = Some(match v.as_str() {
                     "auto" => PrecisionArg::Auto,
                     other => PrecisionArg::Fixed(Precision::parse(other).ok_or_else(|| {
-                        format!("--precision must be `f64`, `f32`, `mixed`, or `auto`, got `{v}`")
+                        format!("--precision must be `f64`, `f32`, or `auto`, got `{v}`")
                     })?),
                 });
             }
@@ -315,7 +315,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = value(&mut i)?;
                 args.inject_defect = Some(SeededDefect::parse(&v).ok_or_else(|| {
                     format!(
-                        "--inject-defect must be one of race|lock-order|wake|pool|journal|renorm, \
+                        "--inject-defect must be one of race|lock-order|wake|pool|journal, \
                          got `{v}`"
                     )
                 })?);
@@ -552,8 +552,8 @@ SERVICE OPTIONS (serve/submit/status):
     --quota <spec>       per-tenant quota override (repeatable):
                          tenant=<name>,bytes=<B>,inflight=<K>,precision=<p>
                          (`precision` pins the tenant's accuracy floor —
-                         f64 > mixed > f32; below-floor submissions are
-                         rejected with exit 7)
+                         f64 > f32; below-floor submissions are rejected
+                         with exit 7)
     --resume             (serve) replay the manifest and finish every
                          non-terminal submission before taking new work
     --service-schedule <p> (analyze) replay a recorded schedule trace and
@@ -583,8 +583,7 @@ OPTIONS:
                          (qnn|vqe|portfolio|graph|tsp|routing|supremacy|ghz|qft)
     --precision <p>      amplitude precision of the planar kernels:
                          `f64` (bit-exact baseline), `f32` (narrow
-                         storage and arithmetic), `mixed` (f32 storage,
-                         f64 accumulate + per-batch renorm), or `auto`
+                         storage and arithmetic), or `auto`
                          (empirical per-circuit tuner: applies the
                          artifact store's stored record with zero probes,
                          else probes every valid candidate and — with
@@ -619,7 +618,7 @@ OPTIONS:
                          with a warning                     [default: 4096]
     --inject-defect <d>  (analyze) seed a known defect before checking so
                          the pass that owns it must fire:
-                         race|lock-order|wake|pool|journal|renorm
+                         race|lock-order|wake|pool|journal
     --format <f>         (analyze) report format: `text` or `json`
                          [default: text]
     --stream             disable the task graph (stream launches)
@@ -694,7 +693,7 @@ fn concrete_precision(args: &Args, ctx: &str) -> Result<Precision, CliError> {
         PrecisionArg::Fixed(p) => Ok(p),
         PrecisionArg::Auto => Err(CliError::usage(format!(
             "--precision auto resolves through the run-time tuner; `{ctx}` \
-             needs a concrete precision (f64, f32, or mixed)"
+             needs a concrete precision (f64 or f32)"
         ))),
     }
 }
@@ -1010,6 +1009,10 @@ fn run_journal_audit(path: &Path, format: OutputFormat) -> Result<ExitCode, CliE
 /// `bqsim run`: the durable campaign runner.
 fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     let n = circuit.num_qubits();
+    // The bounds a service submission is held to, before any input
+    // exists: an empty batch or a 2^40-amplitude state is a usage error,
+    // not a panic or an allocation abort.
+    check_campaign_shape(n, args.batches, args.batch_size).map_err(CliError::Usage)?;
     let precision_arg = effective_precision_arg(args);
     let mut opts = BqSimOptions {
         tau: args.tau,
@@ -1333,9 +1336,8 @@ fn parse_quota(spec: &str) -> Result<(String, TenantQuota), String> {
                 quota.max_inflight = v.parse().map_err(|e| format!("quota inflight: {e}"))?;
             }
             Some(("precision", v)) => {
-                quota.min_precision = Precision::parse(v).ok_or_else(|| {
-                    format!("quota precision: want f64, f32, or mixed, got `{v}`")
-                })?;
+                quota.min_precision = Precision::parse(v)
+                    .ok_or_else(|| format!("quota precision: want f64 or f32, got `{v}`"))?;
             }
             _ => {
                 return Err(format!(
@@ -1503,6 +1505,9 @@ fn run_schedule_check(path: &Path, format: OutputFormat) -> Result<ExitCode, Cli
 }
 
 fn run() -> Result<ExitCode, CliError> {
+    // A misspelt or retired `BQSIM_*` token must not silently run the
+    // defaults: the library's `default_*()` fall back, so refuse here.
+    bqsim_core::validate_env().map_err(CliError::Usage)?;
     let args = parse_args().map_err(CliError::Usage)?;
     if args.serve {
         return run_serve(&args);

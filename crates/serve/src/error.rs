@@ -32,7 +32,7 @@ pub enum ServeError {
         tenant: String,
         /// `"amp-bytes"`, `"in-flight"`, or `"precision-floor"` (for
         /// the floor, `requested`/`limit` are accuracy ranks — f32=0,
-        /// mixed=1, f64=2 — not byte counts).
+        /// f64=1 — not byte counts).
         resource: &'static str,
         /// What the submission asked for.
         requested: u64,

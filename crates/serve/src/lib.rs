@@ -40,7 +40,7 @@ pub use service::{
     ServiceConfig, ServiceReport, StatusEntry, StatusState, SubmissionOutcome, SubmissionReport,
     TenantHealth,
 };
-pub use spec::{Priority, SubmitSpec, TenantQuota};
+pub use spec::{check_campaign_shape, Priority, SubmitSpec, TenantQuota};
 
 #[cfg(test)]
 mod tests;

@@ -81,7 +81,7 @@ pub struct TenantQuota {
     /// accurate* than this (by [`Precision::rank`]) are rejected with a
     /// quota error. The default, [`Precision::F32`], is fully
     /// permissive; a tenant whose results feed accuracy-sensitive
-    /// consumers can be pinned to `f64` or `mixed`.
+    /// consumers can be pinned to `f64`.
     pub min_precision: Precision,
 }
 
@@ -119,14 +119,42 @@ pub struct SubmitSpec {
     pub fault_seed: Option<u64>,
     /// Fair-share priority.
     pub priority: Priority,
-    /// Amplitude precision the campaign executes at (`f64`, `f32`, or
-    /// `mixed`; default `f64`). `auto` is a client-side resolution —
-    /// the service admits only concrete precisions, so the journal
-    /// fingerprint is fixed at admission.
+    /// Amplitude precision the campaign executes at (`f64` or `f32`;
+    /// default `f64`). `auto` is a client-side resolution — the service
+    /// admits only concrete precisions, so the journal fingerprint is
+    /// fixed at admission.
     pub precision: Precision,
     /// Wall-clock deadline for the whole submission, propagated through
     /// the campaign's `CancelToken`.
     pub deadline_ms: Option<u64>,
+}
+
+/// Widest circuit a campaign may run: `2^16` amplitudes per state keeps
+/// every batch far inside host memory whatever the batch size's order of
+/// magnitude, so nothing downstream allocates from an unchecked width.
+const MAX_QUBITS: usize = 16;
+
+/// The campaign-shape bounds, checked before a circuit is built or an
+/// input generated. One check for every way a campaign is described: a
+/// service submission ([`SubmitSpec::validate`]) and `bqsim run`.
+///
+/// # Errors
+///
+/// A one-line message naming the violated bound.
+pub fn check_campaign_shape(
+    qubits: usize,
+    batches: usize,
+    batch_size: usize,
+) -> Result<(), String> {
+    if qubits == 0 || qubits > MAX_QUBITS {
+        return Err(format!("qubits {qubits} (want 1..={MAX_QUBITS})"));
+    }
+    if batches == 0 || batch_size == 0 {
+        return Err(format!(
+            "batches {batches} x batch-size {batch_size} (both must be at least 1)"
+        ));
+    }
+    Ok(())
 }
 
 fn name_ok(s: &str) -> bool {
@@ -155,25 +183,16 @@ impl SubmitSpec {
                 self.id
             )));
         }
-        if self.qubits == 0 || self.qubits > 16 {
-            return Err(ServeError::InvalidSpec(format!(
-                "qubits {} (want 1..=16)",
-                self.qubits
-            )));
-        }
-        if self.batches == 0 || self.batch_size == 0 {
-            return Err(ServeError::InvalidSpec(
-                "batches and batch-size must be at least 1".to_string(),
-            ));
-        }
+        check_campaign_shape(self.qubits, self.batches, self.batch_size)
+            .map_err(ServeError::InvalidSpec)?;
         self.build_circuit().map(|_| ())
     }
 
     /// Amplitude-buffer bytes this submission charges against its
     /// tenant's quota: every batch's inputs stay resident for the
     /// submission's lifetime, at the precision's storage width per
-    /// complex amplitude (16 bytes at `f64`, 8 at `f32`/`mixed` — a
-    /// narrow campaign really does hold half the device bytes).
+    /// complex amplitude (16 bytes at `f64`, 8 at `f32` — a narrow
+    /// campaign really does hold half the device bytes).
     pub fn charged_bytes(&self) -> u64 {
         (self.batches as u64)
             * (self.batch_size as u64)
@@ -303,7 +322,7 @@ impl SubmitSpec {
         let precision = match kv.get("precision") {
             Some(p) => Precision::parse(p).ok_or_else(|| {
                 ServeError::InvalidSpec(format!(
-                    "bad precision `{p}` (want f64, f32, or mixed; resolve `auto` client-side)"
+                    "bad precision `{p}` (want f64 or f32; resolve `auto` client-side)"
                 ))
             })?,
             None => Precision::F64,
@@ -400,11 +419,7 @@ mod tests {
 
     #[test]
     fn precision_key_round_trips_and_defaults_to_f64() {
-        for (precision, rendered) in [
-            (Precision::F64, false),
-            (Precision::F32, true),
-            (Precision::Mixed, true),
-        ] {
+        for (precision, rendered) in [(Precision::F64, false), (Precision::F32, true)] {
             let s = SubmitSpec {
                 precision,
                 ..spec()
@@ -417,11 +432,15 @@ mod tests {
             );
             assert_eq!(SubmitSpec::parse_line(&line).unwrap(), s);
         }
-        // `auto` is a client-side resolution, never an admitted spec.
-        assert!(matches!(
-            SubmitSpec::parse_line("tenant=a id=j qubits=2 batches=1 batch-size=1 precision=auto"),
-            Err(ServeError::InvalidSpec(_))
-        ));
+        // `auto` is a client-side resolution, never an admitted spec; the
+        // retired `mixed` is rejected, not read as f64.
+        for token in ["auto", "mixed"] {
+            let line = format!("tenant=a id=j qubits=2 batches=1 batch-size=1 precision={token}");
+            assert!(matches!(
+                SubmitSpec::parse_line(&line),
+                Err(ServeError::InvalidSpec(_))
+            ));
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ fn precision_floor_rejects_below_floor_submissions() {
     else {
         panic!("f32 under an f64 floor must be a quota rejection: {report:?}");
     };
-    assert_eq!((*resource, *requested, *limit), ("precision-floor", 0, 2));
+    assert_eq!((*resource, *requested, *limit), ("precision-floor", 0, 1));
     // The floor is per tenant: the pinned tenant's f64 work and the
     // unpinned tenant's f32 work both run.
     assert!(matches!(

@@ -1,18 +1,9 @@
 #!/usr/bin/env bash
-# PR 3 performance evidence: spMM fast-path criterion microbenches plus the
-# end-to-end serial / fastpath / parallel report, which writes
-# BENCH_pr3.json at the repo root (override with BENCH_OUT).
-#
-# The report asserts all three configurations produce bit-identical
-# amplitudes before emitting any number, so a passing run is also a
-# correctness check.
+# spMM kernel microbenches: the shape-specialised fast paths against the
+# generic loop (criterion). End-to-end and per-layer numbers come from the
+# repository benchmark instead: `bash benchmark/run.sh` (BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_OUT="${BENCH_OUT:-BENCH_pr3.json}"
-
 echo "==> criterion: spMM fast paths vs generic loop"
 cargo bench -p bqsim-bench --bench bench_pr3_spmm
-
-echo "==> end-to-end report (serial vs fastpath vs parallel) -> $BENCH_OUT"
-cargo run --release -p bqsim-bench --bin report_pr3 -- --out "$BENCH_OUT"

@@ -107,23 +107,20 @@ proptest! {
             .unwrap()
             .run_batches(&batches)
             .unwrap();
-        for precision in [Precision::F32, Precision::Mixed] {
-            let opts = BqSimOptions {
-                precision,
-                layout: Layout::Planar,
-                ..BqSimOptions::default()
-            };
-            let sim = BqSimulator::compile(&circuit, opts).unwrap();
-            let depth = sim.gates().len();
-            let run = sim.run_batches(&batches).unwrap();
-            let rel = worst_rel_error(&f64_ref.outputs[0], &run.outputs[0]);
-            let tol = 64.0 * precision_tolerance(depth, precision);
-            prop_assert!(
-                rel <= tol,
-                "{:?} rel error {rel:.3e} exceeds depth-{depth} tolerance {tol:.3e}",
-                precision
-            );
-        }
+        let opts = BqSimOptions {
+            precision: Precision::F32,
+            layout: Layout::Planar,
+            ..BqSimOptions::default()
+        };
+        let sim = BqSimulator::compile(&circuit, opts).unwrap();
+        let depth = sim.gates().len();
+        let run = sim.run_batches(&batches).unwrap();
+        let rel = worst_rel_error(&f64_ref.outputs[0], &run.outputs[0]);
+        let tol = 64.0 * precision_tolerance(depth, Precision::F32);
+        prop_assert!(
+            rel <= tol,
+            "f32 rel error {rel:.3e} exceeds depth-{depth} tolerance {tol:.3e}"
+        );
     }
 
     /// A narrow-precision campaign under a budget tighter than f32 can
@@ -164,31 +161,4 @@ proptest! {
             "retried batches carry f64 checksums, so the digests coincide"
         );
     }
-}
-
-/// Mixed precision renormalizes each batch against the f64 input norms,
-/// so even a budget far below f32 round-off sees no norm drift — the
-/// whole point of paying the f64 accumulate/renorm: narrow storage
-/// without tripping integrity gates.
-#[test]
-fn mixed_precision_renorm_passes_a_tight_integrity_budget_without_retries() {
-    let circuit = generators::qft(5);
-    let inputs: Vec<_> = (0..3).map(|b| random_input_batch(5, 2, 77 ^ b)).collect();
-    let copts = CampaignOptions {
-        integrity: IntegrityBudget {
-            max_norm_drift: 1e-12,
-        },
-        ..CampaignOptions::default()
-    };
-    let opts = BqSimOptions {
-        precision: Precision::Mixed,
-        ..BqSimOptions::default()
-    };
-    let run = run_campaign(&circuit, opts, &inputs, &copts).unwrap();
-    assert!(run.is_complete());
-    assert_eq!(
-        (run.precision_retries, run.quarantined.len()),
-        (0, 0),
-        "renormalized mixed batches must pass the budget directly"
-    );
 }

@@ -4,9 +4,19 @@
 //! outputs — `f64::to_bits` equality, no tolerance — over random ELL
 //! matrices covering empty rows, unit/real/complex values, block-periodic
 //! patterns, and ragged batches where `batch % TILE != 0`.
+//!
+//! The planar kernel is one generic function over the plane element type
+//! ([`Lane`]: `f64`, `f32`); both instantiations are additionally held,
+//! bit for bit and with pattern execution on and off, to a scalar
+//! reference evaluated per element in the lane type, and the campaign
+//! digests each instantiation produced when the kernels were unified are
+//! pinned so neither can drift.
 
-use bqsim_ell::{AmpBuffer, EllMatrix, TILE};
+use bqsim_campaign::{campaign_digest, run_campaign, CampaignOptions, IntegrityBudget};
+use bqsim_core::{random_input_batch, BqSimOptions, Precision};
+use bqsim_ell::{AmpPlanes, EllMatrix, Lane, TILE};
 use bqsim_num::Complex;
+use bqsim_qcir::generators::Family;
 use proptest::prelude::*;
 
 /// Splitmix-style deterministic stream so every proptest case is
@@ -102,9 +112,108 @@ fn assert_bits_eq(a: &[Complex], b: &[Complex], what: &str) {
     }
 }
 
+/// What the planar kernel owes one output element, written out per
+/// element in the lane type `T` with no slices, planes or pattern
+/// addressing: gate values narrow once, arm choice is made on the `f64`
+/// values, and each arm's association is the AoS expression's (the arms
+/// differ observably — `0 + x` loses a negative zero that `x` keeps, and
+/// at `f32` every re-association rounds differently).
+fn scalar_reference<T: Lane>(ell: &EllMatrix, input: &AmpPlanes<T>, batch: usize) -> Vec<(T, T)> {
+    let (in_re, in_im) = input.planes();
+    let zero = T::default();
+    let mut out = Vec::with_capacity(ell.num_rows() * batch);
+    for r in 0..ell.num_rows() {
+        let nnz = ell.row_nnz(r);
+        let v = &ell.row_values(r)[..nnz];
+        let cols = ell.row_cols(r);
+        let all_real = v.iter().all(|z| z.im == 0.0);
+        for b in 0..batch {
+            let x = |k: usize| {
+                let at = cols[k] as usize * batch + b;
+                (in_re[at], in_im[at])
+            };
+            // One slot's full complex product with input element k.
+            let term = |k: usize| {
+                let (vr, vi) = (T::narrow(v[k].re), T::narrow(v[k].im));
+                let (a, b) = x(k);
+                (vr * a - vi * b, vr * b + vi * a)
+            };
+            let rterm = |k: usize| {
+                let s = T::narrow(v[k].re);
+                let (a, b) = x(k);
+                (s * a, s * b)
+            };
+            out.push(match nnz {
+                0 => (zero, zero),
+                1 if ell.max_nzr() == 2 => term(0),
+                1 if v[0] == Complex::ONE => x(0),
+                1 if all_real => rterm(0),
+                1 => term(0),
+                2..=4 => {
+                    let pick = |k: usize| if all_real { rterm(k) } else { term(k) };
+                    let (mut re, mut im) = pick(0);
+                    for k in 1..nnz {
+                        let (tr, ti) = pick(k);
+                        re += tr;
+                        im += ti;
+                    }
+                    (re, im)
+                }
+                _ => {
+                    let (mut re, mut im) = (zero, zero);
+                    for k in 0..nnz {
+                        let (tr, ti) = term(k);
+                        re += tr;
+                        im += ti;
+                    }
+                    (re, im)
+                }
+            });
+        }
+    }
+    out
+}
+
+/// Runs the generic planar kernel at lane type `T` — annotated with
+/// whatever pattern the detector finds, pattern execution on and off, in
+/// one launch and in ragged row windows — against [`scalar_reference`].
+fn check_lane<T: Lane>(ell: &EllMatrix, input: &[Complex], batch: usize, what: &str) {
+    let rows = ell.num_rows();
+    let planes = AmpPlanes::<T>::from_aos(input);
+    let want = scalar_reference(ell, &planes, batch);
+    let mut annotated = ell.clone();
+    annotated.detect_pattern();
+    let (ire, iim) = planes.planes();
+    for use_pattern in [true, false] {
+        for window_rows in [rows, 3] {
+            let mut out = AmpPlanes::<T>::zeroed(rows * batch);
+            out.fill(Complex::new(f64::NAN, f64::NAN));
+            let (ore, oim) = out.planes_mut();
+            for (w, (cre, cim)) in ore
+                .chunks_mut(window_rows * batch)
+                .zip(oim.chunks_mut(window_rows * batch))
+                .enumerate()
+            {
+                annotated.spmm_rows_planar(ire, iim, cre, cim, w * window_rows, batch, use_pattern);
+            }
+            let (ore, oim) = out.planes();
+            for (i, (&(wr, wi), (&gr, &gi))) in want.iter().zip(ore.iter().zip(oim)).enumerate() {
+                let bits = |x: T| Into::<f64>::into(x).to_bits();
+                assert_eq!(
+                    (bits(wr), bits(wi)),
+                    (bits(gr), bits(gi)),
+                    "{what}: element {i} (pattern={use_pattern}, window={window_rows}): \
+                     want ({wr:?}, {wi:?}), got ({gr:?}, {gi:?})"
+                );
+            }
+        }
+    }
+}
+
 /// Runs all three implementations on the same input and checks bitwise
-/// agreement. Outputs start from poisoned (non-zero) buffers so a kernel
-/// that skips writes is caught.
+/// agreement, then both lane types of the planar kernel against the
+/// scalar reference. Outputs start from poisoned (non-zero) buffers so a
+/// kernel that skips writes is caught.
 fn check_tri_path(ell: &EllMatrix, batch: usize, seed: u64) {
     let rows = ell.num_rows();
     let input = random_batch(rows, batch, seed);
@@ -116,8 +225,8 @@ fn check_tri_path(ell: &EllMatrix, batch: usize, seed: u64) {
     let mut generic = vec![poison; rows * batch];
     ell.spmm_generic(&input, &mut generic, batch);
 
-    let planar_in = AmpBuffer::from_aos(&input);
-    let mut planar_out = AmpBuffer::zeroed(rows * batch);
+    let planar_in = AmpPlanes::<f64>::from_aos(&input);
+    let mut planar_out = AmpPlanes::zeroed(rows * batch);
     planar_out.fill(poison);
     ell.spmm_planar(&planar_in, &mut planar_out, batch);
     let planar = planar_out.to_aos();
@@ -129,6 +238,8 @@ fn check_tri_path(ell: &EllMatrix, batch: usize, seed: u64) {
     );
     assert_bits_eq(&fast, &generic, &format!("AoS fast vs generic ({ctx})"));
     assert_bits_eq(&fast, &planar, &format!("AoS fast vs planar ({ctx})"));
+    check_lane::<f64>(ell, &input, batch, &format!("f64 lanes vs scalar ({ctx})"));
+    check_lane::<f32>(ell, &input, batch, &format!("f32 lanes vs scalar ({ctx})"));
 }
 
 proptest! {
@@ -196,9 +307,9 @@ proptest! {
         // Execution from the template block matches slot-exact execution.
         let batch = TILE + 3;
         let input = random_batch(rows, batch, seed ^ 0xdead);
-        let planar_in = AmpBuffer::from_aos(&input);
-        let mut plain_out = AmpBuffer::zeroed(rows * batch);
-        let mut pattern_out = AmpBuffer::zeroed(rows * batch);
+        let planar_in = AmpPlanes::<f64>::from_aos(&input);
+        let mut plain_out = AmpPlanes::zeroed(rows * batch);
+        let mut pattern_out = AmpPlanes::zeroed(rows * batch);
         ell.spmm_planar(&planar_in, &mut plain_out, batch);
         annotated.spmm_planar(&planar_in, &mut pattern_out, batch);
         assert_bits_eq(
@@ -206,29 +317,23 @@ proptest! {
             &pattern_out.to_aos(),
             "pattern vs plain planar execution",
         );
+        // Both lane types, from the template block and slot-exact.
+        check_lane::<f64>(&ell, &input, batch, "f64 lanes on a periodic matrix");
+        check_lane::<f32>(&ell, &input, batch, "f32 lanes on a periodic matrix");
         // The compressed working set never exceeds the uncompressed one.
         prop_assert!(annotated.working_set_bytes() <= ell.working_set_bytes());
     }
 }
 
-/// Directed shape coverage: every AoS dispatch arm — gather-scale
-/// (`max_nzr == 1`) with unit/real/complex values, the pair kernel
+/// Directed shape coverage: every `(max_nzr, nnz)` dispatch arm —
+/// gather-scale (one slot) with unit/real/complex values, the pair kernel
 /// (`max_nzr == 2`) including its nnz==1 full-scale quirk, each
 /// single-pass general arity (3, 4), and the wide accumulation fallback
-/// (≥ 5) — against generic and planar, at a ragged batch.
+/// (≥ 5), under-filled rows included — against generic, planar, and the
+/// per-lane scalar reference, at a ragged batch.
 #[test]
 fn every_dispatch_arm_is_bit_identical() {
-    for (max_nzr, fill) in [
-        (1usize, 0usize),
-        (1, 1),
-        (2, 0),
-        (2, 1),
-        (2, 2),
-        (3, 3),
-        (4, 4),
-        (5, 5),
-        (6, 6),
-    ] {
+    for (max_nzr, fill) in (1usize..=6).flat_map(|m| (0..=m).map(move |f| (m, f))) {
         for class_seed in 0..3u64 {
             let rows = 16;
             let mut ell = EllMatrix::zeros(rows, max_nzr);
@@ -252,5 +357,80 @@ fn all_empty_rows_zero_fill_in_every_layout() {
     for max_nzr in [1usize, 2, 4] {
         let ell = EllMatrix::zeros(8, max_nzr);
         check_tri_path(&ell, TILE + 1, 7);
+    }
+}
+
+/// The campaign digests `bqsim run --family F --qubits N --batches B
+/// --batch-size 32 --seed 42 --integrity-budget 1e-3 --precision P`
+/// printed when the f64 / f32 / mixed kernel triplicate became one generic
+/// kernel (and `scripts/ci.sh`'s qft-6 matrix digest at the default
+/// budget), reproduced through the same `run_campaign` call the CLI
+/// makes. A change to either instantiation's arithmetic moves one of them.
+#[test]
+fn pinned_campaign_digests_hold_at_both_lane_types() {
+    for (family, qubits, batches, precision, budget, want) in [
+        (
+            Family::Qft,
+            10,
+            3,
+            Precision::F64,
+            1e-3,
+            0x938c_9f46_68a7_0cea_u64,
+        ),
+        (
+            Family::Qft,
+            10,
+            3,
+            Precision::F32,
+            1e-3,
+            0x6308_aecf_a064_254b,
+        ),
+        (
+            Family::Supremacy,
+            12,
+            2,
+            Precision::F32,
+            1e-3,
+            0x0f35_2fa5_289a_5bd2,
+        ),
+        (
+            Family::Qft,
+            6,
+            4,
+            Precision::F64,
+            1e-9,
+            0xb8c7_fd75_b42a_30bd,
+        ),
+        (
+            Family::Qft,
+            6,
+            4,
+            Precision::F32,
+            1e-4,
+            0x5dbc_0b67_9280_f440,
+        ),
+    ] {
+        let circuit = family.try_build(qubits, 42).unwrap();
+        let inputs: Vec<_> = (0..batches)
+            .map(|b| random_input_batch(qubits, 32, 42 ^ b as u64))
+            .collect();
+        let opts = BqSimOptions {
+            precision,
+            ..BqSimOptions::default()
+        };
+        let copts = CampaignOptions {
+            integrity: IntegrityBudget {
+                max_norm_drift: budget,
+            },
+            ..CampaignOptions::default()
+        };
+        let run = run_campaign(&circuit, opts, &inputs, &copts).unwrap();
+        assert!(run.is_complete() && run.precision_retries == 0);
+        assert_eq!(
+            campaign_digest(&run.checksums),
+            want,
+            "{}-{qubits} x{batches} at {precision}",
+            family.token()
+        );
     }
 }
