@@ -30,14 +30,10 @@
 //!   symbols become exactly-once, range, ordering, and concatenated-
 //!   session errors, and torn tails surface as warnings.
 //! * **Schedule-space model checking** ([`model_check_graph`],
-//!   [`check_lock_order`], [`check_wake_discipline`],
 //!   [`check_pool_discipline`]) — bounded exploration of every
 //!   inequivalent serialization of a task graph via dynamic partial-order
-//!   reduction (races and determinism with counterexample traces), a
-//!   static lock-order deadlock check over the executor's per-buffer
-//!   `RwLock` acquisitions, a lost-wakeup search over the worker pool's
-//!   wake accounting, and a retire-before-reuse audit of the buffer
-//!   pool's event log.
+//!   reduction (races and determinism with counterexample traces), and a
+//!   retire-before-reuse audit of the buffer pool's event log.
 //! * **Service schedules** ([`check_service_schedule`]) — replays the
 //!   multi-tenant campaign service's recorded schedule trace and
 //!   certifies the robustness contract: bounded admission queue, no
@@ -63,14 +59,11 @@ mod diag;
 mod ell;
 mod graph;
 mod journal;
-mod lockorder;
 mod modelcheck;
-mod parallel;
 mod pool;
 mod precision;
 mod recovery;
 mod service;
-mod wake;
 
 pub use dd::{
     analyze_dd, check_nzrv_consistency, matrix_dd_facts, vector_dd_facts, DdEdgeFacts, DdFacts,
@@ -86,9 +79,7 @@ pub use journal::{
     check_journal, check_journal_dfa, symbolize_journal, JournalDfa, JournalFacts,
     JournalRecordFacts, JournalRecordKind, JournalState, JournalSymbol, JournalSymbolClass,
 };
-pub use lockorder::{check_lock_order, derive_lock_facts, TaskLockFacts};
 pub use modelcheck::{model_check_graph, ModelCheckBudget, ModelCheckOutcome};
-pub use parallel::{check_parallel_schedule, parallel_attempt_facts};
 pub use pool::check_pool_discipline;
 pub use precision::{check_precision_safety, PrecisionFacts};
 pub use recovery::{check_recovery_schedule, recovery_attempt_facts, AttemptFacts};
@@ -96,4 +87,3 @@ pub use service::{
     check_service_schedule, parse_schedule_trace, render_schedule_trace, ScheduleEvent,
     ShardOutcome, VT_SCALE,
 };
-pub use wake::{check_wake_discipline, WakeFacts};

@@ -11,10 +11,10 @@
 //!   path. Violations come with a minimal counterexample trace that
 //!   schedules the two tasks back to back.
 //! * **Determinism** — every serialization of the graph applies effects
-//!   to each buffer in the same relative order, so the executor's output
-//!   is bit-identical regardless of worker timing. This is the invariant
-//!   PR 3's thread-matrix proptests *sample*; the checker proves it over
-//!   the whole explored space.
+//!   to each buffer in the same relative order, so the output is
+//!   bit-identical whichever topological order an executor picks (the
+//!   engine's sweep is one; a device overlapping copies and kernels is
+//!   any other).
 //!
 //! The explorer is a Flanagan–Godefroid DPOR with backtrack sets and
 //! sleep sets. Commuting transitions (disjoint footprints or read-read
@@ -27,11 +27,11 @@
 //! [`ModelCheckBudget::max_traces`] stops with a truncation warning
 //! (`mc-budget`) instead of hanging the CLI.
 //!
-//! The only synchronisation in `gpu::parallel::execute_graph` is the
-//! dependency edges themselves (workers pick up a task only after all its
-//! predecessors completed), so static graph reachability *is* the
-//! execution happens-before relation, and the footprint-level semantics
-//! explored here are exact, not an abstraction.
+//! The only synchronisation a task graph carries is its dependency edges
+//! (a task may start only after all its predecessors completed), so
+//! static graph reachability *is* the execution happens-before relation,
+//! and the footprint-level semantics explored here are exact, not an
+//! abstraction.
 
 use crate::diag::Diagnostics;
 use crate::graph::{

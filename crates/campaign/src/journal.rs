@@ -55,18 +55,18 @@ use std::path::{Path, PathBuf};
 
 /// Identity of a campaign plan, persisted in the journal header and
 /// verified on `--resume`: resuming under a different circuit, option
-/// set, input set, fault seed, or thread count would silently produce a
-/// run that is *not* bit-identical to the uninterrupted one, so every
-/// field must match exactly.
+/// set, input set, fault seed, layout, or precision would silently
+/// produce a run that is *not* bit-identical to the uninterrupted one, so
+/// every such field must match exactly. `threads` is recorded but not
+/// compared (see [`Fingerprint::mismatch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
     /// FNV-1a over the circuit's canonical debug rendering (name, qubit
     /// count, and every gate with its parameters).
     pub circuit: u64,
     /// FNV-1a over the `BqSimOptions` debug rendering (device, CPU, τ,
-    /// launch/exec modes, ablation flags) — *excluding* `threads`, which
-    /// is fingerprinted separately below so the mismatch report can name
-    /// it.
+    /// launch/exec modes, ablation flags) — *excluding* `threads`, layout
+    /// and precision, which are recorded as their own fields below.
     pub options: u64,
     /// FNV-1a over the raw bit patterns of every input amplitude.
     pub inputs: u64,
@@ -79,14 +79,16 @@ pub struct Fingerprint {
     pub artifact: u64,
     /// Fault-injection seed, or `None` for a fault-free campaign.
     pub fault_seed: Option<u64>,
-    /// Host worker threads (`BqSimOptions::threads`). Recorded because
-    /// the parallel executor must replay under the same pool shape for
-    /// the run to be provably equivalent.
+    /// spMM lanes per launch (`BqSimOptions::threads`) of the session
+    /// that wrote the header. Informational only: lanes split each
+    /// launch over disjoint output rows, so outputs are bit-identical at
+    /// every count and a resume may use a different one. Kept in the
+    /// header so every existing journal still parses.
     pub threads: usize,
     /// Effective amplitude layout (`BqSimOptions::effective_layout()`).
-    /// Fingerprinted as its own field — like `threads` — so the mismatch
-    /// report can name it: both layouts are proven bit-identical, but a
-    /// resume must still replay the campaign it joined, not a variant.
+    /// Fingerprinted as its own field so the mismatch report can name
+    /// it: both layouts are proven bit-identical, but a resume must still
+    /// replay the campaign it joined, not a variant.
     pub layout: Layout,
     /// Effective amplitude precision
     /// (`BqSimOptions::effective_precision()`). Named in the header for
@@ -105,7 +107,8 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Returns the name of the first field on which `self` and `other`
-    /// disagree, or `None` when they match.
+    /// disagree, or `None` when they match. `threads` is not compared: it
+    /// does not change a single output bit.
     pub fn mismatch(&self, other: &Fingerprint) -> Option<&'static str> {
         if self.circuit != other.circuit {
             return Some("circuit");
@@ -121,9 +124,6 @@ impl Fingerprint {
         }
         if self.fault_seed != other.fault_seed {
             return Some("fault_seed");
-        }
-        if self.threads != other.threads {
-            return Some("threads");
         }
         if self.layout != other.layout {
             return Some("layout");
@@ -922,8 +922,7 @@ mod tests {
         let mut b = fp();
         assert_eq!(a.mismatch(&b), None);
         b.threads = 1;
-        assert_eq!(a.mismatch(&b), Some("threads"));
-        b = fp();
+        assert_eq!(a.mismatch(&b), None, "lane count never changes outputs");
         b.layout = Layout::Aos;
         assert_eq!(a.mismatch(&b), Some("layout"));
         b = fp();

@@ -16,11 +16,11 @@
 //!   completed batches bit-exactly from the journal, and runs only what
 //!   is left. Interrupted-and-resumed output is bit-identical to an
 //!   uninterrupted run (proven by `tests/campaign_durability.rs` for
-//!   arbitrary interruption points, torn writes, fault plans, and thread
-//!   counts).
+//!   arbitrary interruption points, torn writes, fault plans, and lane
+//!   counts — a resume may even use a different lane count).
 //! * **Deadlines and cancellation** — a
 //!   [`CancelToken`](bqsim_faults::CancelToken) threaded down to the
-//!   task-graph workers; firing it (explicitly or via
+//!   engine's task sweep; firing it (explicitly or via
 //!   [`CampaignOptions::deadline`]) drains the campaign gracefully at
 //!   the next task boundary, leaving a resumable journal.
 //! * **Integrity quarantine** ([`integrity`]) — each batch's outputs are

@@ -540,11 +540,13 @@ pub fn execute_campaign_batch(
 ///
 /// The circuit and option hashes are FNV-1a over canonical debug
 /// renderings (pure data, no addresses); the input hash covers the raw
-/// bit patterns of every amplitude. `threads` and the effective amplitude
-/// layout are deliberately excluded from the options hash and carried as
-/// their own fields so a mismatch report can name them — the most common
-/// way to accidentally change a plan between sessions is `BQSIM_THREADS`
-/// or `BQSIM_LAYOUT`.
+/// bit patterns of every amplitude. The effective amplitude layout and
+/// precision are deliberately excluded from the options hash and carried
+/// as their own fields so a mismatch report can name them — the most
+/// common way to accidentally change a plan between sessions is
+/// `BQSIM_LAYOUT` or `BQSIM_PRECISION`. `threads` (spMM lanes) is
+/// recorded too but never refuses a resume: it cannot change an output
+/// bit.
 pub fn plan_fingerprint(
     circuit: &Circuit,
     opts: &BqSimOptions,

@@ -16,8 +16,8 @@ use bqsim_analyze as analyze;
 use bqsim_analyze::{AnalysisReport, Diagnostics, ModelCheckBudget};
 use bqsim_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
 use bqsim_gpu::{
-    BufferId, DeviceMemory, Engine, ExecMode, HostMemory, Kernel, LockMode, LockSite, PoolEvent,
-    PoolEventKind, TaskGraph, WakeDiscipline, WAKE_DISCIPLINE,
+    BufferId, DeviceMemory, Engine, ExecMode, HostMemory, Kernel, PoolEvent, PoolEventKind,
+    TaskGraph,
 };
 use bqsim_qcir::Circuit;
 use bqsim_qdd::gates::lower_circuit;
@@ -35,17 +35,15 @@ struct AnalysisSchedule {
     graph: TaskGraph,
 }
 
-/// Allocates the analysis schedule for `converted` gates. With
-/// `functional_inputs`, host staging buffers carry real packed amplitudes
-/// (needed when the schedule will actually execute in functional mode);
-/// otherwise they are zero-length placeholders.
+/// Allocates the analysis schedule for `converted` gates. Host staging
+/// buffers are zero-length placeholders: analysis only ever runs the
+/// schedule in timing-only mode.
 fn build_analysis_schedule(
     converted: &[ConvertedGate],
     opts: &BqSimOptions,
     num_qubits: usize,
     num_batches: usize,
     batch_size: usize,
-    functional_inputs: bool,
 ) -> Result<AnalysisSchedule, BqsimError> {
     let dim = 1usize << num_qubits;
     let elems = dim * batch_size;
@@ -61,20 +59,8 @@ fn build_analysis_schedule(
         mem.alloc(elems).map_err(oom)?,
         mem.alloc(elems).map_err(oom)?,
     ];
-    let inputs: Vec<_> = (0..num_batches)
-        .map(|b| {
-            if functional_inputs {
-                let batch = crate::simulator::random_input_batch(num_qubits, batch_size, b as u64);
-                host.alloc_from(bqsim_ell::pack_batch(&batch))
-            } else {
-                host.alloc_zeroed(0)
-            }
-        })
-        .collect();
-    let out_len = if functional_inputs { elems } else { 0 };
-    let outputs: Vec<_> = (0..num_batches)
-        .map(|_| host.alloc_zeroed(out_len))
-        .collect();
+    let inputs: Vec<_> = (0..num_batches).map(|_| host.alloc_zeroed(0)).collect();
+    let outputs: Vec<_> = (0..num_batches).map(|_| host.alloc_zeroed(0)).collect();
     let graph = schedule::build_batch_graph(
         &buffers,
         &inputs,
@@ -184,7 +170,7 @@ pub fn analyze_pipeline(
     }
 
     // Stage ③: build the real batch schedule and analyse it.
-    let sched = build_analysis_schedule(&converted, opts, n, num_batches, batch_size, false)?;
+    let sched = build_analysis_schedule(&converted, opts, n, num_batches, batch_size)?;
     let facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
     diags.merge(analyze::analyze_graph(&facts));
     diags.merge(analyze::check_double_buffer_discipline(
@@ -240,7 +226,6 @@ pub fn analyze_recovery(
         circuit.num_qubits(),
         num_batches,
         batch_size,
-        false,
     )?;
 
     let engine = Engine::new(opts.device.clone());
@@ -260,60 +245,6 @@ pub fn analyze_recovery(
     Ok(analyze::check_recovery_schedule(&facts, &attempts))
 }
 
-/// Executes the batch schedule functionally on the parallel worker-pool
-/// executor and statically verifies the *executed* parallel schedule
-/// against the task graph: dependency order preserved (no task's span
-/// starts before all predecessors' spans end on the shared logical clock)
-/// and no two buffer-conflicting tasks overlapped. This is the
-/// parallel-schedule conformance check behind `bqsim analyze --threads N`.
-///
-/// `opts.threads` is forced to at least 2 — a serial run produces no
-/// concurrency to certify. Faults from `plan` are injected so the check
-/// also covers replayed retries and abandoned tasks.
-///
-/// # Errors
-///
-/// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit and
-/// [`BqsimError::DeviceOom`] if the schedule's buffers exceed the simulated
-/// device memory.
-pub fn analyze_parallel_execution(
-    circuit: &Circuit,
-    opts: &BqSimOptions,
-    num_batches: usize,
-    batch_size: usize,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<Diagnostics, BqsimError> {
-    let sim = BqSimulator::compile(circuit, opts.clone())?;
-    // Functional mode needs real amplitudes behind the H2D copies.
-    let mut sched = build_analysis_schedule(
-        sim.gates(),
-        opts,
-        circuit.num_qubits(),
-        num_batches,
-        batch_size,
-        true,
-    )?;
-
-    let engine = Engine::with_threads(opts.device.clone(), opts.threads.max(2));
-    let injector = FaultInjector::for_device(plan, 0);
-    let faulted = engine.run_faulted(
-        &sched.graph,
-        &mut sched.mem,
-        &mut sched.host,
-        opts.launch_mode,
-        ExecMode::Functional,
-        &injector,
-        policy,
-    );
-
-    let facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
-    Ok(analyze::check_parallel_schedule(
-        &facts,
-        &faulted.parallel_spans,
-    ))
-}
-
 /// A defect deliberately seeded into an otherwise-correct pipeline
 /// artifact before analysis, used to prove each model-check pass actually
 /// fires (`bqsim analyze --model-check --inject-defect <name>` and the
@@ -323,12 +254,6 @@ pub enum SeededDefect {
     /// Drop the hazard edge ordering a buffer-recycling H2D copy after
     /// the D2H still reading the buffer (schedule-space data race).
     Race,
-    /// Add two co-runnable tasks whose lock acquisition orders invert
-    /// each other (ABBA deadlock).
-    LockOrder,
-    /// Drop the worker pool's final `notify_all` broadcast (lost final
-    /// wake-up).
-    Wake,
     /// Replay a pool event log whose shelf hands out a buffer it never
     /// got back (retire-before-reuse violation).
     Pool,
@@ -338,10 +263,8 @@ pub enum SeededDefect {
 
 impl SeededDefect {
     /// Every defect, in the order the CI corpus iterates them.
-    pub const ALL: [SeededDefect; 5] = [
+    pub const ALL: [SeededDefect; 3] = [
         SeededDefect::Race,
-        SeededDefect::LockOrder,
-        SeededDefect::Wake,
         SeededDefect::Pool,
         SeededDefect::Journal,
     ];
@@ -350,8 +273,6 @@ impl SeededDefect {
     pub fn name(self) -> &'static str {
         match self {
             SeededDefect::Race => "race",
-            SeededDefect::LockOrder => "lock-order",
-            SeededDefect::Wake => "wake",
             SeededDefect::Pool => "pool",
             SeededDefect::Journal => "journal",
         }
@@ -364,25 +285,13 @@ impl SeededDefect {
 }
 
 /// Options for [`model_check_pipeline`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ModelCheckOptions {
     /// Cap on the number of inequivalent serializations the DPOR
     /// exploration may enumerate before truncating with a warning.
     pub budget: ModelCheckBudget,
-    /// Worker-pool size the wake-discipline pass verifies against.
-    pub workers: usize,
     /// A defect to seed before checking (None = check the real artifacts).
     pub defect: Option<SeededDefect>,
-}
-
-impl Default for ModelCheckOptions {
-    fn default() -> Self {
-        ModelCheckOptions {
-            budget: ModelCheckBudget::default(),
-            workers: crate::simulator::default_threads(),
-            defect: None,
-        }
-    }
 }
 
 /// The outcome of [`model_check_pipeline`]: a sectioned report plus the
@@ -410,11 +319,9 @@ impl ModelCheckReport {
 
 /// Model-checks the schedule space of `circuit`'s compiled batch graph:
 /// DPOR exploration of every inequivalent serialization (races and
-/// determinism, with counterexample traces), static lock-order deadlock
-/// freedom over the executor's per-buffer `RwLock` acquisitions, a
-/// lost-wakeup search over the worker pool's wake accounting, and a
-/// retire-before-reuse audit of the simulator's buffer pool after a cold
-/// and a warm functional run.
+/// determinism, with counterexample traces) and a retire-before-reuse
+/// audit of the simulator's buffer pool after a cold and a warm
+/// functional run.
 ///
 /// # Errors
 ///
@@ -431,46 +338,19 @@ pub fn model_check_pipeline(
 ) -> Result<ModelCheckReport, BqsimError> {
     let sim = BqSimulator::compile(circuit, opts.clone())?;
     let n = circuit.num_qubits();
-    let sched = build_analysis_schedule(sim.gates(), opts, n, num_batches, batch_size, false)?;
+    let sched = build_analysis_schedule(sim.gates(), opts, n, num_batches, batch_size)?;
     let mut facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
-    let mut locks = analyze::derive_lock_facts(&sched.graph);
 
-    match mc.defect {
-        Some(SeededDefect::Race) => {
-            // Cut the hazard edges into the first buffer-recycling H2D:
-            // it now overlaps the tasks still using the recycled pair.
-            if let Some(t) = facts
-                .tasks
-                .iter_mut()
-                .find(|t| t.op == analyze::TaskOp::H2D && !t.preds.is_empty())
-            {
-                t.preds.clear();
-            }
+    if mc.defect == Some(SeededDefect::Race) {
+        // Cut the hazard edges into the first buffer-recycling H2D: it now
+        // overlaps the tasks still using the recycled pair.
+        if let Some(t) = facts
+            .tasks
+            .iter_mut()
+            .find(|t| t.op == analyze::TaskOp::H2D && !t.preds.is_empty())
+        {
+            t.preds.clear();
         }
-        Some(SeededDefect::LockOrder) => {
-            // Two footprint-free (hence unordered) tasks taking the first
-            // two state buffers in opposite orders.
-            for (label, first, second) in [
-                ("seeded defect a", 0usize, 1usize),
-                ("seeded defect b", 1, 0),
-            ] {
-                facts.tasks.push(analyze::TaskFacts {
-                    label: label.to_string(),
-                    op: analyze::TaskOp::Kernel,
-                    preds: Vec::new(),
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                });
-                locks.push(analyze::TaskLockFacts {
-                    label: label.to_string(),
-                    acquisitions: vec![
-                        (LockSite::Device(first), LockMode::Read),
-                        (LockSite::Device(second), LockMode::Write),
-                    ],
-                });
-            }
-        }
-        _ => {}
     }
 
     let mut report = AnalysisReport::new();
@@ -494,64 +374,7 @@ pub fn model_check_pipeline(
         outcome.diagnostics.clone(),
     );
 
-    // ② Static lock-order deadlock freedom.
-    let acquisitions: usize = locks.iter().map(|l| l.acquisitions.len()).sum();
-    report.push_section(
-        "lock order",
-        format!(
-            "{} task(s), {} lock acquisition(s) over the per-buffer RwLocks",
-            locks.len(),
-            acquisitions
-        ),
-        analyze::check_lock_order(&facts, &locks),
-    );
-
-    // ③ Lost-wakeup search over the wake accounting. The seeded wake
-    // defect forces a multi-worker pool: with one worker there is never
-    // anybody parked while another worker finishes the last task, so a
-    // missing broadcast is genuinely harmless there.
-    let workers = if mc.defect == Some(SeededDefect::Wake) {
-        mc.workers.max(2)
-    } else {
-        mc.workers.max(1)
-    };
-    let discipline = if mc.defect == Some(SeededDefect::Wake) {
-        WakeDiscipline {
-            final_broadcast: false,
-            ..WAKE_DISCIPLINE
-        }
-    } else {
-        WAKE_DISCIPLINE
-    };
-    let mut succ_counts = vec![0usize; facts.tasks.len()];
-    let mut roots = 0usize;
-    for t in &facts.tasks {
-        if t.preds.is_empty() {
-            roots += 1;
-        }
-        for &p in &t.preds {
-            if let Some(c) = succ_counts.get_mut(p) {
-                *c += 1;
-            }
-        }
-    }
-    let wake_facts = analyze::WakeFacts {
-        workers,
-        tasks: facts.tasks.len(),
-        roots,
-        max_fanout: succ_counts.iter().copied().max().unwrap_or(0),
-        discipline,
-    };
-    report.push_section(
-        "worker pool",
-        format!(
-            "{workers} worker(s); notify_per_newly_ready={}, final_broadcast={}",
-            discipline.notify_per_newly_ready, discipline.final_broadcast
-        ),
-        analyze::check_wake_discipline(&wake_facts),
-    );
-
-    // ④ Pool aliasing: audit the real event log after a cold and a warm
+    // ② Pool aliasing: audit the real event log after a cold and a warm
     // functional run (the warm run is what exercises shelf reuse), or a
     // seeded defective log.
     let (events, dropped) = if mc.defect == Some(SeededDefect::Pool) {
@@ -586,7 +409,7 @@ pub fn model_check_pipeline(
         analyze::check_pool_discipline(&events, dropped, true),
     );
 
-    // ⑤ Journal state machine (only meaningful with the seeded defect —
+    // ③ Journal state machine (only meaningful with the seeded defect —
     // live journals are audited by `bqsim analyze --journal`).
     if mc.defect == Some(SeededDefect::Journal) {
         let journal = analyze::JournalFacts {
@@ -686,66 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_schedules_are_certified_race_free() {
-        use bqsim_faults::FaultPlan;
-        let circuit = generators::vqe(5, 5);
-        for threads in [2usize, 4, 7] {
-            let opts = BqSimOptions {
-                threads,
-                ..BqSimOptions::default()
-            };
-            let diags = analyze_parallel_execution(
-                &circuit,
-                &opts,
-                4,
-                8,
-                &FaultPlan::new(),
-                &RecoveryPolicy::default(),
-            )
-            .expect("analysis runs");
-            assert!(
-                diags.is_clean(),
-                "{threads} threads: parallel schedule must be clean:\n{diags}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_schedules_stay_clean_under_fault_replay() {
-        use bqsim_faults::{FaultBudget, FaultPlan};
-        let circuit = generators::vqe(5, 5);
-        let (num_batches, batch_size) = (4, 8);
-        let sim = BqSimulator::compile(&circuit, BqSimOptions::default()).unwrap();
-        let tasks = num_batches * schedule::tasks_per_batch(sim.gates().len());
-        let opts = BqSimOptions {
-            threads: 4,
-            ..BqSimOptions::default()
-        };
-        for seed in [3u64, 19] {
-            let plan = FaultPlan::seeded(seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
-            let diags = analyze_parallel_execution(
-                &circuit,
-                &opts,
-                num_batches,
-                batch_size,
-                &plan,
-                &RecoveryPolicy::default(),
-            )
-            .expect("analysis runs");
-            assert!(
-                diags.is_clean(),
-                "seed {seed}: parallel replay schedule must be clean:\n{diags}"
-            );
-        }
-    }
-
-    #[test]
     fn model_check_certifies_the_compiled_schedule() {
         let circuit = generators::ghz(4);
-        let mc = ModelCheckOptions {
-            workers: 4,
-            ..ModelCheckOptions::default()
-        };
+        let mc = ModelCheckOptions::default();
         let report = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 4, &mc)
             .expect("model check runs");
         assert!(
@@ -766,7 +532,6 @@ mod tests {
         let circuit = generators::ghz(3);
         for defect in SeededDefect::ALL {
             let mc = ModelCheckOptions {
-                workers: 4,
                 defect: Some(defect),
                 ..ModelCheckOptions::default()
             };

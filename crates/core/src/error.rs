@@ -27,6 +27,16 @@ pub enum BqsimError {
         /// State vectors the offending batch actually holds.
         got: usize,
     },
+    /// A run was asked for zero batches or zero state vectors per batch;
+    /// there is nothing to schedule.
+    EmptyBatchRun {
+        /// Batches requested.
+        num_batches: usize,
+        /// State vectors per batch requested.
+        batch_size: usize,
+    },
+    /// A multi-GPU runner was given no devices to compile for.
+    NoDevices,
     /// The simulated device ran out of memory (the failure mode behind the
     /// paper's Table 4 "-" entries), and recovery was disabled or also
     /// exhausted the degradation ladder.
@@ -83,6 +93,14 @@ impl fmt::Display for BqsimError {
                 "batch {batch_index} has {got} state vector(s), but batch 0 \
                  established a batch size of {expected}"
             ),
+            BqsimError::EmptyBatchRun {
+                num_batches,
+                batch_size,
+            } => write!(
+                f,
+                "empty batch run: {num_batches} batch(es) of {batch_size} state vector(s)"
+            ),
+            BqsimError::NoDevices => write!(f, "multi-GPU run needs at least one device"),
             BqsimError::DeviceOom {
                 device,
                 batch,

@@ -52,8 +52,8 @@ pub mod simulator;
 pub mod tune;
 
 pub use analysis::{
-    analyze_parallel_execution, analyze_pipeline, analyze_recovery, model_check_pipeline,
-    ModelCheckOptions, ModelCheckReport, PipelineAnalysis, SeededDefect,
+    analyze_pipeline, analyze_recovery, model_check_pipeline, ModelCheckOptions, ModelCheckReport,
+    PipelineAnalysis, SeededDefect,
 };
 pub use artifact::{
     artifact_key, audit_store, AuditEntry, AuditVerdict, CompileSource, StoreAudit,

@@ -53,13 +53,16 @@ impl MultiGpuRunner {
     ///
     /// # Errors
     ///
-    /// Propagates compile errors; `devices` must be non-empty.
+    /// Returns [`BqsimError::NoDevices`] when `devices` is empty, and
+    /// propagates compile errors.
     pub fn compile(
         circuit: &Circuit,
         base: &BqSimOptions,
         devices: Vec<DeviceSpec>,
     ) -> Result<Self, BqsimError> {
-        assert!(!devices.is_empty(), "need at least one device");
+        if devices.is_empty() {
+            return Err(BqsimError::NoDevices);
+        }
         let sims = devices
             .into_iter()
             .map(|device| {
@@ -400,6 +403,15 @@ mod tests {
         match runner.run_batches_recovering(&batches, &plan, &RecoveryPolicy::default()) {
             Err(BqsimError::AllDevicesLost) => {}
             other => panic!("expected AllDevicesLost, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn compiling_for_no_devices_is_an_error() {
+        let circuit = generators::ghz(3);
+        match MultiGpuRunner::compile(&circuit, &BqSimOptions::default(), vec![]) {
+            Err(BqsimError::NoDevices) => {}
+            other => panic!("expected NoDevices, got {other:?}"),
         }
     }
 

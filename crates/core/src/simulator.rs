@@ -49,10 +49,11 @@ pub struct BqSimOptions {
     pub skip_fusion: bool,
     /// Simulate straight from DDs, skipping ELL (ablation).
     pub skip_ell: bool,
-    /// Host worker threads for functional execution: the parallel
-    /// task-graph executor and spMM row partitioning. `1` preserves the
-    /// serial path byte for byte; the default honours `BQSIM_THREADS` and
-    /// falls back to the host's available parallelism.
+    /// Row-partitioned spMM lanes per kernel launch — the only host
+    /// parallelism of functional execution (the engine applies tasks
+    /// inline). Outputs are bit-identical at every value; `1` runs every
+    /// launch on the calling thread. The default honours `BQSIM_THREADS`
+    /// and falls back to the host's available parallelism.
     pub threads: usize,
     /// Force the generic (pre-fast-path) spMM inner loop — the ablation
     /// baseline for the shape-specialised kernels.
@@ -158,7 +159,7 @@ pub fn validate_env() -> Result<(), String> {
     Ok(())
 }
 
-/// Default worker-thread count: `BQSIM_THREADS` if set to a positive
+/// Default spMM lane count: `BQSIM_THREADS` if set to a positive
 /// integer, else the host's available parallelism, else 1.
 pub fn default_threads() -> usize {
     env_threads().ok().flatten().unwrap_or_else(|| {
@@ -299,7 +300,7 @@ pub struct ResolvedExec {
     pub precision: Precision,
     /// Effective amplitude layout.
     pub layout: Layout,
-    /// Host worker threads.
+    /// Row-partitioned spMM lanes per launch.
     pub threads: usize,
     /// Pattern-compression toggle of the planar kernels.
     pub use_pattern: bool,
@@ -499,7 +500,7 @@ impl BqSimulator {
     }
 
     /// Applies an auto-tuner decision to the execution-only options:
-    /// precision, layout, worker threads, and the pattern-compression
+    /// precision, layout, spMM lanes, and the pattern-compression
     /// toggle. The compiled gates are untouched — none of these axes
     /// affect compilation — so applying a tuning can never fork the
     /// artifact key. The tuner never selects `generic_spmm` (probed for
@@ -608,8 +609,10 @@ impl BqSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::BadInputLength`] on malformed inputs and
-    /// [`BqsimError::DeviceOom`] if buffers exceed device memory.
+    /// Returns [`BqsimError::BadInputLength`] on malformed inputs,
+    /// [`BqsimError::EmptyBatchRun`] when there are no batches or the
+    /// batches hold no state vectors, and [`BqsimError::DeviceOom`] if
+    /// buffers exceed device memory.
     pub fn run_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<RunResult, BqsimError> {
         self.run_batches_cancellable(batches, &CancelToken::new())
     }
@@ -668,7 +671,8 @@ impl BqSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::DeviceOom`] if buffers exceed device memory.
+    /// Returns [`BqsimError::EmptyBatchRun`] when either count is zero and
+    /// [`BqsimError::DeviceOom`] if buffers exceed device memory.
     pub fn run_synthetic(
         &self,
         num_batches: usize,
@@ -717,7 +721,12 @@ impl BqSimulator {
         policy: &RecoveryPolicy,
         cancel: &CancelToken,
     ) -> Result<(RunResult, FaultedRun, u64), BqsimError> {
-        assert!(num_batches > 0 && batch_size > 0, "empty batch run");
+        if num_batches == 0 || batch_size == 0 {
+            return Err(BqsimError::EmptyBatchRun {
+                num_batches,
+                batch_size,
+            });
+        }
         let dim = 1usize << self.num_qubits;
         let elems = dim * batch_size;
         let precision = self.opts.effective_precision();
@@ -726,7 +735,7 @@ impl BqSimulator {
         let functional = !batches.is_empty() && self.opts.exec_mode == ExecMode::Functional;
 
         let layout = self.opts.effective_layout();
-        let engine = Engine::with_threads(self.opts.device.clone(), self.opts.threads);
+        let engine = Engine::new(self.opts.device.clone());
         let mut mem = DeviceMemory::with_pool(&self.opts.device, Arc::clone(&self.pool));
         mem.inject_oom_at(oom_allocs);
         let mut host = HostMemory::with_pool(Arc::clone(&self.pool));
@@ -1389,6 +1398,42 @@ mod tests {
                 batch_index: 2,
                 expected: 2,
                 got: 3
+            })
+        ));
+    }
+
+    #[test]
+    fn run_batches_with_no_batches_is_an_error() {
+        let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
+        assert!(matches!(
+            sim.run_batches(&[]),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 0,
+                batch_size: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn run_batches_with_an_empty_batch_is_an_error() {
+        let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
+        assert!(matches!(
+            sim.run_batches(&[vec![]]),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 1,
+                batch_size: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn run_synthetic_with_no_batches_is_an_error() {
+        let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
+        assert!(matches!(
+            sim.run_synthetic(0, 8),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 0,
+                batch_size: 8
             })
         ));
     }

@@ -497,8 +497,8 @@ impl EllMatrix {
     /// Planar counterpart of [`EllMatrix::spmm_rows`]: computes the
     /// consecutive output-row window starting at `first_row` covered by
     /// `out_re`/`out_im` (which must be equally long and a multiple of
-    /// `batch`). This is the unit the parallel executor hands each worker
-    /// when row-partitioning a planar launch.
+    /// `batch`). This is the unit each spMM lane computes when a planar
+    /// launch is row-partitioned.
     ///
     /// With `use_pattern` and a detected pattern period `d` (see
     /// [`EllMatrix::detect_pattern`]), each row reads its slots from the

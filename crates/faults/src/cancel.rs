@@ -3,11 +3,10 @@
 //! A [`CancelToken`] is a cheap, cloneable handle around a shared flag and
 //! an optional wall-clock deadline. Producers arm it (`cancel()`, or let
 //! the deadline lapse); consumers poll it at *task boundaries* — the
-//! engine's scheduling sweep, the parallel executor's worker loop, the
-//! batch loop of the campaign runner — and drain gracefully instead of
-//! being killed mid-write. Cancellation is a request, not an interrupt:
-//! everything observed as complete before the token fired stays complete
-//! and journaled.
+//! engine's scheduling sweep, the batch loop of the campaign runner — and
+//! drain gracefully instead of being killed mid-write. Cancellation is a
+//! request, not an interrupt: everything observed as complete before the
+//! token fired stays complete and journaled.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -20,8 +20,7 @@
 //!   memory high-water marks.
 //! * [`CancelToken`] — cooperative cancellation (a shared flag plus an
 //!   optional wall-clock deadline) polled at task boundaries by the
-//!   engine's sweep, the parallel executor's workers, and the campaign
-//!   runner's batch loop.
+//!   engine's sweep and at batch boundaries by the campaign runner.
 //! * [`Clock`] — the waiting half of the virtual-time discipline:
 //!   production code sleeps a backoff out on a [`WallClock`], tests
 //!   replay the same schedule instantly and deterministically on a

@@ -3,7 +3,6 @@
 
 use crate::device::DeviceSpec;
 use crate::memory::{DeviceMemory, HostMemory};
-use crate::parallel::{self, Effect, TaskSpan};
 use crate::task::{Task, TaskGraph, TaskId, TaskKind};
 use bqsim_faults::{CancelToken, FaultEvent, FaultInjector, FaultKind, RecoveryPolicy, Resolution};
 use bqsim_num::Complex;
@@ -242,41 +241,24 @@ impl Timeline {
 }
 
 /// The simulated device's execution engine.
+///
+/// Copy/compute overlap is a property of the virtual-time schedule the
+/// sweep computes; on the host, functional effects are applied inline in
+/// sweep order. Host parallelism, where it pays, lives inside kernels.
 #[derive(Debug, Clone)]
 pub struct Engine {
     spec: DeviceSpec,
-    threads: usize,
 }
 
 impl Engine {
-    /// Creates an engine for a device running the functional layer on one
-    /// host thread (the historical serial behaviour).
+    /// Creates an engine for a device.
     pub fn new(spec: DeviceSpec) -> Self {
-        Engine { spec, threads: 1 }
-    }
-
-    /// Creates an engine whose functional execution uses a pool of
-    /// `threads` host workers (clamped to at least 1). The virtual-time
-    /// schedule is computed identically regardless of `threads`; only how
-    /// kernel bodies and copies run on the host changes, and
-    /// [`FaultedRun::parallel_spans`] records the actual overlap for the
-    /// conformance checker. With `threads == 1` this is exactly
-    /// [`Engine::new`], byte for byte.
-    pub fn with_threads(spec: DeviceSpec, threads: usize) -> Self {
-        Engine {
-            spec,
-            threads: threads.max(1),
-        }
+        Engine { spec }
     }
 
     /// The device spec this engine models.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Host worker threads used for functional execution.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Duration of one task in nanoseconds under `mode`.
@@ -410,18 +392,6 @@ impl Engine {
         let mut run = FaultedRun::default();
         let device = injector.device();
         let mut lost_ns: Option<u64> = None;
-        // With more than one worker, functional effects (poisons and the
-        // completing execution of each task) are recorded during the
-        // scheduling sweep and applied afterwards by the worker pool in an
-        // order that respects every dependency edge. Each task's effect
-        // list is applied atomically by one worker, so the net result is
-        // identical to the inline serial path.
-        let parallel = self.threads > 1 && exec == ExecMode::Functional;
-        let mut effects: Vec<Vec<Effect>> = if parallel {
-            vec![Vec::new(); n]
-        } else {
-            Vec::new()
-        };
 
         for (i, task) in graph.tasks.iter().enumerate() {
             let id = TaskId(i);
@@ -538,11 +508,7 @@ impl Engine {
                         });
                     }
                     if exec == ExecMode::Functional {
-                        if parallel {
-                            effects[i].push(Effect::Execute);
-                        } else {
-                            execute_task(task, mem, host);
-                        }
+                        execute_task(task, mem, host);
                     }
                     break;
                 }
@@ -576,11 +542,7 @@ impl Engine {
                     outcome,
                 });
                 if exec == ExecMode::Functional {
-                    if parallel {
-                        effects[i].push(Effect::Poison);
-                    } else {
-                        poison_destination(task, mem, host);
-                    }
+                    poison_destination(task, mem, host);
                 }
 
                 if attempt >= policy.max_retries {
@@ -623,28 +585,13 @@ impl Engine {
             }
         }
         run.timeline = timeline;
-        if parallel {
-            let (spans, skipped) =
-                parallel::execute_graph(graph, &effects, mem, host, self.threads, Some(cancel));
-            run.parallel_spans = spans;
-            // A token firing between the sweep and the replay (or mid-replay)
-            // means some recorded effects were never applied: the outputs are
-            // partial exactly as if the sweep itself had been cancelled there.
-            if run.cancelled_at.is_none() {
-                if let Some(t) = skipped {
-                    run.cancelled_at = Some(TaskId(t));
-                }
-            }
-        }
         run
     }
 }
 
-/// Functional execution of one task against device/host memory. Shared
-/// references only: buffers are acquired through per-buffer lock guards, so
-/// the parallel executor can call this from several workers at once on
-/// tasks the graph allows to overlap.
-pub(crate) fn execute_task(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
+/// Functional execution of one task against device/host memory, through
+/// the arenas' per-buffer guards.
+fn execute_task(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
     match &task.kind {
         TaskKind::H2D { host: h, dev, .. } => {
             // Layout-matched pairs (the simulator stages hosts in the
@@ -668,7 +615,7 @@ pub(crate) fn execute_task(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
 /// buffers are filled with NaN, so a recovered run is only bit-identical
 /// to the fault-free one if the retry genuinely overwrites everything the
 /// fault touched.
-pub(crate) fn poison_destination(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
+fn poison_destination(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
     let nan = Complex::new(f64::NAN, f64::NAN);
     match &task.kind {
         TaskKind::H2D { dev, .. } => mem.buffer_mut(*dev).store_mut().fill(nan),
@@ -705,13 +652,6 @@ pub struct FaultedRun {
     /// cancelled region reached memory. Callers must discard the outputs
     /// (the campaign runner re-runs the affected batches on resume).
     pub cancelled_at: Option<TaskId>,
-    /// One span per task recording when the parallel worker pool applied
-    /// its functional effects, in ticks of the pool's sequence counter.
-    /// Empty unless the engine was built with
-    /// [`Engine::with_threads`]\(`threads > 1`\) and ran in
-    /// [`ExecMode::Functional`]. Feed to `bqsim-analyze`'s
-    /// parallel-schedule conformance check.
-    pub parallel_spans: Vec<TaskSpan>,
 }
 
 impl FaultedRun {
@@ -1177,6 +1117,46 @@ mod tests {
         assert_eq!(run.events[0].resolution, Resolution::DeviceLost);
         // The upload before the loss point completed normally.
         assert_eq!(run.timeline.records()[0].outcome, TaskOutcome::Completed);
+    }
+
+    #[test]
+    fn cancellation_mid_sweep_applies_no_effect_of_the_cancelled_region() {
+        // The first kernel fires the token while it runs; the sweep must
+        // observe it at the next task boundary and never run the second.
+        struct AddOneThenCancel(crate::BufferId, CancelToken);
+        impl Kernel for AddOneThenCancel {
+            fn name(&self) -> &str {
+                "add1"
+            }
+            fn profile(&self) -> KernelProfile {
+                KernelProfile::empty()
+            }
+            fn execute(&self, mem: &DeviceMemory) {
+                for z in mem.buffer_mut(self.0).iter_mut() {
+                    *z += Complex::ONE;
+                }
+                self.1.cancel();
+            }
+        }
+        let (engine, mut mem, mut host) = setup();
+        let d = mem.alloc(2).unwrap();
+        let cancel = CancelToken::new();
+        let mut g = TaskGraph::new();
+        let a = g.add_kernel("a", Arc::new(AddOneThenCancel(d, cancel.clone())), &[]);
+        g.add_kernel("b", Arc::new(AddOneThenCancel(d, cancel.clone())), &[a]);
+        let run = engine.run_faulted_cancellable(
+            &g,
+            &mut mem,
+            &mut host,
+            LaunchMode::Graph,
+            ExecMode::Functional,
+            &FaultInjector::none(),
+            &RecoveryPolicy::default(),
+            &cancel,
+        );
+        assert_eq!(run.cancelled_at, Some(TaskId(1)));
+        assert_eq!(run.abandoned, vec![TaskId(1)]);
+        assert_eq!(mem.buffer(d)[0], Complex::ONE, "only task 0 ran");
     }
 
     #[test]

@@ -52,7 +52,6 @@
 mod device;
 mod engine;
 mod memory;
-mod parallel;
 mod task;
 
 pub mod power;
@@ -65,5 +64,4 @@ pub use memory::{
     AllocDeviceError, AmpStore, BufferId, BufferPool, BufferRef, BufferRefMut, DeviceMemory,
     HostBufId, HostMemory, PoolEvent, PoolEventKind, PoolStats,
 };
-pub use parallel::{TaskSpan, WakeDiscipline, WAKE_DISCIPLINE};
-pub use task::{Kernel, KernelProfile, LockMode, LockSite, TaskGraph, TaskId, TaskKind};
+pub use task::{Kernel, KernelProfile, TaskGraph, TaskId, TaskKind};

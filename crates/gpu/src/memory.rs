@@ -292,9 +292,9 @@ impl AmpStore {
 }
 
 /// Shared read access to one buffer of an arena, handed out while the arena
-/// itself is only borrowed immutably — this is what lets the parallel
-/// executor's workers touch disjoint buffers of the same [`DeviceMemory`]
-/// concurrently. Derefs to `&[Complex]` for AoS buffers (the overwhelmingly
+/// itself is only borrowed immutably — this is what lets a kernel hold its
+/// input and output buffers of the same [`DeviceMemory`] at once through
+/// `&DeviceMemory`. Derefs to `&[Complex]` for AoS buffers (the overwhelmingly
 /// common case in tests and the ablation paths); layout-aware call sites
 /// use [`BufferRef::store`] instead.
 pub struct BufferRef<'a>(RwLockReadGuard<'a, AmpStore>);
@@ -348,9 +348,9 @@ impl DerefMut for BufferRefMut<'_> {
     }
 }
 
-/// Locks for reading, recovering the guard if a panicking worker poisoned
+/// Locks for reading, recovering the guard if a panicking kernel poisoned
 /// the lock (amplitude data stays readable for post-mortem inspection; the
-/// panic itself still propagates through the thread scope).
+/// panic itself still propagates).
 fn lock_read(lock: &RwLock<AmpStore>) -> RwLockReadGuard<'_, AmpStore> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -662,10 +662,9 @@ impl BufferPool {
 /// (and only that) is simulated; the actual data lives in host RAM.
 ///
 /// Each buffer sits behind its own [`RwLock`], so access only needs `&self`:
-/// kernels running on different worker threads can hold guards to disjoint
-/// buffers simultaneously. Task-graph dependency edges (checked by
-/// `bqsim-analyze`'s race pass) guarantee that conflicting accesses never
-/// run concurrently, so the locks are uncontended in practice — they exist
+/// a kernel (see [`Kernel::execute`](crate::Kernel::execute)) holds a read
+/// guard on its input and a write guard on its output at once. The engine
+/// applies tasks one at a time, so the locks are uncontended — they exist
 /// to make the aliasing safe, not to serialise the schedule.
 #[derive(Debug)]
 pub struct DeviceMemory {
@@ -873,8 +872,8 @@ impl Drop for DeviceMemory {
 
 /// Arena of host (pageable/pinned) buffers used as copy sources and sinks.
 ///
-/// Per-buffer locking mirrors [`DeviceMemory`] so parallel copy tasks can
-/// stage into disjoint host buffers from worker threads. Staging buffers
+/// Per-buffer locking mirrors [`DeviceMemory`], so copy tasks take the
+/// host side through `&HostMemory` guards too. Staging buffers
 /// are allocated in whichever layout the caller asks for — the simulator
 /// stages in the device buffers' layout so the H2D/D2H copies degenerate
 /// to plane `memcpy`s (`AmpStore::copy_store_from` still converts on the

@@ -56,10 +56,11 @@ pub trait Kernel: Send + Sync {
     /// runs skip it.
     ///
     /// Takes the arena by shared reference: buffers are acquired through
-    /// [`DeviceMemory::buffer`] / [`DeviceMemory::buffer_mut`] guards, so
-    /// kernels on different worker threads can run concurrently as long as
-    /// they touch disjoint buffers — which the task graph's dependency
-    /// edges guarantee for every pair the scheduler overlaps.
+    /// [`DeviceMemory::buffer`] / [`DeviceMemory::buffer_mut`] guards, so a
+    /// kernel can hold its input and output at once. The engine calls
+    /// kernels one at a time, in the order of its scheduling sweep; any
+    /// host parallelism lives inside a kernel (e.g. row-partitioned spMM
+    /// lanes over disjoint output windows).
     fn execute(&self, mem: &DeviceMemory);
 
     /// Device buffers [`Kernel::execute`] reads. The default (empty)
@@ -75,25 +76,6 @@ pub trait Kernel: Send + Sync {
     fn buffer_writes(&self) -> Vec<BufferId> {
         Vec::new()
     }
-}
-
-/// Mode in which a task acquires one buffer's `RwLock`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LockMode {
-    /// Shared read guard ([`DeviceMemory::buffer`] / `HostMemory::buffer`).
-    Read,
-    /// Exclusive write guard (`buffer_mut`).
-    Write,
-}
-
-/// One buffer lock as seen by the lock-order analysis: which arena and
-/// which allocation index inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LockSite {
-    /// A device-arena buffer lock.
-    Device(usize),
-    /// A host-arena buffer lock.
-    Host(usize),
 }
 
 /// Identifier of a task inside a [`TaskGraph`].
@@ -251,44 +233,6 @@ impl TaskGraph {
     /// Iterates over all task ids in insertion order.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
         (0..self.tasks.len()).map(TaskId)
-    }
-
-    /// The per-buffer `RwLock`s a task acquires while executing, **in
-    /// acquisition order** — every earlier guard is still held when a
-    /// later one is taken, and all are held until the task ends.
-    ///
-    /// This mirrors `execute_task` exactly: an H2D copy read-locks its
-    /// host source then write-locks its device destination; a D2H copy
-    /// read-locks the device source then write-locks the host
-    /// destination; kernels take read guards on their declared inputs
-    /// before write guards on their outputs (the `buffer_pair_mut`
-    /// convention every in-tree kernel follows). The static lock-order
-    /// pass in `bqsim-analyze` consumes this to reject acquisition-order
-    /// cycles between tasks the scheduler may overlap.
-    pub fn lock_acquisitions(&self, id: TaskId) -> Vec<(LockSite, LockMode)> {
-        match &self.tasks[id.0].kind {
-            TaskKind::H2D { host, dev, .. } => vec![
-                (LockSite::Host(host.index()), LockMode::Read),
-                (LockSite::Device(dev.index()), LockMode::Write),
-            ],
-            TaskKind::D2H { dev, host, .. } => vec![
-                (LockSite::Device(dev.index()), LockMode::Read),
-                (LockSite::Host(host.index()), LockMode::Write),
-            ],
-            TaskKind::Kernel(k) => {
-                let mut acq: Vec<(LockSite, LockMode)> = k
-                    .buffer_reads()
-                    .into_iter()
-                    .map(|b| (LockSite::Device(b.index()), LockMode::Read))
-                    .collect();
-                acq.extend(
-                    k.buffer_writes()
-                        .into_iter()
-                        .map(|b| (LockSite::Device(b.index()), LockMode::Write)),
-                );
-                acq
-            }
-        }
     }
 }
 

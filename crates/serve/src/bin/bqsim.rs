@@ -13,6 +13,11 @@
 //! bqsim analyze --service-schedule svc/schedule.trace
 //! ```
 //!
+//! `--threads` (default `BQSIM_THREADS`, else the core count) sets the
+//! spMM lanes per launch: each kernel launch splits its output rows over
+//! that many host threads. It is the only host parallelism, and digests
+//! are bit-identical at every value.
+//!
 //! # Exit codes
 //!
 //! | code | meaning |
@@ -314,10 +319,7 @@ fn parse_args() -> Result<Args, String> {
             "--inject-defect" => {
                 let v = value(&mut i)?;
                 args.inject_defect = Some(SeededDefect::parse(&v).ok_or_else(|| {
-                    format!(
-                        "--inject-defect must be one of race|lock-order|wake|pool|journal, \
-                         got `{v}`"
-                    )
+                    format!("--inject-defect must be one of race|pool|journal, got `{v}`")
                 })?);
             }
             "--format" => {
@@ -510,8 +512,7 @@ SUBCOMMANDS:
                          schedule (attempt discipline, happens-before,
                          buffer hazards); with --model-check, additionally
                          explores the schedule space (DPOR race/determinism
-                         check with counterexample traces, lock-order
-                         deadlock freedom, lost-wakeup search, pool
+                         check with counterexample traces, pool
                          retire-before-reuse audit); with --journal, audits
                          a campaign journal instead against the
                          header → batch* → final state machine
@@ -600,9 +601,9 @@ OPTIONS:
     --batch-size <B>     inputs per batch                   [default: 32]
     --tau <edges>        hybrid conversion threshold        [default: 2000]
     --seed <s>           RNG seed for inputs/parameters     [default: 42]
-    --threads <n>        host worker threads for functional execution
-                         (parallel task-graph executor + spMM row
-                         partitioning; 1 = serial)
+    --threads <n>        spMM lanes per launch: each kernel launch splits
+                         its output rows across up to n host threads
+                         (bit-identical at every n; 1 = one thread)
                          [default: $BQSIM_THREADS or available cores]
     --layout <l>         amplitude memory layout: `planar` (batch-major
                          planes, SIMD-tiled microkernels) or `aos`
@@ -610,15 +611,14 @@ OPTIONS:
                          outputs either way
                          [default: $BQSIM_LAYOUT or planar]
     --model-check        (analyze) bounded model check of the schedule
-                         space: DPOR over per-task effect lists, per-buffer
-                         RwLock acquisition order, worker-pool wake
-                         accounting, and buffer-pool event-log replay
+                         space: DPOR over per-task effect lists and
+                         buffer-pool event-log replay
     --dpor-budget <N>    (analyze) max inequivalent serializations the
                          DPOR exploration enumerates before truncating
                          with a warning                     [default: 4096]
     --inject-defect <d>  (analyze) seed a known defect before checking so
                          the pass that owns it must fire:
-                         race|lock-order|wake|pool|journal
+                         race|pool|journal
     --format <f>         (analyze) report format: `text` or `json`
                          [default: text]
     --stream             disable the task graph (stream launches)
@@ -661,7 +661,7 @@ OPTIONS:
     );
 }
 
-/// Worker threads for this invocation: `--threads` wins, else the
+/// spMM lanes per launch for this invocation: `--threads` wins, else the
 /// `BQSIM_THREADS` / available-parallelism default.
 fn effective_threads(args: &Args) -> usize {
     args.threads.unwrap_or_else(bqsim_core::default_threads)
@@ -788,8 +788,8 @@ fn emit_report(report: &AnalysisReport, format: OutputFormat) -> ExitCode {
 
 /// `bqsim analyze`: run the whole compile pipeline and statically check
 /// every artifact it produces; with `--model-check`, additionally explore
-/// the schedule space (DPOR), lock order, wake accounting, and pool
-/// discipline. Exit code 1 if anything is reported.
+/// the schedule space (DPOR) and the pool discipline. Exit code 1 if
+/// anything is reported.
 fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     let opts = BqSimOptions {
         tau: args.tau,
@@ -843,42 +843,14 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
         );
     }
 
-    // With more than one worker thread, execute the schedule on the
-    // parallel worker-pool executor and certify the executed schedule
-    // (dependency order + buffer-conflict freedom on the logical clock).
-    if opts.threads > 1 {
-        let (plan, policy) = match &args.fault_plan {
-            Some(fa) => {
-                let tasks_per_device = args.batches * (pipeline.gates_checked + 2);
-                build_fault_setup(fa, tasks_per_device, args.seed)
-            }
-            None => (FaultPlan::new(), RecoveryPolicy::default()),
-        };
-        let diags = bqsim_core::analyze_parallel_execution(
-            circuit,
-            &opts,
-            args.batches,
-            args.batch_size,
-            &plan,
-            &policy,
-        )
-        .map_err(|e| CliError::Sim(e.to_string()))?;
-        report.push_section(
-            "parallel schedule",
-            format!("executed on {} worker thread(s)", opts.threads),
-            diags,
-        );
-    }
-
     // `--model-check`: bounded exploration of the schedule space plus the
-    // executor's lock-order, wake, and pool disciplines.
+    // buffer pool's retire-before-reuse discipline.
     if args.model_check {
         let mc = ModelCheckOptions {
             budget: args
                 .dpor_budget
                 .map(ModelCheckBudget::with_max_traces)
                 .unwrap_or_default(),
-            workers: opts.threads,
             defect: args.inject_defect,
         };
         let checked =

@@ -2,8 +2,9 @@
 //! variables, in submissions and quotas — are usage errors (exit 2, one
 //! `error:` line naming the offender), never a panic, an allocation
 //! abort, or a silent fall back to the `f64` defaults. That includes the
-//! retired `mixed` precision and `renorm` defect; a journal recorded at
-//! `precision=mixed` is refused as a plan mismatch (exit 4).
+//! retired `mixed` precision and the retired `renorm`, `lock-order` and
+//! `wake` defects; a journal recorded at `precision=mixed` is refused as a
+//! plan mismatch (exit 4).
 
 use bqsim_campaign::checksum::fnv1a;
 use std::path::PathBuf;
@@ -82,8 +83,10 @@ fn retired_tokens_are_rejected_everywhere_they_were_accepted() {
     assert_refused(&out, 2, "--precision");
 
     let analyze = "analyze --family ghz --qubits 4 --model-check";
-    let out = bqsim(&format!("{analyze} --inject-defect renorm"), &[]);
-    assert_refused(&out, 2, "--inject-defect");
+    for defect in ["renorm", "lock-order", "wake"] {
+        let out = bqsim(&format!("{analyze} --inject-defect {defect}"), &[]);
+        assert_refused(&out, 2, "--inject-defect");
+    }
 
     let spec = "tenant=a id=j qubits=2 batches=1";
     let submit = format!("submit --submissions {cmds_arg} {spec}");

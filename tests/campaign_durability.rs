@@ -2,12 +2,12 @@
 //! point — a cooperative kill after a random number of batches, or a torn
 //! write truncating the journal at a random byte offset — resuming the
 //! campaign produces outputs **bit-identical** to an uninterrupted run,
-//! under injected fault plans and across worker-thread counts, and the
+//! under injected fault plans and across spMM lane counts, and the
 //! resulting journal passes the analyzer's exactly-once audit.
 
 use bqsim_campaign::{
-    audit_journal, read_journal, run_campaign, state_path, CampaignOptions, CampaignResult,
-    IntegrityBudget,
+    audit_journal, campaign_digest, read_journal, run_campaign, state_path, CampaignOptions,
+    CampaignResult, IntegrityBudget,
 };
 use bqsim_core::{random_input_batch, BqSimOptions};
 use bqsim_faults::FaultBudget;
@@ -82,7 +82,7 @@ proptest! {
     /// Kill the campaign after a random number of batches (cooperative
     /// cancel, the deterministic stand-in for SIGKILL), resume, and
     /// require bit-identical outputs — under optional fault injection and
-    /// both worker-pool shapes.
+    /// at one or four lanes.
     #[test]
     fn kill_after_any_batch_then_resume_is_bit_identical(
         circuit_seed in 0u64..300,
@@ -257,6 +257,51 @@ proptest! {
 
         let diags = audit_journal(&journal).unwrap();
         prop_assert_eq!(diags.error_count(), 0);
+        cleanup(&journal);
+    }
+}
+
+/// The lane count is not part of the plan: a campaign interrupted at two
+/// spMM lanes resumes at one (and one at two) with the uninterrupted
+/// digest. The shape is large enough (256 rows × 64 states) that launches
+/// really split into lanes.
+#[test]
+fn resume_at_a_different_thread_count_is_bit_identical() {
+    let circuit = generators::qft(8);
+    let inputs = inputs_for(&circuit, 3, 64);
+    let reference = run_campaign(&circuit, opts_with(1), &inputs, &CampaignOptions::default())
+        .expect("reference campaign");
+    for (first, second) in [(2, 1), (1, 2)] {
+        let journal = scratch_journal();
+        let interrupted = run_campaign(
+            &circuit,
+            opts_with(first),
+            &inputs,
+            &CampaignOptions {
+                journal_path: Some(journal.clone()),
+                stop_after: Some(1),
+                ..CampaignOptions::default()
+            },
+        )
+        .expect("interrupted campaign");
+        assert!(interrupted.cancelled, "stop_after must interrupt");
+        let resumed = run_campaign(
+            &circuit,
+            opts_with(second),
+            &inputs,
+            &CampaignOptions {
+                journal_path: Some(journal.clone()),
+                resume: true,
+                ..CampaignOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("resume at {second} after {first} refused: {e}"));
+        assert_eq!(resumed.resumed, 1);
+        assert_bit_identical(&reference, &resumed);
+        assert_eq!(
+            campaign_digest(&resumed.checksums),
+            campaign_digest(&reference.checksums)
+        );
         cleanup(&journal);
     }
 }

@@ -1,15 +1,11 @@
-//! Parallel-executor properties: the worker-pool task-graph executor and
-//! the row-partitioned spMM launches must be **bit-identical** to the
-//! serial path — for clean runs, for fault-recovered runs replayed through
-//! the effect log, and for every thread count — while `bqsim-analyze`
-//! certifies every executed parallel schedule race-free. Also covers the
-//! compile-level ELL conversion cache: a layered circuit converts each
-//! distinct fused gate exactly once.
+//! Host-parallelism properties: row-partitioned spMM lanes — the only host
+//! parallelism of functional execution — must be **bit-identical** to one
+//! lane, for clean runs and for fault-recovered runs, at shapes where the
+//! launches really split. Also covers the compile-level ELL conversion
+//! cache: a layered circuit converts each distinct fused gate exactly once.
 
-use bqsim_core::{
-    analyze_parallel_execution, random_input_batch, BqSimOptions, BqSimulator, EllCache,
-    HybridConverter,
-};
+use bqsim_core::kernels::EllSpmmKernel;
+use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, EllCache, HybridConverter};
 use bqsim_faults::{FaultBudget, FaultPlan, RecoveryPolicy};
 use bqsim_gpu::{DeviceMemory, DeviceSpec, Kernel};
 use bqsim_num::Complex;
@@ -17,100 +13,76 @@ use bqsim_qcir::{generators, Circuit};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn opts_with_threads(threads: usize) -> BqSimOptions {
+/// State vectors per batch in the lane property: with ≥ 128 rows this
+/// gives every launch at least two lanes' worth of work.
+const LANE_BATCH: usize = 64;
+
+fn lane_opts(threads: usize) -> BqSimOptions {
     BqSimOptions {
         threads,
         ..BqSimOptions::default()
     }
 }
 
-fn run_outputs(
-    circuit: &Circuit,
-    threads: usize,
-    batches: &[Vec<Vec<Complex>>],
-) -> Vec<Vec<Vec<Complex>>> {
-    let sim = BqSimulator::compile(circuit, opts_with_threads(threads)).expect("compile");
-    sim.run_batches(batches).expect("run").outputs
+/// Lanes a launch of `sim`'s first gate over `batch` states would split
+/// into when `lanes` are offered.
+fn effective_lanes(sim: &BqSimulator, batch: usize, lanes: usize) -> usize {
+    let mut mem = DeviceMemory::new(&DeviceSpec::rtx_a6000());
+    let src = mem.alloc(1).expect("one-amplitude buffer");
+    let dst = mem.alloc(1).expect("one-amplitude buffer");
+    let gate = Arc::clone(&sim.gates()[0].ell);
+    EllSpmmKernel::with_lanes(gate, src, dst, batch, lanes).effective_lanes()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Tentpole acceptance property: for random circuits, batch counts, and
-    /// thread counts, the parallel executor's outputs are bit-identical to
-    /// the serial path (`==` on `f64` bits, no tolerance).
+    /// For random circuits at 128–256 rows × 64 states, threads {1, 2, 7}
+    /// give the same `f64` bits (`==`, no tolerance) on a clean run and
+    /// under a seeded transient fault plan, whose poisoned-then-retried
+    /// tasks exercise the engine's inline recovery path. The simulator
+    /// caps lanes at the host's core count, so on a one-core host the
+    /// runs compare equal trivially; `row_partitioned_spmm_matches_single_lane`
+    /// below pins the oversubscribed kernel directly.
     #[test]
     fn parallel_execution_is_bit_identical_to_serial(
         circuit_seed in 0u64..500,
-        n in 3usize..6,
-        gates in 5usize..20,
-        num_batches in 1usize..5,
+        fault_seed in 0u64..200,
+        n in 7usize..9,
+        gates in 5usize..16,
+        num_batches in 1usize..3,
     ) {
         let circuit = generators::random_circuit(n, gates, circuit_seed);
         let batches: Vec<_> = (0..num_batches)
-            .map(|b| random_input_batch(n, 3, circuit_seed ^ b as u64))
+            .map(|b| random_input_batch(n, LANE_BATCH, circuit_seed ^ b as u64))
             .collect();
-        let serial = run_outputs(&circuit, 1, &batches);
-        for threads in [2usize, 7] {
-            let parallel = run_outputs(&circuit, threads, &batches);
-            prop_assert_eq!(
-                &parallel, &serial,
-                "{} threads diverged from serial", threads
+        let serial_sim = BqSimulator::compile(&circuit, lane_opts(1)).unwrap();
+        for lanes in [2usize, 7] {
+            prop_assert!(
+                effective_lanes(&serial_sim, LANE_BATCH, lanes) > 1,
+                "n={} batch={} must split across {} lanes", n, LANE_BATCH, lanes
             );
         }
-    }
-
-    /// Fault replay: under a seeded transient plan the parallel executor
-    /// replays the engine's effect log (poisons included) and still lands
-    /// bit-identically on the serial recovered outputs.
-    #[test]
-    fn parallel_fault_recovery_is_bit_identical_to_serial(
-        circuit_seed in 0u64..200,
-        fault_seed in 0u64..200,
-        n in 3usize..5,
-    ) {
-        let circuit = generators::random_circuit(n, 12, circuit_seed);
-        let batches: Vec<_> = (0..3)
-            .map(|b| random_input_batch(n, 2, circuit_seed ^ b as u64))
-            .collect();
-        let serial_sim = BqSimulator::compile(&circuit, opts_with_threads(1)).unwrap();
         let tasks = batches.len() * (serial_sim.gates().len() + 2);
         let plan = FaultPlan::seeded(fault_seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
         let policy = RecoveryPolicy::default();
-        let serial = serial_sim
-            .run_batches_recovering(&batches, &plan, &policy)
-            .unwrap();
+        let serial = serial_sim.run_batches(&batches).unwrap();
+        let serial_rec = serial_sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
+        prop_assert_eq!(&serial_rec.run.outputs, &serial.outputs);
         for threads in [2usize, 7] {
-            let sim = BqSimulator::compile(&circuit, opts_with_threads(threads)).unwrap();
+            let sim = BqSimulator::compile(&circuit, lane_opts(threads)).unwrap();
+            let clean = sim.run_batches(&batches).unwrap();
+            prop_assert_eq!(
+                &clean.outputs, &serial.outputs,
+                "{} threads diverged from one lane", threads
+            );
             let rec = sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
             prop_assert_eq!(
-                &rec.run.outputs, &serial.run.outputs,
-                "{} threads diverged from serial under fault replay", threads
+                &rec.run.outputs, &serial.outputs,
+                "{} threads diverged from one lane under fault recovery", threads
             );
-            prop_assert_eq!(rec.health.fault_count(), serial.health.fault_count());
+            prop_assert_eq!(rec.health.fault_count(), serial_rec.health.fault_count());
         }
-    }
-
-    /// Every executed parallel schedule passes the static conformance
-    /// check: dependency order preserved on the logical clock and no
-    /// buffer-conflicting tasks overlapping.
-    #[test]
-    fn parallel_schedules_are_race_free(
-        circuit_seed in 0u64..200,
-        n in 3usize..5,
-        threads in 2usize..8,
-    ) {
-        let circuit = generators::random_circuit(n, 10, circuit_seed);
-        let diags = analyze_parallel_execution(
-            &circuit,
-            &opts_with_threads(threads),
-            3,
-            4,
-            &FaultPlan::new(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        prop_assert!(diags.is_clean(), "{} threads:\n{}", threads, diags);
     }
 }
 
@@ -175,7 +147,6 @@ fn cached_compilation_is_functionally_inert() {
 /// ablation loop agrees too.
 #[test]
 fn row_partitioned_spmm_matches_single_lane() {
-    use bqsim_core::kernels::EllSpmmKernel;
     let n = 7usize;
     let batch = 64usize; // 128 rows × 64 = 8192 elems → 2+ lanes admitted
     let circuit = generators::qft(n);
