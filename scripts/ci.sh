@@ -42,7 +42,7 @@ for threads in 1 4; do
     echo "    BQSIM_THREADS=$threads"
     BQSIM_THREADS=$threads \
         cargo test -q -p bqsim-integration-tests --test parallel_exec \
-        parallel_execution_is_bit_identical_to_serial
+        _is_bit_identical_to_serial
 done
 
 echo "==> bqsim analyze under injected faults (recovery schedule must be hazard-free)"

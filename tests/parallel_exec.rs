@@ -38,24 +38,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For random circuits at 128–256 rows × 64 states, threads {1, 2, 7}
-    /// give the same `f64` bits (`==`, no tolerance) on a clean run and
-    /// under a seeded transient fault plan, whose poisoned-then-retried
-    /// tasks exercise the engine's inline recovery path. The simulator
-    /// caps lanes at the host's core count, so on a one-core host the
-    /// runs compare equal trivially; `row_partitioned_spmm_matches_single_lane`
-    /// below pins the oversubscribed kernel directly.
+    /// give the same `f64` bits (`==`, no tolerance) on a clean run. The
+    /// simulator caps lanes at the host's core count, so on a one-core
+    /// host the runs compare equal trivially;
+    /// `row_partitioned_spmm_matches_single_lane` below pins the
+    /// oversubscribed kernel directly.
     #[test]
     fn parallel_execution_is_bit_identical_to_serial(
         circuit_seed in 0u64..500,
-        fault_seed in 0u64..200,
         n in 7usize..9,
         gates in 5usize..16,
         num_batches in 1usize..3,
     ) {
         let circuit = generators::random_circuit(n, gates, circuit_seed);
-        let batches: Vec<_> = (0..num_batches)
-            .map(|b| random_input_batch(n, LANE_BATCH, circuit_seed ^ b as u64))
-            .collect();
+        let batches = lane_batches(n, num_batches, circuit_seed);
         let serial_sim = BqSimulator::compile(&circuit, lane_opts(1)).unwrap();
         for lanes in [2usize, 7] {
             prop_assert!(
@@ -63,6 +59,32 @@ proptest! {
                 "n={} batch={} must split across {} lanes", n, LANE_BATCH, lanes
             );
         }
+        let serial = serial_sim.run_batches(&batches).unwrap();
+        for threads in [2usize, 7] {
+            let sim = BqSimulator::compile(&circuit, lane_opts(threads)).unwrap();
+            let clean = sim.run_batches(&batches).unwrap();
+            prop_assert_eq!(
+                &clean.outputs, &serial.outputs,
+                "{} threads diverged from one lane", threads
+            );
+        }
+    }
+
+    /// Under a seeded transient fault plan, whose poisoned-then-retried
+    /// tasks exercise the engine's inline recovery path, threads {1, 2, 7}
+    /// land bit-identically on the clean one-lane outputs with the same
+    /// fault count, at shapes where launches split.
+    #[test]
+    fn parallel_fault_recovery_is_bit_identical_to_serial(
+        circuit_seed in 0u64..500,
+        fault_seed in 0u64..200,
+        n in 7usize..9,
+        num_batches in 1usize..3,
+    ) {
+        let circuit = generators::random_circuit(n, 12, circuit_seed);
+        let batches = lane_batches(n, num_batches, circuit_seed);
+        let serial_sim = BqSimulator::compile(&circuit, lane_opts(1)).unwrap();
+        prop_assert!(effective_lanes(&serial_sim, LANE_BATCH, 2) > 1);
         let tasks = batches.len() * (serial_sim.gates().len() + 2);
         let plan = FaultPlan::seeded(fault_seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
         let policy = RecoveryPolicy::default();
@@ -71,11 +93,6 @@ proptest! {
         prop_assert_eq!(&serial_rec.run.outputs, &serial.outputs);
         for threads in [2usize, 7] {
             let sim = BqSimulator::compile(&circuit, lane_opts(threads)).unwrap();
-            let clean = sim.run_batches(&batches).unwrap();
-            prop_assert_eq!(
-                &clean.outputs, &serial.outputs,
-                "{} threads diverged from one lane", threads
-            );
             let rec = sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
             prop_assert_eq!(
                 &rec.run.outputs, &serial.outputs,
@@ -84,6 +101,12 @@ proptest! {
             prop_assert_eq!(rec.health.fault_count(), serial_rec.health.fault_count());
         }
     }
+}
+
+fn lane_batches(n: usize, num_batches: usize, seed: u64) -> Vec<Vec<Vec<Complex>>> {
+    (0..num_batches)
+        .map(|b| random_input_batch(n, LANE_BATCH, seed ^ b as u64))
+        .collect()
 }
 
 /// Compile cache: a layered circuit (same gates repeated per layer,
