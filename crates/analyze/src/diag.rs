@@ -201,7 +201,7 @@ impl Diagnostics {
 /// line plus its findings.
 #[derive(Debug, Clone)]
 pub struct ReportSection {
-    /// Section heading (e.g. `task graph`, `model check`).
+    /// Section heading (e.g. `pipeline artifacts`, `journal state machine`).
     pub title: String,
     /// One-line context for the section (counts, budgets, verdicts).
     pub summary: String,
@@ -355,7 +355,7 @@ mod tests {
         let mut d = Diagnostics::new();
         d.warning("lifetime", "D[1]", "overwritten while unread");
         report.push_section("task graph", "3 tasks, 2 buffers", d);
-        report.push_section("model check", "1 trace explored", Diagnostics::new());
+        report.push_section("recovery schedule", "0 injected faults", Diagnostics::new());
         assert!(!report.is_clean());
         assert_eq!(report.error_count(), 0);
         assert_eq!(report.warning_count(), 1);
@@ -372,7 +372,7 @@ mod tests {
 
         let json = report.to_json();
         assert!(json.contains("\"title\":\"task graph\""), "{json}");
-        assert!(json.contains("\"summary\":\"1 trace explored\""), "{json}");
+        assert!(json.contains("\"summary\":\"0 injected faults\""), "{json}");
         assert!(json.contains("\"errors\":0"), "{json}");
         assert!(json.contains("\"warnings\":1"), "{json}");
     }

@@ -112,14 +112,14 @@ impl GraphFacts {
         GraphFacts { tasks }
     }
 
-    pub(crate) fn name(&self, i: usize) -> String {
+    fn name(&self, i: usize) -> String {
         format!("task {i} '{}'", self.tasks[i].label)
     }
 }
 
 /// The locations two tasks conflict on: shared by both with at least one
-/// writer. Sorted and deduplicated. Used by the model checker's dependence
-/// relation and by hazard diagnostics that name the contended buffers.
+/// writer. Sorted and deduplicated. Used by hazard diagnostics that name
+/// the contended buffers.
 pub(crate) fn conflict_locs(facts: &GraphFacts, i: usize, j: usize) -> Vec<Loc> {
     let a = &facts.tasks[i];
     let b = &facts.tasks[j];
@@ -156,7 +156,7 @@ pub fn analyze_graph(facts: &GraphFacts) -> Diagnostics {
 /// Validates predecessor ids and insertion order, and detects cycles
 /// (reporting a witness cycle). Returns whether the graph is a DAG with
 /// in-range predecessors, i.e. whether deeper passes can run.
-pub(crate) fn check_structure(facts: &GraphFacts, diags: &mut Diagnostics) -> bool {
+fn check_structure(facts: &GraphFacts, diags: &mut Diagnostics) -> bool {
     let n = facts.tasks.len();
     let mut sound = true;
     for (i, t) in facts.tasks.iter().enumerate() {
@@ -253,7 +253,7 @@ fn find_cycle(facts: &GraphFacts) -> Option<Vec<usize>> {
 
 /// Dense reachability bitsets: `reach[i]` has bit `j` set iff task `j`
 /// happens-before task `i` (there is a dependency path `j → … → i`).
-pub(crate) fn happens_before(facts: &GraphFacts) -> Vec<Vec<u64>> {
+fn happens_before(facts: &GraphFacts) -> Vec<Vec<u64>> {
     let n = facts.tasks.len();
     let words = n.div_ceil(64);
     let mut reach = vec![vec![0u64; words]; n];
@@ -273,7 +273,7 @@ pub(crate) fn happens_before(facts: &GraphFacts) -> Vec<Vec<u64>> {
 }
 
 /// A topological order of the (acyclic, validated) facts graph.
-pub(crate) fn topological_order(facts: &GraphFacts) -> Vec<usize> {
+fn topological_order(facts: &GraphFacts) -> Vec<usize> {
     let n = facts.tasks.len();
     let mut indegree = vec![0usize; n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -299,7 +299,7 @@ pub(crate) fn topological_order(facts: &GraphFacts) -> Vec<usize> {
 }
 
 #[inline]
-pub(crate) fn reaches(reach: &[Vec<u64>], from: usize, to: usize) -> bool {
+fn reaches(reach: &[Vec<u64>], from: usize, to: usize) -> bool {
     reach[to][from / 64] >> (from % 64) & 1 == 1
 }
 

@@ -1,6 +1,6 @@
 //! Static race/hazard/invariant analysis for BQSim artifacts.
 //!
-//! Three families of passes, none of which execute the artifact under
+//! Seven families of passes, none of which execute the artifact under
 //! analysis:
 //!
 //! * **Task graphs** ([`analyze_graph`], [`check_double_buffer_discipline`])
@@ -29,11 +29,6 @@
 //!   (`header → batch* → final`, with quarantine/retry edges): rejected
 //!   symbols become exactly-once, range, ordering, and concatenated-
 //!   session errors, and torn tails surface as warnings.
-//! * **Schedule-space model checking** ([`model_check_graph`],
-//!   [`check_pool_discipline`]) — bounded exploration of every
-//!   inequivalent serialization of a task graph via dynamic partial-order
-//!   reduction (races and determinism with counterexample traces), and a
-//!   retire-before-reuse audit of the buffer pool's event log.
 //! * **Service schedules** ([`check_service_schedule`]) — replays the
 //!   multi-tenant campaign service's recorded schedule trace and
 //!   certifies the robustness contract: bounded admission queue, no
@@ -59,8 +54,6 @@ mod diag;
 mod ell;
 mod graph;
 mod journal;
-mod modelcheck;
-mod pool;
 mod precision;
 mod recovery;
 mod service;
@@ -79,8 +72,6 @@ pub use journal::{
     check_journal, check_journal_dfa, symbolize_journal, JournalDfa, JournalFacts,
     JournalRecordFacts, JournalRecordKind, JournalState, JournalSymbol, JournalSymbolClass,
 };
-pub use modelcheck::{model_check_graph, ModelCheckBudget, ModelCheckOutcome};
-pub use pool::check_pool_discipline;
 pub use precision::{check_precision_safety, PrecisionFacts};
 pub use recovery::{check_recovery_schedule, recovery_attempt_facts, AttemptFacts};
 pub use service::{

@@ -13,12 +13,9 @@ use crate::kernels::EllSpmmKernel;
 use crate::schedule;
 use crate::simulator::{BqSimOptions, BqSimulator};
 use bqsim_analyze as analyze;
-use bqsim_analyze::{AnalysisReport, Diagnostics, ModelCheckBudget};
+use bqsim_analyze::{AnalysisReport, Diagnostics};
 use bqsim_faults::{FaultInjector, FaultPlan, RecoveryPolicy};
-use bqsim_gpu::{
-    BufferId, DeviceMemory, Engine, ExecMode, HostMemory, Kernel, PoolEvent, PoolEventKind,
-    TaskGraph,
-};
+use bqsim_gpu::{BufferId, DeviceMemory, Engine, ExecMode, HostMemory, Kernel, TaskGraph};
 use bqsim_qcir::Circuit;
 use bqsim_qdd::gates::lower_circuit;
 use bqsim_qdd::DdPackage;
@@ -88,26 +85,28 @@ fn build_analysis_schedule(
 /// gated to gates at or below this width.
 pub const NZRV_DENSE_CHECK_MAX_QUBITS: usize = 6;
 
-/// The outcome of [`analyze_pipeline`]: the merged findings plus coverage
-/// counters for the report.
+/// The outcome of [`analyze_pipeline`]: the sectioned findings plus
+/// coverage counters.
 #[derive(Debug)]
 pub struct PipelineAnalysis {
-    /// All findings, in pipeline order (DD → ELL → task graph).
-    pub diagnostics: Diagnostics,
+    /// The `pipeline artifacts` section (findings in pipeline order:
+    /// DD → ELL → task graph → precision), followed by the `journal state
+    /// machine` section when a journal defect was seeded.
+    pub report: AnalysisReport,
     /// Fused gates whose DD and ELL artifacts were checked.
     pub gates_checked: usize,
     /// Gates that additionally ran the dense NZRV cross-check.
     pub nzrv_checked: usize,
     /// Tasks in the analysed batch graph.
     pub tasks_checked: usize,
-    /// Matrix nodes alive in the DD package after compilation.
-    pub dd_nodes: usize,
 }
 
 /// Compiles `circuit` for `num_batches` batches of `batch_size` inputs and
 /// statically analyzes every pipeline artifact. `integrity_budget`, when
 /// supplied, additionally audits whether the plan's precision can meet
 /// that norm-drift budget (the campaign `--integrity-budget` value).
+/// `defect`, when supplied, is seeded into an artifact before its pass
+/// runs, so the pass that owns it must report it (see [`SeededDefect`]).
 ///
 /// # Errors
 ///
@@ -120,6 +119,7 @@ pub fn analyze_pipeline(
     num_batches: usize,
     batch_size: usize,
     integrity_budget: Option<f64>,
+    defect: Option<SeededDefect>,
 ) -> Result<PipelineAnalysis, BqsimError> {
     let n = circuit.num_qubits();
     if n == 0 {
@@ -171,7 +171,18 @@ pub fn analyze_pipeline(
 
     // Stage ③: build the real batch schedule and analyse it.
     let sched = build_analysis_schedule(&converted, opts, n, num_batches, batch_size)?;
-    let facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
+    let mut facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
+    if defect == Some(SeededDefect::Race) {
+        // Cut the hazard edges into the first buffer-recycling H2D: it now
+        // overlaps the tasks still using the recycled pair.
+        if let Some(t) = facts
+            .tasks
+            .iter_mut()
+            .find(|t| t.op == analyze::TaskOp::H2D && !t.preds.is_empty())
+        {
+            t.preds.clear();
+        }
+    }
     diags.merge(analyze::analyze_graph(&facts));
     diags.merge(analyze::check_double_buffer_discipline(
         &facts,
@@ -189,12 +200,48 @@ pub fn analyze_pipeline(
         budget: integrity_budget,
     }));
 
+    let mut report = AnalysisReport::new();
+    report.push_section(
+        "pipeline artifacts",
+        format!(
+            "analyzed {} fused gate(s) ({nzrv_checked} with dense NZRV cross-check), \
+             {} task(s) over {num_batches} batch(es), {} DD node(s)",
+            converted.len(),
+            sched.graph.len(),
+            dd.mat_node_count(),
+        ),
+        diags,
+    );
+
+    // A seeded journal defect: a record sequence that completes a batch
+    // twice (live journals are audited by `bqsim analyze --journal`).
+    if defect == Some(SeededDefect::Journal) {
+        let record = |line, kind| analyze::JournalRecordFacts {
+            line,
+            kind,
+            batch: 0,
+        };
+        let journal = analyze::JournalFacts {
+            num_batches: 2,
+            torn_tail: false,
+            records: vec![
+                record(1, analyze::JournalRecordKind::Header),
+                record(2, analyze::JournalRecordKind::Completion),
+                record(3, analyze::JournalRecordKind::Completion),
+            ],
+        };
+        report.push_section(
+            "journal state machine",
+            "seeded journal: batch 0 completed twice",
+            analyze::check_journal(&journal),
+        );
+    }
+
     Ok(PipelineAnalysis {
-        diagnostics: diags,
+        report,
         gates_checked: converted.len(),
         nzrv_checked,
         tasks_checked: sched.graph.len(),
-        dd_nodes: dd.mat_node_count(),
     })
 }
 
@@ -246,34 +293,27 @@ pub fn analyze_recovery(
 }
 
 /// A defect deliberately seeded into an otherwise-correct pipeline
-/// artifact before analysis, used to prove each model-check pass actually
-/// fires (`bqsim analyze --model-check --inject-defect <name>` and the
-/// seeded-defect CI corpus).
+/// artifact before analysis, used to prove the pass that owns it actually
+/// fires (`bqsim analyze --inject-defect <name>` and the seeded-defect CI
+/// corpus).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeededDefect {
-    /// Drop the hazard edge ordering a buffer-recycling H2D copy after
-    /// the D2H still reading the buffer (schedule-space data race).
+    /// Drop the hazard edges ordering a buffer-recycling H2D copy after
+    /// the tasks still using the buffer (a `races` error).
     Race,
-    /// Replay a pool event log whose shelf hands out a buffer it never
-    /// got back (retire-before-reuse violation).
-    Pool,
-    /// Audit a journal whose record sequence completes a batch twice.
+    /// Audit a journal whose record sequence completes a batch twice (a
+    /// `journal-exactly-once` error).
     Journal,
 }
 
 impl SeededDefect {
     /// Every defect, in the order the CI corpus iterates them.
-    pub const ALL: [SeededDefect; 3] = [
-        SeededDefect::Race,
-        SeededDefect::Pool,
-        SeededDefect::Journal,
-    ];
+    pub const ALL: [SeededDefect; 2] = [SeededDefect::Race, SeededDefect::Journal];
 
     /// The CLI name of the defect.
     pub fn name(self) -> &'static str {
         match self {
             SeededDefect::Race => "race",
-            SeededDefect::Pool => "pool",
             SeededDefect::Journal => "journal",
         }
     }
@@ -282,171 +322,6 @@ impl SeededDefect {
     pub fn parse(s: &str) -> Option<SeededDefect> {
         SeededDefect::ALL.into_iter().find(|d| d.name() == s)
     }
-}
-
-/// Options for [`model_check_pipeline`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModelCheckOptions {
-    /// Cap on the number of inequivalent serializations the DPOR
-    /// exploration may enumerate before truncating with a warning.
-    pub budget: ModelCheckBudget,
-    /// A defect to seed before checking (None = check the real artifacts).
-    pub defect: Option<SeededDefect>,
-}
-
-/// The outcome of [`model_check_pipeline`]: a sectioned report plus the
-/// exploration counters the CLI summarises.
-#[derive(Debug)]
-pub struct ModelCheckReport {
-    /// All findings, sectioned per pass family.
-    pub report: AnalysisReport,
-    /// Inequivalent serializations the DPOR exploration enumerated.
-    pub traces_explored: usize,
-    /// Whether exploration stopped at the budget.
-    pub truncated: bool,
-    /// Distinct per-buffer effect orders observed (1 = deterministic).
-    pub distinct_orders: usize,
-    /// Tasks in the checked batch graph.
-    pub tasks: usize,
-}
-
-impl ModelCheckReport {
-    /// Whether every pass ran to completion with no findings.
-    pub fn verified(&self) -> bool {
-        !self.truncated && self.report.is_clean()
-    }
-}
-
-/// Model-checks the schedule space of `circuit`'s compiled batch graph:
-/// DPOR exploration of every inequivalent serialization (races and
-/// determinism, with counterexample traces) and a retire-before-reuse
-/// audit of the simulator's buffer pool after a cold and a warm
-/// functional run.
-///
-/// # Errors
-///
-/// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit,
-/// [`BqsimError::DeviceOom`] if the schedule's buffers exceed the
-/// simulated device memory, and propagates functional-run failures from
-/// the pool-audit stage.
-pub fn model_check_pipeline(
-    circuit: &Circuit,
-    opts: &BqSimOptions,
-    num_batches: usize,
-    batch_size: usize,
-    mc: &ModelCheckOptions,
-) -> Result<ModelCheckReport, BqsimError> {
-    let sim = BqSimulator::compile(circuit, opts.clone())?;
-    let n = circuit.num_qubits();
-    let sched = build_analysis_schedule(sim.gates(), opts, n, num_batches, batch_size)?;
-    let mut facts = schedule::schedule_graph_facts(&sched.graph, &sched.buffers);
-
-    if mc.defect == Some(SeededDefect::Race) {
-        // Cut the hazard edges into the first buffer-recycling H2D: it now
-        // overlaps the tasks still using the recycled pair.
-        if let Some(t) = facts
-            .tasks
-            .iter_mut()
-            .find(|t| t.op == analyze::TaskOp::H2D && !t.preds.is_empty())
-        {
-            t.preds.clear();
-        }
-    }
-
-    let mut report = AnalysisReport::new();
-
-    // ① DPOR exploration: races and determinism over the effect lists.
-    let outcome = analyze::model_check_graph(&facts, mc.budget);
-    report.push_section(
-        "schedule space (DPOR)",
-        format!(
-            "explored {} inequivalent serialization(s) of {} task(s); \
-             {} distinct per-buffer effect order(s){}",
-            outcome.traces_explored,
-            facts.tasks.len(),
-            outcome.distinct_orders,
-            if outcome.truncated {
-                " [truncated at budget]"
-            } else {
-                ""
-            },
-        ),
-        outcome.diagnostics.clone(),
-    );
-
-    // ② Pool aliasing: audit the real event log after a cold and a warm
-    // functional run (the warm run is what exercises shelf reuse), or a
-    // seeded defective log.
-    let (events, dropped) = if mc.defect == Some(SeededDefect::Pool) {
-        let defective = vec![
-            PoolEvent {
-                seq: 0,
-                class: 64,
-                layout: crate::Layout::Aos,
-                width: 16,
-                kind: PoolEventKind::CheckoutMiss,
-            },
-            PoolEvent {
-                seq: 1,
-                class: 64,
-                layout: crate::Layout::Aos,
-                width: 16,
-                kind: PoolEventKind::CheckoutHit,
-            },
-        ];
-        (defective, 0)
-    } else {
-        let batches: Vec<_> = (0..num_batches)
-            .map(|b| crate::simulator::random_input_batch(n, batch_size, b as u64))
-            .collect();
-        sim.run_batches(&batches)?;
-        sim.run_batches(&batches)?;
-        sim.pool_events()
-    };
-    report.push_section(
-        "buffer pool",
-        format!("{} event(s), {} dropped", events.len(), dropped),
-        analyze::check_pool_discipline(&events, dropped, true),
-    );
-
-    // ③ Journal state machine (only meaningful with the seeded defect —
-    // live journals are audited by `bqsim analyze --journal`).
-    if mc.defect == Some(SeededDefect::Journal) {
-        let journal = analyze::JournalFacts {
-            num_batches: 2,
-            torn_tail: false,
-            records: vec![
-                analyze::JournalRecordFacts {
-                    line: 1,
-                    kind: analyze::JournalRecordKind::Header,
-                    batch: 0,
-                },
-                analyze::JournalRecordFacts {
-                    line: 2,
-                    kind: analyze::JournalRecordKind::Completion,
-                    batch: 0,
-                },
-                analyze::JournalRecordFacts {
-                    line: 3,
-                    kind: analyze::JournalRecordKind::Completion,
-                    batch: 0,
-                },
-            ],
-        };
-        report.push_section(
-            "journal state machine",
-            "seeded journal: batch 0 completed twice".to_string(),
-            analyze::check_journal(&journal),
-        );
-    }
-
-    Ok(ModelCheckReport {
-        traces_explored: outcome.traces_explored,
-        truncated: outcome.truncated,
-        distinct_orders: outcome.distinct_orders,
-        tasks: facts.tasks.len(),
-        report,
-    })
 }
 
 #[cfg(test)]
@@ -458,12 +333,12 @@ mod tests {
     fn qft_pipeline_is_clean() {
         // The acceptance scenario: 8-qubit QFT, 6 batches.
         let circuit = generators::qft(8);
-        let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 6, 16, None)
+        let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 6, 16, None, None)
             .expect("analysis runs");
         assert!(
-            report.diagnostics.is_clean(),
+            report.report.is_clean(),
             "expected a clean pipeline:\n{}",
-            report.diagnostics
+            report.report.render_text()
         );
         assert!(report.gates_checked > 0);
         assert_eq!(
@@ -477,9 +352,9 @@ mod tests {
     #[test]
     fn small_circuits_get_the_dense_nzrv_check() {
         let circuit = generators::ghz(4);
-        let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 2, 4, None)
+        let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 2, 4, None, None)
             .expect("analysis runs");
-        assert!(report.diagnostics.is_clean(), "{}", report.diagnostics);
+        assert!(report.report.is_clean(), "{}", report.report.render_text());
         assert_eq!(report.nzrv_checked, report.gates_checked);
     }
 
@@ -509,39 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn model_check_certifies_the_compiled_schedule() {
-        let circuit = generators::ghz(4);
-        let mc = ModelCheckOptions::default();
-        let report = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 4, &mc)
-            .expect("model check runs");
-        assert!(
-            report.verified(),
-            "expected a verified schedule:\n{}",
-            report.report.render_text()
-        );
-        // A correct double-buffered schedule has exactly one inequivalent
-        // serialization: every conflicting pair is ordered by an edge.
-        assert_eq!(report.traces_explored, 1, "{}", report.report.render_text());
-        assert_eq!(report.distinct_orders, 1);
-        assert!(!report.truncated);
-        assert!(report.tasks > 0);
-    }
-
-    #[test]
     fn every_seeded_defect_is_caught_by_its_pass() {
         let circuit = generators::ghz(3);
         for defect in SeededDefect::ALL {
-            let mc = ModelCheckOptions {
-                defect: Some(defect),
-                ..ModelCheckOptions::default()
-            };
-            let report = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 2, &mc)
-                .expect("model check runs");
+            let report =
+                analyze_pipeline(&circuit, &BqSimOptions::default(), 4, 2, None, Some(defect))
+                    .expect("analysis runs")
+                    .report;
             assert!(
-                report.report.error_count() > 0,
+                report.error_count() > 0,
                 "defect {:?} must produce at least one error:\n{}",
                 defect,
-                report.report.render_text()
+                report.render_text()
             );
         }
     }
@@ -559,8 +413,9 @@ mod tests {
                 ..BqSimOptions::default()
             },
         ] {
-            let report = analyze_pipeline(&circuit, &opts, 3, 8, None).expect("analysis runs");
-            assert!(report.diagnostics.is_clean(), "{}", report.diagnostics);
+            let report =
+                analyze_pipeline(&circuit, &opts, 3, 8, None, None).expect("analysis runs");
+            assert!(report.report.is_clean(), "{}", report.report.render_text());
         }
     }
 }

@@ -396,9 +396,16 @@ impl StoreAudit {
 ///
 /// # Errors
 ///
-/// Only the directory scan itself can fail; per-artifact problems land in
-/// the verdicts.
+/// `NotFound` when `dir` is not an existing directory (an audit never
+/// creates the store it inspects), else only the directory scan itself
+/// can fail; per-artifact problems land in the verdicts.
 pub fn audit_store(dir: &Path) -> std::io::Result<StoreAudit> {
+    if !dir.is_dir() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "no artifact store directory at this path",
+        ));
+    }
     let store = ArtifactStore::open(dir)?;
     let mut audit = StoreAudit::default();
     for entry in store.entries()? {

@@ -449,7 +449,7 @@ fn verify_conversion(
     let mut diags = analyze::analyze_dd(&analyze::matrix_dd_facts(dd, edge, n));
     diags.merge(analyze::analyze_ell(&analyze::ell_facts(ell)));
     diags.merge(analyze::check_pattern_roundtrip(ell));
-    if n <= 6 {
+    if n <= crate::analysis::NZRV_DENSE_CHECK_MAX_QUBITS {
         diags.merge(analyze::check_nzrv_consistency(dd, edge, n));
     }
     debug_assert!(

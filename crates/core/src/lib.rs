@@ -51,10 +51,7 @@ pub mod schedule;
 pub mod simulator;
 pub mod tune;
 
-pub use analysis::{
-    analyze_pipeline, analyze_recovery, model_check_pipeline, ModelCheckOptions, ModelCheckReport,
-    PipelineAnalysis, SeededDefect,
-};
+pub use analysis::{analyze_pipeline, analyze_recovery, PipelineAnalysis, SeededDefect};
 pub use artifact::{
     artifact_key, audit_store, AuditEntry, AuditVerdict, CompileSource, StoreAudit,
 };
@@ -80,11 +77,11 @@ pub use bqsim_artifact::{
     decode_artifact, ArtifactStore, LoadOutcome, StoreEntry, StoreStats, TuningRecord,
     DEFAULT_STORE_CAPACITY,
 };
-pub use bqsim_gpu::{PoolEvent, PoolEventKind, PoolStats};
+pub use bqsim_gpu::PoolStats;
 
-// Re-exported so the CLI can size the DPOR exploration without a direct
-// `bqsim-analyze` dependency on the flag-parsing path.
-pub use bqsim_analyze::{AnalysisReport, ModelCheckBudget};
+// Re-exported so the CLI can render analysis reports without a direct
+// `bqsim-analyze` dependency.
+pub use bqsim_analyze::AnalysisReport;
 
 // Re-exported so downstream users (CLI, tests) can build fault plans and
 // policies without depending on `bqsim-faults` directly.

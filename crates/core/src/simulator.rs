@@ -446,7 +446,7 @@ impl BqSimulator {
     /// a quarantined batch at the `f64` reference when a narrow
     /// precision drifted past its integrity budget. The sibling gets its
     /// own buffer pool: its shelves are width-disjoint from the
-    /// parent's, so sharing would only interleave the event logs.
+    /// parent's, so a shared pool would recycle nothing between them.
     pub fn with_precision(&self, precision: Precision) -> BqSimulator {
         BqSimulator {
             num_qubits: self.num_qubits,
@@ -578,14 +578,6 @@ impl BqSimulator {
     /// pool (`hits` grows, `misses` stays flat).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// The pool's shelf-transition event log (serialised under the
-    /// shelves mutex, so log order is occupancy order) plus its
-    /// truncation counter — the input to the analyzer's pool-aliasing
-    /// audit (`bqsim analyze --model-check`).
-    pub fn pool_events(&self) -> (Vec<bqsim_gpu::PoolEvent>, u64) {
-        (self.pool.events(), self.pool.events_dropped())
     }
 
     /// Compile-time stage durations (both in modelled virtual time).

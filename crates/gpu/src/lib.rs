@@ -62,6 +62,6 @@ pub use engine::{
 };
 pub use memory::{
     AllocDeviceError, AmpStore, BufferId, BufferPool, BufferRef, BufferRefMut, DeviceMemory,
-    HostBufId, HostMemory, PoolEvent, PoolEventKind, PoolStats,
+    HostBufId, HostMemory, PoolStats,
 };
 pub use task::{Kernel, KernelProfile, TaskGraph, TaskId, TaskKind};

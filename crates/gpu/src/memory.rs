@@ -444,65 +444,6 @@ pub struct PoolStats {
     pub idle_buffers: u64,
 }
 
-/// What a [`PoolEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolEventKind {
-    /// A checkout served by recycling a shelved buffer.
-    CheckoutHit,
-    /// A checkout that built a fresh buffer because its shelf was empty.
-    CheckoutMiss,
-    /// A buffer returned to its shelf.
-    Return,
-}
-
-/// One entry in a [`BufferPool`]'s event log: which shelf was touched and
-/// how. Events are recorded *inside* the shelves critical section, so the
-/// log order is exactly the order in which the shelf occupancy changed —
-/// the property the pool-aliasing analysis in `bqsim-analyze` relies on to
-/// replay occupancy without false positives under concurrency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolEvent {
-    /// Monotonic sequence number (0-based, gap-free until the log cap).
-    pub seq: u64,
-    /// The shelf's size class (power-of-two amplitude count).
-    pub class: usize,
-    /// The shelf's buffer layout.
-    pub layout: Layout,
-    /// The shelf's element width in bytes (16 = `f64`, 8 = `f32`).
-    pub width: usize,
-    /// What happened.
-    pub kind: PoolEventKind,
-}
-
-/// Cap on retained pool events: generous for any analyzable run, small
-/// enough that a long campaign cannot grow the log without bound.
-const POOL_EVENT_CAP: usize = 1 << 16;
-
-#[derive(Debug, Default)]
-struct PoolEventLog {
-    seq: u64,
-    entries: Vec<PoolEvent>,
-    dropped: u64,
-}
-
-impl PoolEventLog {
-    fn record(&mut self, class: usize, layout: Layout, width: usize, kind: PoolEventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.entries.len() < POOL_EVENT_CAP {
-            self.entries.push(PoolEvent {
-                seq,
-                class,
-                layout,
-                width,
-                kind,
-            });
-        } else {
-            self.dropped += 1;
-        }
-    }
-}
-
 /// Size-classed recycling pool for [`AmpStore`] buffers, shared by the
 /// device and host arenas of consecutive batch runs.
 ///
@@ -520,7 +461,6 @@ impl PoolEventLog {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     shelves: Mutex<Shelves>,
-    events: Mutex<PoolEventLog>,
 }
 
 /// The pool's mutable core: shelf occupancy *and* its counters live under
@@ -530,7 +470,8 @@ pub struct BufferPool {
 /// hit counted whose buffer still shows as idle, or an `idle_buffers`
 /// decrement whose `idle_bytes` has not moved yet. With the counters on
 /// separate relaxed atomics (the previous design) every one of those torn
-/// combinations was observable.
+/// combinations was observable. It is the pool's only lock: a checkout or
+/// a return takes it exactly once, so there is no lock order to keep.
 #[derive(Debug, Default)]
 struct Shelves {
     map: HashMap<(usize, Layout, usize), Vec<AmpStore>>,
@@ -560,16 +501,6 @@ impl BufferPool {
         }
     }
 
-    /// Appends a pool event. Must be called while the shelves guard is
-    /// held so the log order matches the shelf-occupancy order (the lock
-    /// order is always shelves → events, never the reverse).
-    fn log_event(&self, class: usize, layout: Layout, width: usize, kind: PoolEventKind) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(class, layout, width, kind);
-    }
-
     /// Takes a zeroed buffer of `len` amplitudes in `layout` with
     /// `width`-byte elements, recycling a shelved one when possible.
     fn checkout(&self, len: usize, layout: Layout, width: usize) -> AmpStore {
@@ -587,16 +518,6 @@ impl BufferPool {
             } else {
                 shelves.stats.misses += 1;
             }
-            self.log_event(
-                class,
-                layout,
-                width,
-                if popped.is_some() {
-                    PoolEventKind::CheckoutHit
-                } else {
-                    PoolEventKind::CheckoutMiss
-                },
-            );
             popped
         };
         match recycled {
@@ -621,27 +542,6 @@ impl BufferPool {
             .entry((shelf, layout, width))
             .or_default()
             .push(store);
-        self.log_event(shelf, layout, width, PoolEventKind::Return);
-    }
-
-    /// A snapshot of the event log, in shelf-occupancy order (see
-    /// [`PoolEvent`]). Consumed by the pool-aliasing analysis pass.
-    pub fn events(&self) -> Vec<PoolEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entries
-            .clone()
-    }
-
-    /// Events discarded after the log filled (0 in any run the analyzer
-    /// should trust end-to-end; a non-zero value downgrades the pool
-    /// pass to a truncation warning).
-    pub fn events_dropped(&self) -> u64 {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dropped
     }
 
     /// A consistent snapshot of the counters: taken under the shelves
@@ -1279,9 +1179,10 @@ mod tests {
                 vec![vec![Complex::ZERO; 64]]
             );
         }
-        let events = pool.events();
-        assert!(events.iter().all(|e| e.width == 8 || e.width == 16));
-        assert!(events.iter().any(|e| e.width == 8));
+        // Both widths end up shelved side by side, each on its own shelf.
+        let cold = pool.stats();
+        assert_eq!((cold.hits, cold.misses, cold.idle_buffers), (1, 2, 2));
+        assert_eq!(cold.idle_bytes, 64 * 8 + 64 * 16);
     }
 
     /// Cross-width `copy_store_from` narrows on the way in and widens

@@ -39,8 +39,7 @@ use bqsim_campaign::{
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
     AuditVerdict, BqSimOptions, BqSimulator, CompileSource, CompileWall, FaultBudget, FaultPlan,
-    ModelCheckBudget, ModelCheckOptions, Precision, RecoveryPolicy, SeededDefect, StoreStats,
-    TuneOutcome, TuningSource,
+    Precision, RecoveryPolicy, SeededDefect, StoreStats, TuneOutcome, TuningSource,
 };
 use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
@@ -182,8 +181,6 @@ struct Args {
     quotas: Vec<String>,
     service_schedule: Option<PathBuf>,
     spec_parts: Vec<String>,
-    model_check: bool,
-    dpor_budget: Option<usize>,
     inject_defect: Option<SeededDefect>,
     format: OutputFormat,
     faults: bool,
@@ -233,8 +230,6 @@ fn parse_args() -> Result<Args, String> {
         quotas: Vec::new(),
         service_schedule: None,
         spec_parts: Vec::new(),
-        model_check: false,
-        dpor_budget: None,
         inject_defect: None,
         format: OutputFormat::Text,
         faults: false,
@@ -308,18 +303,10 @@ fn parse_args() -> Result<Args, String> {
                     })?),
                 });
             }
-            "--model-check" => args.model_check = true,
-            "--dpor-budget" => {
-                let n: usize = value(&mut i)?.parse().map_err(|e| format!("{e}"))?;
-                if n == 0 {
-                    return Err("--dpor-budget must be at least 1".to_string());
-                }
-                args.dpor_budget = Some(n);
-            }
             "--inject-defect" => {
                 let v = value(&mut i)?;
                 args.inject_defect = Some(SeededDefect::parse(&v).ok_or_else(|| {
-                    format!("--inject-defect must be one of race|pool|journal, got `{v}`")
+                    format!("--inject-defect must be one of race|journal, got `{v}`")
                 })?);
             }
             "--format" => {
@@ -510,10 +497,7 @@ SUBCOMMANDS:
                          with --fault-plan, additionally executes the
                          schedule under the plan and verifies the recovery
                          schedule (attempt discipline, happens-before,
-                         buffer hazards); with --model-check, additionally
-                         explores the schedule space (DPOR race/determinism
-                         check with counterexample traces, pool
-                         retire-before-reuse audit); with --journal, audits
+                         buffer hazards); with --journal, audits
                          a campaign journal instead against the
                          header → batch* → final state machine
                          (exactly-once completion, fingerprint/CRC
@@ -610,15 +594,10 @@ OPTIONS:
                          (interleaved ablation baseline); bit-identical
                          outputs either way
                          [default: $BQSIM_LAYOUT or planar]
-    --model-check        (analyze) bounded model check of the schedule
-                         space: DPOR over per-task effect lists and
-                         buffer-pool event-log replay
-    --dpor-budget <N>    (analyze) max inequivalent serializations the
-                         DPOR exploration enumerates before truncating
-                         with a warning                     [default: 4096]
     --inject-defect <d>  (analyze) seed a known defect before checking so
-                         the pass that owns it must fire:
-                         race|pool|journal
+                         the pass that owns it must fire: race (drop a
+                         hazard edge; `races`) or journal (a batch
+                         completed twice; `journal-exactly-once`)
     --format <f>         (analyze) report format: `text` or `json`
                          [default: text]
     --stream             disable the task graph (stream launches)
@@ -787,9 +766,9 @@ fn emit_report(report: &AnalysisReport, format: OutputFormat) -> ExitCode {
 }
 
 /// `bqsim analyze`: run the whole compile pipeline and statically check
-/// every artifact it produces; with `--model-check`, additionally explore
-/// the schedule space (DPOR) and the pool discipline. Exit code 1 if
-/// anything is reported.
+/// every artifact it produces (with `--inject-defect`, after seeding that
+/// defect); with `--fault-plan`, also verify the executed recovery
+/// schedule. Exit code 1 if anything is reported.
 fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     let opts = BqSimOptions {
         tau: args.tau,
@@ -799,28 +778,16 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
         precision: concrete_precision(args, "analyze")?,
         ..BqSimOptions::default()
     };
-    let mut report = AnalysisReport::new();
     let pipeline = bqsim_core::analyze_pipeline(
         circuit,
         &opts,
         args.batches,
         args.batch_size,
         args.integrity_budget,
+        args.inject_defect,
     )
     .map_err(|e| CliError::Sim(e.to_string()))?;
-    report.push_section(
-        "pipeline artifacts",
-        format!(
-            "analyzed {} fused gate(s) ({} with dense NZRV cross-check), \
-             {} task(s) over {} batch(es), {} DD node(s)",
-            pipeline.gates_checked,
-            pipeline.nzrv_checked,
-            pipeline.tasks_checked,
-            args.batches,
-            pipeline.dd_nodes,
-        ),
-        pipeline.diagnostics.clone(),
-    );
+    let mut report = pipeline.report;
 
     // With a fault plan, also execute the schedule under injection and
     // verify the *recovery* schedule introduces no hazards.
@@ -841,24 +808,6 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
             format!("executed under {} injected fault(s)", plan.len()),
             diags,
         );
-    }
-
-    // `--model-check`: bounded exploration of the schedule space plus the
-    // buffer pool's retire-before-reuse discipline.
-    if args.model_check {
-        let mc = ModelCheckOptions {
-            budget: args
-                .dpor_budget
-                .map(ModelCheckBudget::with_max_traces)
-                .unwrap_or_default(),
-            defect: args.inject_defect,
-        };
-        let checked =
-            bqsim_core::model_check_pipeline(circuit, &opts, args.batches, args.batch_size, &mc)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
-        for s in checked.report.sections() {
-            report.push_section(s.title.clone(), s.summary.clone(), s.diagnostics.clone());
-        }
     }
 
     Ok(emit_report(&report, args.format))
@@ -981,10 +930,6 @@ fn run_journal_audit(path: &Path, format: OutputFormat) -> Result<ExitCode, CliE
 /// `bqsim run`: the durable campaign runner.
 fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     let n = circuit.num_qubits();
-    // The bounds a service submission is held to, before any input
-    // exists: an empty batch or a 2^40-amplitude state is a usage error,
-    // not a panic or an allocation abort.
-    check_campaign_shape(n, args.batches, args.batch_size).map_err(CliError::Usage)?;
     let precision_arg = effective_precision_arg(args);
     let mut opts = BqSimOptions {
         tau: args.tau,
@@ -1502,6 +1447,12 @@ fn run() -> Result<ExitCode, CliError> {
         }
     }
     let mut circuit = build_circuit(&args).map_err(CliError::Usage)?;
+    // The bounds a service submission is held to, before any input or
+    // schedule exists: an empty batch or a 2^40-amplitude state is a
+    // usage error, not a panic, an allocation abort, or a clean report
+    // over nothing. Checked on the built circuit so QASM widths count.
+    check_campaign_shape(circuit.num_qubits(), args.batches, args.batch_size)
+        .map_err(CliError::Usage)?;
     if args.analyze {
         return run_analysis(&args, &circuit);
     }

@@ -1,7 +1,8 @@
 //! Two-process artifact-store tests against the real `bqsim` binary:
 //! concurrent cold starts on the same store directory single-flight
 //! through the on-disk lock (identical digests, one published file),
-//! and a separate process warm-hits what an earlier process published.
+//! a separate process warm-hits what an earlier process published, and
+//! auditing a store that does not exist is an error that creates nothing.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -125,4 +126,24 @@ fn concurrent_processes_single_flight_and_later_process_warm_hits() {
 
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn auditing_a_missing_store_fails_and_creates_nothing() {
+    let parent = temp_dir("missing-store");
+    let store = parent.join("absent");
+    let out = Command::new(env!("CARGO_BIN_EXE_bqsim"))
+        .arg("analyze")
+        .arg("--artifact")
+        .arg(&store)
+        .output()
+        .expect("spawn bqsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(&store.display().to_string()),
+        "the error must name the store path: {stderr}"
+    );
+    assert!(!store.exists(), "an audit must not create the store");
+    let _ = std::fs::remove_dir_all(&parent);
 }

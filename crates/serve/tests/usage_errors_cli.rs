@@ -2,9 +2,11 @@
 //! variables, in submissions and quotas — are usage errors (exit 2, one
 //! `error:` line naming the offender), never a panic, an allocation
 //! abort, or a silent fall back to the `f64` defaults. That includes the
-//! retired `mixed` precision and the retired `renorm`, `lock-order` and
-//! `wake` defects; a journal recorded at `precision=mixed` is refused as a
-//! plan mismatch (exit 4).
+//! retired `mixed` precision, the retired `--model-check` and
+//! `--dpor-budget` flags, and the retired `renorm`, `lock-order`, `wake`
+//! and `pool` defects; a journal recorded at `precision=mixed` is refused
+//! as a plan mismatch (exit 4). The surviving defects, `race` and
+//! `journal`, are findings (exit 1) of plain `bqsim analyze`.
 
 use bqsim_campaign::checksum::fnv1a;
 use std::path::PathBuf;
@@ -45,12 +47,17 @@ const GHZ3: &str = "run --family ghz --qubits 3";
 
 #[test]
 fn run_checks_the_campaign_shape_before_generating_inputs() {
-    let out = bqsim(&format!("{GHZ3} --batch-size 0"), &[]);
-    assert_refused(&out, 2, "batch-size 0");
-    let out = bqsim(&format!("{GHZ3} --batches 0"), &[]);
-    assert_refused(&out, 2, "batches 0");
-    let out = bqsim("run --family ghz --qubits 40", &[]);
-    assert_refused(&out, 2, "1..=16");
+    // Every subcommand that builds a circuit: `run`, `analyze`, `faults`
+    // and the bare simulate command.
+    for cmd in ["run", "analyze", "faults", ""] {
+        let ghz3 = format!("{cmd} --family ghz --qubits 3");
+        let out = bqsim(&format!("{ghz3} --batch-size 0"), &[]);
+        assert_refused(&out, 2, "batch-size 0");
+        let out = bqsim(&format!("{ghz3} --batches 0"), &[]);
+        assert_refused(&out, 2, "batches 0");
+        let out = bqsim(&format!("{cmd} --family ghz --qubits 40"), &[]);
+        assert_refused(&out, 2, "1..=16");
+    }
 }
 
 #[test]
@@ -82,10 +89,14 @@ fn retired_tokens_are_rejected_everywhere_they_were_accepted() {
     let out = bqsim(&format!("{GHZ3} --precision mixed"), &[]);
     assert_refused(&out, 2, "--precision");
 
-    let analyze = "analyze --family ghz --qubits 4 --model-check";
-    for defect in ["renorm", "lock-order", "wake"] {
+    let analyze = "analyze --family ghz --qubits 4";
+    for defect in ["renorm", "lock-order", "wake", "pool"] {
         let out = bqsim(&format!("{analyze} --inject-defect {defect}"), &[]);
         assert_refused(&out, 2, "--inject-defect");
+    }
+    for flag in ["--model-check", "--dpor-budget 8"] {
+        let out = bqsim(&format!("{analyze} {flag}"), &[]);
+        assert_refused(&out, 2, flag.split(' ').next().unwrap());
     }
 
     let spec = "tenant=a id=j qubits=2 batches=1";
@@ -99,6 +110,18 @@ fn retired_tokens_are_rejected_everywhere_they_were_accepted() {
     let out = bqsim(&format!("{serve} --quota tenant=a,precision=mixed"), &[]);
     assert_refused(&out, 2, "quota precision");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn plain_analyze_reports_a_seeded_defect() {
+    let analyze = "analyze --family ghz --qubits 4 --batches 4";
+    assert_ran(&bqsim(analyze, &[]));
+    for (defect, pass) in [("race", "races"), ("journal", "journal-exactly-once")] {
+        let out = bqsim(&format!("{analyze} --inject-defect {defect}"), &[]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{stdout}");
+        assert!(stdout.contains(&format!("error[{pass}]")), "{stdout}");
+    }
 }
 
 #[test]

@@ -249,21 +249,22 @@ if ! echo "$tstatus" | grep -q 'tuned: precision='; then
     exit 1
 fi
 
-echo "==> schedule-space model check (DPOR + pool)"
-run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check
-
-echo "==> model-check JSON output is machine-readable and clean"
-mc_json="$(run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check --format json)"
-case "$mc_json" in
-    '{"sections":'*'"errors":0'*) echo "    ok: ${#mc_json} bytes, 0 errors" ;;
-    *) echo "FAIL: unexpected model-check JSON: $mc_json" >&2; exit 1 ;;
+echo "==> analyze JSON output is machine-readable and clean"
+an_json="$(run_bqsim analyze --family ghz --qubits 4 --batches 4 --format json)"
+case "$an_json" in
+    '{"sections":'*'"errors":0'*) echo "    ok: ${#an_json} bytes, 0 errors" ;;
+    *) echo "FAIL: unexpected analyze JSON: $an_json" >&2; exit 1 ;;
 esac
 
 echo "==> seeded-defect corpus (every injected defect must fail the analyzer, exit 1)"
-for defect in race pool journal; do
-    if run_bqsim analyze --family ghz --qubits 4 --batches 4 --model-check \
-        --inject-defect "$defect" >/dev/null 2>&1; then
-        echo "FAIL: --inject-defect $defect passed the model check" >&2
+for defect in race journal; do
+    set +e
+    run_bqsim analyze --family ghz --qubits 4 --batches 4 \
+        --inject-defect "$defect" >/dev/null 2>&1
+    defect_rc=$?
+    set -e
+    if [ "$defect_rc" -ne 1 ]; then
+        echo "FAIL: --inject-defect $defect exited $defect_rc, want 1 (a finding)" >&2
         exit 1
     fi
     echo "    --inject-defect $defect rejected (exit 1)"

@@ -4,17 +4,15 @@
 //! gates in `analyze_properties.rs` — an analyzer that never rejects
 //! anything would pass those trivially.
 //!
-//! The CLI-level counterpart (`bqsim analyze --model-check
-//! --inject-defect <d>` must exit non-zero) lives in `scripts/ci.sh`,
-//! because integration tests cannot reference another crate's binary.
+//! The CLI-level counterpart (`bqsim analyze --inject-defect <d>` must
+//! exit 1) lives in `scripts/ci.sh` and `crates/serve/tests/usage_errors_cli.rs`.
 
 use bqsim_analyze as analyze;
 use bqsim_analyze::{
-    check_journal, check_pool_discipline, model_check_graph, Diagnostics, GraphFacts, JournalFacts,
-    JournalRecordFacts, JournalRecordKind, Loc, ModelCheckBudget, Severity, TaskFacts, TaskOp,
+    analyze_graph, check_journal, Diagnostics, GraphFacts, JournalFacts, JournalRecordFacts,
+    JournalRecordKind, Loc, Severity, TaskFacts, TaskOp,
 };
-use bqsim_core::{model_check_pipeline, BqSimOptions, ModelCheckOptions, SeededDefect};
-use bqsim_gpu::{PoolEvent, PoolEventKind};
+use bqsim_core::{analyze_pipeline, BqSimOptions, SeededDefect};
 use bqsim_qcir::generators;
 
 /// Asserts `diags` contains at least one finding of `severity` under
@@ -39,56 +37,22 @@ fn task(label: &str, preds: &[usize], reads: &[Loc], writes: &[Loc]) -> TaskFact
 }
 
 #[test]
-fn broken_graph_unordered_writers_trip_mc_race() {
-    // Two unordered writers of D[0]: every serialization disagrees.
+fn broken_graph_unordered_writers_trip_races() {
+    // Two unordered writers of D[0]: no path orders them either way.
     let facts = GraphFacts {
         tasks: vec![
             task("writer a", &[], &[], &[Loc::Device(0)]),
             task("writer b", &[], &[], &[Loc::Device(0)]),
         ],
     };
-    let outcome = model_check_graph(&facts, ModelCheckBudget::default());
-    let msg = expect_finding(&outcome.diagnostics, "mc-race", Severity::Error);
-    assert!(msg.contains("counterexample trace"), "{msg}");
-    let det = expect_finding(&outcome.diagnostics, "mc-determinism", Severity::Error);
-    assert!(det.contains("nondeterministic"), "{det}");
-    assert_eq!(outcome.traces_explored, 2);
-    assert!(!outcome.verified());
-}
-
-#[test]
-fn broken_graph_blows_the_dpor_budget_with_a_warning() {
-    // Many pairwise-conflicting unordered tasks: factorially many
-    // inequivalent serializations, far beyond a budget of 3.
-    let facts = GraphFacts {
-        tasks: (0..6)
-            .map(|i| task(&format!("w{i}"), &[], &[], &[Loc::Device(0)]))
-            .collect(),
-    };
-    let outcome = model_check_graph(&facts, ModelCheckBudget::with_max_traces(3));
-    assert!(outcome.truncated);
-    let msg = expect_finding(&outcome.diagnostics, "mc-budget", Severity::Warning);
-    assert!(msg.contains("--dpor-budget"), "{msg}");
-}
-
-#[test]
-fn broken_pool_lifetime_trips_aliasing_and_leak_passes() {
-    use PoolEventKind::{CheckoutHit, CheckoutMiss};
-    let layout = bqsim_ell::Layout::Aos;
-    let ev = |seq, kind| PoolEvent {
-        seq,
-        class: 64,
-        layout,
-        width: 16,
-        kind,
-    };
-    // A hit on an empty shelf: storage recycled before it was returned.
-    let diags = check_pool_discipline(&[ev(0, CheckoutMiss), ev(1, CheckoutHit)], 0, true);
-    let msg = expect_finding(&diags, "pool-alias", Severity::Error);
-    assert!(msg.contains("retire-before-reuse"), "{msg}");
-    // Checkouts never returned by the drain point leak.
-    let leak = expect_finding(&diags, "pool-leak", Severity::Warning);
-    assert!(leak.contains("leaked"), "{leak}");
+    let diags = analyze_graph(&facts);
+    let msg = expect_finding(&diags, "races", Severity::Error);
+    assert!(msg.contains("data race"), "{msg}");
+    assert!(
+        msg.contains("'writer a'") && msg.contains("'writer b'"),
+        "{msg}"
+    );
+    assert_eq!(diags.error_count(), 1, "{diags}");
 }
 
 #[test]
@@ -125,18 +89,14 @@ fn pipeline_seeded_defects_map_to_their_owning_pass() {
     // pipeline must surface under the pass that owns it.
     let circuit = generators::ghz(3);
     let expectations = [
-        (SeededDefect::Race, "mc-race"),
-        (SeededDefect::Pool, "pool-alias"),
+        (SeededDefect::Race, "races"),
         (SeededDefect::Journal, "journal-exactly-once"),
     ];
     for (defect, pass) in expectations {
-        let mc = ModelCheckOptions {
-            defect: Some(defect),
-            ..ModelCheckOptions::default()
-        };
-        let checked = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 2, &mc)
-            .expect("model check runs");
-        let found = checked.report.sections().iter().any(|s| {
+        let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 4, 2, None, Some(defect))
+            .expect("analysis runs")
+            .report;
+        let found = report.sections().iter().any(|s| {
             s.diagnostics
                 .iter()
                 .any(|d| d.pass == pass && d.severity == Severity::Error)
@@ -145,7 +105,7 @@ fn pipeline_seeded_defects_map_to_their_owning_pass() {
             found,
             "defect {:?} must fire pass `{pass}`:\n{}",
             defect,
-            checked.report.render_text()
+            report.render_text()
         );
     }
 }
@@ -155,32 +115,28 @@ fn clean_pipeline_is_verified_and_machine_readable() {
     // The positive control for the corpus: no defect, everything clean,
     // and the JSON rendering is parseable with the expected structure.
     let circuit = generators::ghz(3);
-    let mc = ModelCheckOptions::default();
-    let checked = model_check_pipeline(&circuit, &BqSimOptions::default(), 4, 2, &mc)
-        .expect("model check runs");
-    assert!(checked.verified(), "{}", checked.report.render_text());
-    let json = checked.report.to_json();
+    let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 4, 2, None, None)
+        .expect("analysis runs")
+        .report;
+    assert!(report.is_clean(), "{}", report.render_text());
+    let json = report.to_json();
     assert!(json.contains("\"errors\":0"), "{json}");
     assert!(json.contains("\"warnings\":0"), "{json}");
     assert!(json.contains("\"sections\":[{"), "{json}");
-    assert!(
-        json.contains("\"title\":\"schedule space (DPOR)\""),
-        "{json}"
-    );
+    assert!(json.contains("\"title\":\"pipeline artifacts\""), "{json}");
 }
 
 #[test]
 fn defect_messages_survive_json_escaping() {
-    // Counterexample traces carry arrows and quotes; the JSON path must
-    // round-trip them losslessly.
+    // Race messages quote the task labels; the JSON path must round-trip
+    // quotes and backslashes in them losslessly.
     let facts = GraphFacts {
         tasks: vec![
             task("writer \"a\"", &[], &[], &[Loc::Device(0)]),
             task("writer \\b", &[], &[], &[Loc::Device(0)]),
         ],
     };
-    let outcome = model_check_graph(&facts, ModelCheckBudget::default());
-    let json = outcome.diagnostics.to_json();
+    let json = analyze_graph(&facts).to_json();
     // The quote and backslash in the labels must come out escaped, and
     // the payload must stay a single line (newlines become \n).
     assert!(

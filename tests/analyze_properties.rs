@@ -73,8 +73,8 @@ proptest! {
     ) {
         let circuit = generators::random_circuit(n, gates, seed);
         let report =
-            analyze_pipeline(&circuit, &BqSimOptions::default(), batches, 4, None).unwrap();
-        prop_assert!(report.diagnostics.is_clean(), "{}", report.diagnostics);
+            analyze_pipeline(&circuit, &BqSimOptions::default(), batches, 4, None, None).unwrap();
+        prop_assert!(report.report.is_clean(), "{}", report.report.render_text());
         prop_assert_eq!(report.tasks_checked, batches * (report.gates_checked + 2));
     }
 
@@ -99,9 +99,9 @@ proptest! {
 #[test]
 fn qft_acceptance_scenario_is_clean() {
     let circuit = generators::qft(8);
-    let report =
-        analyze_pipeline(&circuit, &BqSimOptions::default(), 6, 16, None).expect("analysis runs");
-    assert!(report.diagnostics.is_clean(), "{}", report.diagnostics);
+    let report = analyze_pipeline(&circuit, &BqSimOptions::default(), 6, 16, None, None)
+        .expect("analysis runs");
+    assert!(report.report.is_clean(), "{}", report.report.render_text());
 }
 
 /// Seeded defect 1: dropping a hazard edge from a real schedule is
