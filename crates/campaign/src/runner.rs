@@ -61,8 +61,8 @@ use crate::integrity::{check_batch, IntegrityBudget, IntegrityVerdict};
 use crate::journal::{read_journal, Fingerprint, JournalError, JournalWriter, Record, StateMode};
 use crate::resume::load_journal_state;
 use bqsim_core::{
-    artifact_key, schedule, ArtifactStore, BqSimOptions, BqSimulator, BqsimError, CompileSource,
-    CompileWall, EllCacheStats, FaultBudget, FaultPlan, Precision, RecoveryPolicy, RunHealth,
+    artifact_key, ArtifactStore, BatchSource, BqSimOptions, BqSimulator, BqsimError, CompileSource,
+    CompileWall, EllCacheStats, FaultBudget, Precision, RecoveryPolicy, RunHealth, RunRequest,
     StoreStats,
 };
 use bqsim_faults::CancelToken;
@@ -75,12 +75,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Allocation-sequence sites per single-batch run: four state buffers
-/// plus the gate-table reservation (mirrors the simulator's residency
-/// layout; kept equal to the CLI's value so `--fault-seed` campaigns and
-/// ad-hoc `--faults` runs draw from the same site space).
-pub(crate) const ALLOCS_PER_RUN: usize = 5;
 
 /// Configuration of one durable campaign.
 #[derive(Debug, Clone)]
@@ -511,29 +505,18 @@ pub fn execute_campaign_batch(
     copts: &CampaignOptions,
     cancel: &CancelToken,
 ) -> Result<ExecutedBatch, BqsimError> {
-    let owned = batch.to_vec();
-    let one = std::slice::from_ref(&owned);
-    let tasks = schedule::tasks_per_batch(sim.gates().len());
-    if let Some(seed) = copts.fault_seed {
-        let plan = FaultPlan::seeded(
-            seed ^ index as u64,
-            1,
-            tasks,
-            ALLOCS_PER_RUN,
-            &copts.fault_budget,
-        );
-        let rec = sim.run_batches_recovering_cancellable(one, &plan, &copts.recovery, cancel)?;
-        Ok(ExecutedBatch {
-            outputs: rec.run.outputs.into_iter().next().unwrap_or_default(),
-            health: rec.health,
-        })
-    } else {
-        let run = sim.run_batches_cancellable(one, cancel)?;
-        Ok(ExecutedBatch {
-            outputs: run.outputs.into_iter().next().unwrap_or_default(),
-            health: RunHealth::new(),
-        })
-    }
+    let plan = copts
+        .fault_seed
+        .map(|seed| sim.seeded_fault_plan(seed ^ index as u64, 1, &copts.fault_budget));
+    let run = sim.execute(&RunRequest {
+        source: BatchSource::Batches(vec![batch]),
+        cancel: Some(cancel),
+        faults: plan.as_ref().map(|plan| (plan, &copts.recovery)),
+    })?;
+    Ok(ExecutedBatch {
+        outputs: run.outputs.into_iter().next().unwrap_or_default(),
+        health: run.health,
+    })
 }
 
 /// Computes the campaign's plan [`Fingerprint`].

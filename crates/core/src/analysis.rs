@@ -245,8 +245,8 @@ pub fn analyze_pipeline(
     })
 }
 
-/// Builds the batch schedule, executes it (timing-only) under the faults of
-/// `plan` with recovery per `policy`, and statically verifies the
+/// Builds `sim`'s batch schedule, executes it (timing-only) under the
+/// faults of `plan` with recovery per `policy`, and statically verifies the
 /// *executed* recovery schedule: per-task attempt discipline, preserved
 /// happens-before across retries and backoff, and freedom from buffer
 /// hazards between overlapping attempts. This is the check behind
@@ -254,26 +254,19 @@ pub fn analyze_pipeline(
 ///
 /// # Errors
 ///
-/// Returns [`BqsimError::EmptyCircuit`] for a zero-qubit circuit and
-/// [`BqsimError::DeviceOom`] if the schedule's buffers exceed the simulated
-/// device memory (injected OOM traps are *not* armed here — this pass
-/// inspects the retry schedule, not the allocation ladder).
+/// Returns [`BqsimError::DeviceOom`] if the schedule's buffers exceed the
+/// simulated device memory (injected OOM traps are *not* armed here — this
+/// pass inspects the retry schedule, not the allocation ladder).
 pub fn analyze_recovery(
-    circuit: &Circuit,
-    opts: &BqSimOptions,
+    sim: &BqSimulator,
     num_batches: usize,
     batch_size: usize,
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> Result<Diagnostics, BqsimError> {
-    let sim = BqSimulator::compile(circuit, opts.clone())?;
-    let mut sched = build_analysis_schedule(
-        sim.gates(),
-        opts,
-        circuit.num_qubits(),
-        num_batches,
-        batch_size,
-    )?;
+    let opts = &sim.opts;
+    let mut sched =
+        build_analysis_schedule(sim.gates(), opts, sim.num_qubits(), num_batches, batch_size)?;
 
     let engine = Engine::new(opts.device.clone());
     let injector = FaultInjector::for_device(plan, 0);
@@ -360,16 +353,14 @@ mod tests {
 
     #[test]
     fn recovery_schedules_stay_hazard_free_under_seeded_faults() {
-        use bqsim_faults::{FaultBudget, FaultPlan};
+        use bqsim_faults::FaultBudget;
         let circuit = generators::vqe(5, 5);
         let sim = BqSimulator::compile(&circuit, BqSimOptions::default()).unwrap();
         let (num_batches, batch_size) = (4, 8);
-        let tasks = num_batches * schedule::tasks_per_batch(sim.gates().len());
         for seed in [1u64, 7, 42] {
-            let plan = FaultPlan::seeded(seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
+            let plan = sim.seeded_fault_plan(seed, num_batches, &FaultBudget::transient(2, 1, 1));
             let diags = analyze_recovery(
-                &circuit,
-                &BqSimOptions::default(),
+                &sim,
                 num_batches,
                 batch_size,
                 &plan,

@@ -13,11 +13,12 @@
 
 use crate::convert::{ConversionMethod, ConvertedGate, EllCacheStats};
 use crate::error::BqsimError;
-use crate::simulator::{BqSimOptions, BqSimulator};
+use crate::simulator::{BqSimOptions, BqSimulator, CompileWall};
 use bqsim_artifact::{
     fnv1a, ArtifactStore, CircuitArtifact, Flight, GateRecord, LoadOutcome, FLIGHT_TIMEOUT,
 };
 use bqsim_ell::convert::ConversionWork;
+use bqsim_gpu::BufferPool;
 use bqsim_qcir::{qasm, Circuit};
 use std::path::Path;
 use std::sync::Arc;
@@ -203,7 +204,7 @@ impl BqSimulator {
     fn publish_to(&mut self, store: &ArtifactStore, key: u64) -> bool {
         let started = Instant::now();
         let published = store.publish(&self.to_artifact(key)).is_ok();
-        self.set_publish_wall_ns(started.elapsed().as_nanos() as u64);
+        self.wall.publish_ns = started.elapsed().as_nanos() as u64;
         published
     }
 
@@ -211,7 +212,7 @@ impl BqSimulator {
     /// by `key` (callers compute it with [`artifact_key`] over the same
     /// circuit and options this simulator was compiled from).
     pub fn to_artifact(&self, key: u64) -> CircuitArtifact {
-        let opts = self.opts();
+        let opts = &self.opts;
         let breakdown = self.compile_breakdown();
         let cache = self.conversion_cache_stats();
         CircuitArtifact {
@@ -227,7 +228,7 @@ impl BqSimulator {
             skip_ell: opts.skip_ell,
             generic_spmm: opts.generic_spmm,
             force_conversion: opts.force_conversion.map(method_tag),
-            qasm: qasm::write(self.circuit()),
+            qasm: qasm::write(&self.circuit),
             gates: self
                 .gates()
                 .iter()
@@ -296,22 +297,27 @@ impl BqSimulator {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut sim = Self::from_parts(
-            n,
+        Ok(BqSimulator {
+            num_qubits: n,
             gates,
-            circuit.clone(),
+            circuit: circuit.clone(),
             opts,
-            a.fusion_ns,
-            load_started.elapsed().as_nanos() as u64,
-            a.conversion_ns,
-            EllCacheStats {
+            fusion_ns: a.fusion_ns,
+            // The fused-gate pipeline never ran: the load replaced it, so
+            // the load's wall time is what producing the gates cost.
+            wall: CompileWall {
+                fusion_ns: load_started.elapsed().as_nanos() as u64,
+                ..CompileWall::default()
+            },
+            conversion_ns: a.conversion_ns,
+            cache_stats: EllCacheStats {
                 hits: a.cache_hits,
                 misses: a.cache_misses,
                 evictions: a.cache_evictions,
             },
-        );
-        sim.set_stored_tuning(a.tuning);
-        Ok(sim)
+            stored_tuning: a.tuning,
+            pool: Arc::new(BufferPool::new()),
+        })
     }
 }
 
@@ -609,7 +615,7 @@ mod tests {
             },
         )
         .unwrap();
-        let before = artifact_key(&circuit, sim.opts());
+        let before = artifact_key(&circuit, &sim.opts);
         sim.apply_tuning(&bqsim_artifact::TuningRecord {
             precision: bqsim_ell::Precision::F32,
             layout: bqsim_ell::Layout::Aos,
@@ -617,7 +623,7 @@ mod tests {
             use_pattern: false,
             probe_ns: 1,
         });
-        assert_eq!(artifact_key(&circuit, sim.opts()), before);
+        assert_eq!(artifact_key(&circuit, &sim.opts), before);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::kernels::{DdSpmvKernel, EllSpmmKernel};
 use crate::schedule;
 use bqsim_ell::{Layout, Precision};
 use bqsim_faults::{
-    CancelToken, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy, Resolution,
-    RunHealth,
+    CancelToken, FaultBudget, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
+    Resolution, RunHealth,
 };
 use bqsim_gpu::power::{cpu_average_power_w, gpu_average_power_w, PowerReport};
 use bqsim_gpu::{
@@ -242,7 +242,9 @@ impl RunBreakdown {
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Output states per batch (empty in timing-only mode), each a vector
-    /// of `batch_size` state vectors.
+    /// of `batch_size` state vectors. Batches that fell back to the host
+    /// hold the dense-reference results; all others come off the
+    /// (simulated) device.
     pub outputs: Vec<Vec<Vec<Complex>>>,
     /// The device schedule.
     pub timeline: Timeline,
@@ -250,6 +252,129 @@ pub struct RunResult {
     pub breakdown: RunBreakdown,
     /// Power/energy estimate for the run (Fig. 11).
     pub power: PowerReport,
+    /// What went wrong and how it was absorbed: every injected fault,
+    /// retry, degradation and failure, plus the device memory high-water
+    /// mark. Healthy on a fault-free run.
+    pub health: RunHealth,
+}
+
+/// Where a run's input batches come from.
+#[derive(Debug, Clone)]
+pub enum BatchSource<'a> {
+    /// Borrowed batches, each a list of `2^n`-amplitude input states; every
+    /// batch must hold as many states as batch 0.
+    Batches(Vec<&'a [Vec<Complex>]>),
+    /// `batches × batch_size` inputs in timing-only mode: no amplitudes are
+    /// materialised (the large-circuit report experiments).
+    Synthetic {
+        /// Number of batches.
+        batches: usize,
+        /// Inputs per batch.
+        batch_size: usize,
+    },
+}
+
+impl<'a> BatchSource<'a> {
+    /// `(num_batches, batch_size)`; borrowed batches take batch 0's size.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        match self {
+            BatchSource::Batches(b) => (b.len(), b.first().map_or(0, |b| b.len())),
+            BatchSource::Synthetic {
+                batches,
+                batch_size,
+            } => (*batches, *batch_size),
+        }
+    }
+
+    /// The one shape check of a request: every batch as large as batch 0,
+    /// every state `2^num_qubits` amplitudes, and something to schedule.
+    pub(crate) fn validate(&self, num_qubits: usize) -> Result<(), BqsimError> {
+        let (num_batches, batch_size) = self.counts();
+        if let BatchSource::Batches(batches) = self {
+            let dim = 1usize << num_qubits;
+            for (batch_index, batch) in batches.iter().enumerate() {
+                if batch.len() != batch_size {
+                    return Err(BqsimError::MismatchedBatchSize {
+                        batch_index,
+                        expected: batch_size,
+                        got: batch.len(),
+                    });
+                }
+                if let Some(v) = batch.iter().find(|v| v.len() != dim) {
+                    return Err(BqsimError::BadInputLength {
+                        expected: dim,
+                        got: v.len(),
+                    });
+                }
+            }
+        }
+        if num_batches == 0 || batch_size == 0 {
+            return Err(BqsimError::EmptyBatchRun {
+                num_batches,
+                batch_size,
+            });
+        }
+        Ok(())
+    }
+
+    /// The batches at `indices`, borrowed (a multi-GPU device's share).
+    pub(crate) fn select(&self, indices: &[usize]) -> BatchSource<'a> {
+        match self {
+            BatchSource::Batches(b) => {
+                BatchSource::Batches(indices.iter().map(|&i| b[i]).collect())
+            }
+            BatchSource::Synthetic { batch_size, .. } => BatchSource::Synthetic {
+                batches: indices.len(),
+                batch_size: *batch_size,
+            },
+        }
+    }
+}
+
+/// One run of a compiled circuit: what to run, whether it may be
+/// cancelled, and which faults to inject. Every run — fault-free,
+/// cancellable, recovering, single- or multi-device — is one request.
+#[derive(Debug, Clone)]
+pub struct RunRequest<'a> {
+    /// The input batches.
+    pub source: BatchSource<'a>,
+    /// Polled at every task boundary of the engine sweep; when it fires
+    /// the run ends in [`BqsimError::Cancelled`].
+    pub cancel: Option<&'a CancelToken>,
+    /// An injected fault plan and the policy that recovers from it;
+    /// `None` runs fault-free under [`RecoveryPolicy::no_recovery`].
+    pub faults: Option<(&'a FaultPlan, &'a RecoveryPolicy)>,
+}
+
+impl<'a> RunRequest<'a> {
+    /// A fault-free, uncancellable request over borrowed batches.
+    pub fn batches(batches: &'a [Vec<Vec<Complex>>]) -> Self {
+        RunRequest {
+            source: BatchSource::Batches(batches.iter().map(Vec::as_slice).collect()),
+            cancel: None,
+            faults: None,
+        }
+    }
+
+    /// A fault-free, uncancellable timing-only request.
+    pub fn synthetic(num_batches: usize, batch_size: usize) -> Self {
+        RunRequest {
+            source: BatchSource::Synthetic {
+                batches: num_batches,
+                batch_size,
+            },
+            cancel: None,
+            faults: None,
+        }
+    }
+
+    /// This request, under `plan`'s faults recovered per `policy`.
+    pub fn with_faults(self, plan: &'a FaultPlan, policy: &'a RecoveryPolicy) -> Self {
+        RunRequest {
+            faults: Some((plan, policy)),
+            ..self
+        }
+    }
 }
 
 /// Real host wall-clock of the compile stages, as opposed to the modelled
@@ -272,23 +397,25 @@ pub struct CompileWall {
 /// argument (§4.8).
 #[derive(Debug)]
 pub struct BqSimulator {
-    num_qubits: usize,
-    gates: Vec<ConvertedGate>,
+    // Crate-visible: `artifact.rs` continues this type's impl (load and
+    // publish) and `multi_gpu.rs` builds device siblings from `opts`.
+    pub(crate) num_qubits: usize,
+    pub(crate) gates: Vec<ConvertedGate>,
     // Kept for the recovery paths: the degradation ladder recompiles the
     // circuit unfused, and the dense host fallback replays it per batch.
-    circuit: Circuit,
-    opts: BqSimOptions,
-    fusion_ns: u64,
-    wall: CompileWall,
-    conversion_ns: u64,
-    cache_stats: EllCacheStats,
+    pub(crate) circuit: Circuit,
+    pub(crate) opts: BqSimOptions,
+    pub(crate) fusion_ns: u64,
+    pub(crate) wall: CompileWall,
+    pub(crate) conversion_ns: u64,
+    pub(crate) cache_stats: EllCacheStats,
     // The tuning record that rode in with a warm artifact load or was
     // installed by `apply_tuning` (None on cold, untuned compiles), so
     // `to_artifact` republishes it and the tuner can skip its probes.
-    stored_tuning: Option<bqsim_artifact::TuningRecord>,
-    // One pool per compiled simulator: buffers recycled across every
-    // `run_*` call, so steady-state batch runs allocate nothing.
-    pool: Arc<BufferPool>,
+    pub(crate) stored_tuning: Option<bqsim_artifact::TuningRecord>,
+    // One pool per compiled simulator: buffers recycled across every run,
+    // so steady-state batch runs allocate nothing.
+    pub(crate) pool: Arc<BufferPool>,
 }
 
 /// The execution configuration actually in effect for a simulator's next
@@ -304,17 +431,6 @@ pub struct ResolvedExec {
     pub threads: usize,
     /// Pattern-compression toggle of the planar kernels.
     pub use_pattern: bool,
-}
-
-/// The result of a fault-injected run: the run itself plus a [`RunHealth`]
-/// account of every fault, retry, degradation, and failure.
-#[derive(Debug, Clone)]
-pub struct RecoveredRun {
-    /// The run. Outputs of batches that fell back to the host are the
-    /// dense-reference results; all others come off the (simulated) device.
-    pub run: RunResult,
-    /// What went wrong and how it was absorbed.
-    pub health: RunHealth,
 }
 
 impl BqSimulator {
@@ -382,51 +498,6 @@ impl BqSimulator {
         })
     }
 
-    /// Crate-internal: reassembles a simulator from artifact-loaded parts
-    /// (the warm half of [`BqSimulator::compile_or_load`]). The fused-gate
-    /// pipeline never runs; `fusion_wall_ns` records the artifact-load wall
-    /// time instead, keeping `fusion_wall_ns()` meaningful as "real host
-    /// time spent producing the gates".
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        num_qubits: usize,
-        gates: Vec<ConvertedGate>,
-        circuit: Circuit,
-        opts: BqSimOptions,
-        fusion_ns: u64,
-        fusion_wall_ns: u64,
-        conversion_ns: u64,
-        cache_stats: EllCacheStats,
-    ) -> Self {
-        BqSimulator {
-            num_qubits,
-            gates,
-            circuit,
-            opts,
-            fusion_ns,
-            wall: CompileWall {
-                fusion_ns: fusion_wall_ns,
-                ..CompileWall::default()
-            },
-            conversion_ns,
-            cache_stats,
-            stored_tuning: None,
-            pool: Arc::new(BufferPool::new()),
-        }
-    }
-
-    /// Crate-internal: records how long publishing this simulator's
-    /// artifact took (see [`BqSimulator::compile_or_load`]).
-    pub(crate) fn set_publish_wall_ns(&mut self, ns: u64) {
-        self.wall.publish_ns = ns;
-    }
-
-    /// Crate-internal: attaches the tuning record a warm artifact load
-    /// carried (see [`BqSimulator::compile_or_load`]).
-    pub(crate) fn set_stored_tuning(&mut self, rec: Option<bqsim_artifact::TuningRecord>) {
-        self.stored_tuning = rec;
-    }
-
     /// The tuning record this simulator carries — loaded with its
     /// artifact or installed by [`BqSimulator::apply_tuning`]; `None`
     /// until either happens. A `Some` here is what lets `--precision
@@ -435,27 +506,17 @@ impl BqSimulator {
         self.stored_tuning
     }
 
-    /// Crate-internal: the compile options (for artifact serialization).
-    pub(crate) fn opts(&self) -> &BqSimOptions {
-        &self.opts
-    }
-
-    /// A sibling simulator sharing this one's compiled gates (cheap: the
-    /// ELL matrices and GPU DDs sit behind `Arc`s) but executing at
-    /// `precision`. The campaign runner uses this to transparently retry
-    /// a quarantined batch at the `f64` reference when a narrow
-    /// precision drifted past its integrity budget. The sibling gets its
-    /// own buffer pool: its shelves are width-disjoint from the
-    /// parent's, so a shared pool would recycle nothing between them.
-    pub fn with_precision(&self, precision: Precision) -> BqSimulator {
+    /// Crate-internal: a sibling sharing this simulator's compiled gates
+    /// (cheap: the ELL matrices and GPU DDs sit behind `Arc`s) but
+    /// executing under `opts`, which may differ only in execution options
+    /// and the device. The sibling gets its own buffer pool, so its pool
+    /// statistics are its own.
+    pub(crate) fn sibling(&self, opts: BqSimOptions) -> BqSimulator {
         BqSimulator {
             num_qubits: self.num_qubits,
             gates: self.gates.clone(),
             circuit: self.circuit.clone(),
-            opts: BqSimOptions {
-                precision,
-                ..self.opts.clone()
-            },
+            opts,
             fusion_ns: self.fusion_ns,
             wall: self.wall,
             conversion_ns: self.conversion_ns,
@@ -463,6 +524,17 @@ impl BqSimulator {
             stored_tuning: self.stored_tuning,
             pool: Arc::new(BufferPool::new()),
         }
+    }
+
+    /// A sibling simulator sharing this one's compiled gates but executing
+    /// at `precision`. The campaign runner uses this to transparently
+    /// retry a quarantined batch at the `f64` reference when a narrow
+    /// precision drifted past its integrity budget.
+    pub fn with_precision(&self, precision: Precision) -> BqSimulator {
+        self.sibling(BqSimOptions {
+            precision,
+            ..self.opts.clone()
+        })
     }
 
     /// Crate-internal probe harness for the auto-tuner: a sibling with
@@ -477,26 +549,15 @@ impl BqSimulator {
         use_pattern: bool,
         generic_spmm: bool,
     ) -> BqSimulator {
-        BqSimulator {
-            num_qubits: self.num_qubits,
-            gates: self.gates.clone(),
-            circuit: self.circuit.clone(),
-            opts: BqSimOptions {
-                precision,
-                layout,
-                threads: threads.max(1),
-                use_pattern,
-                generic_spmm,
-                exec_mode: ExecMode::Functional,
-                ..self.opts.clone()
-            },
-            fusion_ns: self.fusion_ns,
-            wall: self.wall,
-            conversion_ns: self.conversion_ns,
-            cache_stats: self.cache_stats,
-            stored_tuning: None,
-            pool: Arc::new(BufferPool::new()),
-        }
+        self.sibling(BqSimOptions {
+            precision,
+            layout,
+            threads: threads.max(1),
+            use_pattern,
+            generic_spmm,
+            exec_mode: ExecMode::Functional,
+            ..self.opts.clone()
+        })
     }
 
     /// Applies an auto-tuner decision to the execution-only options:
@@ -525,11 +586,6 @@ impl BqSimulator {
         }
     }
 
-    /// Crate-internal: the source circuit (for artifact serialization).
-    pub(crate) fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
     /// The compiled fused gates.
     pub fn gates(&self) -> &[ConvertedGate] {
         &self.gates
@@ -543,18 +599,6 @@ impl BqSimulator {
     /// The simulated device's name.
     pub fn device_name(&self) -> &str {
         &self.opts.device.name
-    }
-
-    /// Real wall-clock the fusion stage took on this host (informational;
-    /// the breakdown uses the modelled virtual time).
-    pub fn fusion_wall_ns(&self) -> u64 {
-        self.wall.fusion_ns
-    }
-
-    /// Real wall-clock the DD-to-ELL conversion stage took on this host
-    /// (0 when the gates came from a warm artifact load).
-    pub fn conversion_wall_ns(&self) -> u64 {
-        self.wall.conversion_ns
     }
 
     /// Host wall-clock of every compile stage, publication included.
@@ -594,67 +638,14 @@ impl BqSimulator {
         self.gates.iter().map(|g| g.ell.mac_per_input()).sum()
     }
 
-    /// Runs the given batches through the simulation task graph.
-    ///
-    /// Every batch must contain the same number of state vectors, each of
-    /// length `2^n`.
+    /// Runs the given batches through the simulation task graph: the
+    /// fault-free, uncancellable [`execute`](Self::execute).
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::BadInputLength`] on malformed inputs,
-    /// [`BqsimError::EmptyBatchRun`] when there are no batches or the
-    /// batches hold no state vectors, and [`BqsimError::DeviceOom`] if
-    /// buffers exceed device memory.
+    /// As [`execute`](Self::execute).
     pub fn run_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<RunResult, BqsimError> {
-        self.run_batches_cancellable(batches, &CancelToken::new())
-    }
-
-    /// [`run_batches`](Self::run_batches) under a cooperative
-    /// [`CancelToken`], polled at every task boundary of the engine sweep.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`run_batches`](Self::run_batches)' errors, returns
-    /// [`BqsimError::Cancelled`] when the token fires mid-run; the partial
-    /// outputs are discarded — callers resume by re-running the
-    /// uncompleted batches (the campaign runner journals completed batches
-    /// so it never re-runs finished work).
-    pub fn run_batches_cancellable(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        cancel: &CancelToken,
-    ) -> Result<RunResult, BqsimError> {
-        let batch_size = self.validate_batches(batches)?;
-        self.run_direct(batches, batches.len(), batch_size, cancel)
-    }
-
-    /// Checks every batch has one size and every vector has `2^n`
-    /// amplitudes; returns the batch size.
-    ///
-    /// Ragged batches (a batch whose vector count differs from batch 0's)
-    /// are a distinct failure from wrong-width vectors and get their own
-    /// [`BqsimError::MismatchedBatchSize`] naming the offending batch.
-    fn validate_batches(&self, batches: &[Vec<Vec<Complex>>]) -> Result<usize, BqsimError> {
-        let dim = 1usize << self.num_qubits;
-        let batch_size = batches.first().map(|b| b.len()).unwrap_or(0);
-        for (batch_index, batch) in batches.iter().enumerate() {
-            if batch.len() != batch_size {
-                return Err(BqsimError::MismatchedBatchSize {
-                    batch_index,
-                    expected: batch_size,
-                    got: batch.len(),
-                });
-            }
-            for v in batch {
-                if v.len() != dim {
-                    return Err(BqsimError::BadInputLength {
-                        expected: dim,
-                        got: v.len(),
-                    });
-                }
-            }
-        }
-        Ok(batch_size)
+        self.execute(&RunRequest::batches(batches))
     }
 
     /// Runs `num_batches` synthetic batches of `batch_size` inputs in
@@ -663,68 +654,252 @@ impl BqSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`BqsimError::EmptyBatchRun`] when either count is zero and
-    /// [`BqsimError::DeviceOom`] if buffers exceed device memory.
+    /// As [`execute`](Self::execute).
     pub fn run_synthetic(
         &self,
         num_batches: usize,
         batch_size: usize,
     ) -> Result<RunResult, BqsimError> {
-        self.run_direct(&[], num_batches, batch_size, &CancelToken::new())
+        self.execute(&RunRequest::synthetic(num_batches, batch_size))
     }
 
-    fn run_direct(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        num_batches: usize,
-        batch_size: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunResult, BqsimError> {
-        let (run, faulted, _) = self.run_gates_faulted(
-            &self.gates,
-            batches,
-            num_batches,
-            batch_size,
-            0,
-            &FaultInjector::none(),
-            &[],
-            &RecoveryPolicy::no_recovery(),
-            cancel,
-        )?;
-        if faulted.cancelled_at.is_some() {
-            return Err(BqsimError::Cancelled);
+    /// Runs one request through the simulation task graph — the single
+    /// engine path behind every run.
+    ///
+    /// Injected faults are recovered per the request's policy. Transient
+    /// faults (kernel faults, copy corruption, hangs) are absorbed by
+    /// retry/backoff inside the engine, so with enough retries the outputs
+    /// are **bit-identical** to a fault-free run. An injected OOM walks the
+    /// degradation ladder: re-split the fused gates and convert on the CPU
+    /// (smaller device tables), then fall back to the dense host reference
+    /// for every batch. Tasks that exhaust their retries — and batches on a
+    /// lost device — are recomputed per batch on the host when
+    /// `policy.host_fallback` is set. A fault-free request runs the same
+    /// loop with an empty plan and [`RecoveryPolicy::no_recovery`].
+    ///
+    /// # Errors
+    ///
+    /// - [`BqsimError::MismatchedBatchSize`], [`BqsimError::BadInputLength`]
+    ///   and [`BqsimError::EmptyBatchRun`] when the batches are not a
+    ///   non-empty rectangle of `2^n`-amplitude states;
+    /// - [`BqsimError::Cancelled`] when the token fires mid-run (partial
+    ///   outputs are discarded; the campaign runner journals completed
+    ///   batches, so it never re-runs finished work);
+    /// - [`BqsimError::DeviceOom`] when allocation fails and the policy
+    ///   forbids the next ladder rung;
+    /// - [`BqsimError::RetriesExhausted`] / [`BqsimError::DeviceLost`] when
+    ///   batches fail permanently and `policy.host_fallback` is off (or
+    ///   outputs are not materialised).
+    pub fn execute(&self, req: &RunRequest) -> Result<RunResult, BqsimError> {
+        req.source.validate(self.num_qubits)?;
+        let run = self.execute_on(0, req)?;
+        if let Some(&batch) = run.health.failed_batches.first() {
+            if let Some(&device) = run.health.lost_devices.first() {
+                return Err(BqsimError::DeviceLost { device });
+            }
+            if let Some(e) = run
+                .health
+                .events
+                .iter()
+                .find(|e| e.resolution == Resolution::Exhausted)
+            {
+                return Err(BqsimError::RetriesExhausted {
+                    device: e.device,
+                    batch,
+                    task_label: e.label.clone(),
+                    attempts: e.attempt + 1,
+                });
+            }
         }
         Ok(run)
     }
 
+    /// Crate-internal: [`execute`](Self::execute) of an already validated
+    /// request as device `device` of a multi-device plan, except that
+    /// batches which cannot be absorbed locally are *reported* in
+    /// `health.failed_batches` instead of raised — the multi-GPU runner
+    /// drains that list by requeueing onto surviving devices.
+    pub(crate) fn execute_on(
+        &self,
+        device: usize,
+        req: &RunRequest,
+    ) -> Result<RunResult, BqsimError> {
+        let fault_free = (FaultPlan::new(), RecoveryPolicy::no_recovery());
+        let (plan, policy) = req.faults.unwrap_or((&fault_free.0, &fault_free.1));
+        let never = CancelToken::new();
+        let cancel = req.cancel.unwrap_or(&never);
+        let batches: &[&[Vec<Complex>]] = match &req.source {
+            BatchSource::Batches(b) => b,
+            BatchSource::Synthetic { .. } => &[],
+        };
+        let injector = FaultInjector::for_device(plan, device);
+        let mut traps = plan.oom_allocs(device);
+        let mut health = RunHealth::new();
+        let mut degraded_gates: Option<Vec<ConvertedGate>> = None;
+
+        let (mut run, faulted, kernels) = loop {
+            let gates = degraded_gates.as_deref().unwrap_or(&self.gates);
+            match self.run_gates_faulted(
+                gates,
+                &req.source,
+                device,
+                &injector,
+                &traps,
+                policy,
+                cancel,
+            ) {
+                Ok((run, faulted, high_water)) => {
+                    if faulted.cancelled_at.is_some() {
+                        return Err(BqsimError::Cancelled);
+                    }
+                    health.high_water_bytes.push((device, high_water));
+                    break (run, faulted, gates.len());
+                }
+                Err(BqsimError::DeviceOom { source, .. }) => {
+                    // Allocation order is deterministic, so the lowest armed
+                    // trap is the one that fired; disarm it so the next rung
+                    // can only be knocked down by a *different* injected OOM
+                    // (exactly-once accounting).
+                    let fired = traps.iter().copied().min();
+                    if let Some(alloc) = fired {
+                        traps.retain(|&a| a != alloc);
+                    }
+                    let can_resplit = policy.degrade && degraded_gates.is_none();
+                    if !can_resplit && !policy.host_fallback {
+                        return Err(BqsimError::DeviceOom {
+                            device,
+                            batch: None,
+                            source,
+                        });
+                    }
+                    if let Some(alloc) = fired {
+                        health.events.push(FaultEvent {
+                            device,
+                            kind: FaultKind::Oom { alloc },
+                            label: String::new(),
+                            attempt: 0,
+                            at_ns: 0,
+                            resolution: Resolution::Degraded,
+                        });
+                    }
+                    if can_resplit {
+                        health
+                            .degradations
+                            .push("re-split fused gates + CPU conversion".to_string());
+                        degraded_gates = Some(self.resplit_gates()?);
+                    } else {
+                        // Bottom rung: dense reference on the host.
+                        health.degradations.push("dense host fallback".to_string());
+                        health.degraded_batches.extend(0..req.source.counts().0);
+                        let mut run = self.idle_result();
+                        if self.opts.exec_mode == ExecMode::Functional {
+                            run.outputs = batches.iter().map(|b| self.dense_reference(b)).collect();
+                        }
+                        run.power.cpu_w = cpu_average_power_w(&self.opts.cpu, 1, 1.0);
+                        run.health = health;
+                        return Ok(run);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        };
+
+        health.events.extend(faulted.events.iter().cloned());
+        health.retries += faulted.retries;
+        health.backoff_ns += faulted.backoff_ns;
+        health.abandoned_tasks += faulted.abandoned.len() as u64;
+        if faulted.device_lost_at.is_some() {
+            health.lost_devices.push(device);
+        }
+
+        let mut failed: Vec<usize> = faulted
+            .exhausted
+            .iter()
+            .chain(faulted.abandoned.iter())
+            .map(|t| schedule::batch_of_task(t.index(), kernels))
+            .collect();
+        failed.sort_unstable();
+        failed.dedup();
+
+        if !failed.is_empty() {
+            if policy.host_fallback && !run.outputs.is_empty() {
+                health
+                    .degradations
+                    .push("per-batch dense fallback".to_string());
+                for &b in &failed {
+                    run.outputs[b] = self.dense_reference(batches[b]);
+                }
+                health.degraded_batches.extend(failed.iter().copied());
+            } else {
+                health.failed_batches = failed;
+            }
+        }
+        run.health = health;
+        Ok(run)
+    }
+
+    /// Crate-internal: the result of a run that put no work on the device
+    /// — a multi-GPU device dealt no batch, or the dense host fallback
+    /// before it fills in outputs and host power.
+    pub(crate) fn idle_result(&self) -> RunResult {
+        RunResult {
+            outputs: Vec::new(),
+            timeline: Timeline::default(),
+            breakdown: self.compile_breakdown(),
+            power: PowerReport {
+                cpu_w: 0.0,
+                gpu_w: 0.0,
+                duration_ns: 0,
+            },
+            health: RunHealth::new(),
+        }
+    }
+
+    /// A seeded single-device fault plan sized to this simulator's run of
+    /// `num_batches` batches: task faults land among the schedule's tasks
+    /// and OOMs among the device allocations one run makes. The CLI,
+    /// campaigns and tests draw every seeded plan here, so the run's fault
+    /// surface has one owner.
+    pub fn seeded_fault_plan(
+        &self,
+        seed: u64,
+        num_batches: usize,
+        budget: &FaultBudget,
+    ) -> FaultPlan {
+        let tasks = num_batches * schedule::tasks_per_batch(self.gates.len());
+        FaultPlan::seeded(seed, 1, tasks, Self::RUN_ALLOC_SITES, budget)
+    }
+
+    /// Device allocations one [`run_gates_faulted`](Self::run_gates_faulted)
+    /// makes, in order: four state buffers, then the gate-table
+    /// reservation. Injected OOMs index into this sequence.
+    const RUN_ALLOC_SITES: usize = 5;
+
     /// One engine pass over `gates` with fault hooks armed. Returns the
     /// run, the engine's fault account, and the device memory high-water
-    /// mark. The fault-free paths call this with an empty injector.
+    /// mark. `source` must already be validated.
     #[allow(clippy::too_many_arguments)]
     fn run_gates_faulted(
         &self,
         gates: &[ConvertedGate],
-        batches: &[Vec<Vec<Complex>>],
-        num_batches: usize,
-        batch_size: usize,
+        source: &BatchSource,
         device: usize,
         injector: &FaultInjector,
         oom_allocs: &[usize],
         policy: &RecoveryPolicy,
         cancel: &CancelToken,
     ) -> Result<(RunResult, FaultedRun, u64), BqsimError> {
-        if num_batches == 0 || batch_size == 0 {
-            return Err(BqsimError::EmptyBatchRun {
-                num_batches,
-                batch_size,
-            });
-        }
+        let (num_batches, batch_size) = source.counts();
         let dim = 1usize << self.num_qubits;
         let elems = dim * batch_size;
         let precision = self.opts.effective_precision();
         let width = precision.storage_bytes();
         let bytes_per_batch = (elems * width) as u64;
-        let functional = !batches.is_empty() && self.opts.exec_mode == ExecMode::Functional;
+        let batches: &[&[Vec<Complex>]] = match source {
+            BatchSource::Batches(b) if self.opts.exec_mode == ExecMode::Functional => b,
+            _ => &[],
+        };
+        let functional = !batches.is_empty();
 
         let layout = self.opts.effective_layout();
         let engine = Engine::new(self.opts.device.clone());
@@ -737,11 +912,12 @@ impl BqSimulator {
             batch: None,
             source,
         };
-        // Device residency: four state buffers plus the gate tables. The
-        // narrow precisions genuinely halve the state-buffer residency
-        // (and the H2D/D2H traffic `bytes_per_batch` models above); the
-        // allocation *sequence* is width-independent so injected OOM
-        // traps fire at the same indices in every precision.
+        // Device residency: four state buffers plus the gate tables — the
+        // `RUN_ALLOC_SITES` sequence. The narrow precisions genuinely halve
+        // the state-buffer residency (and the H2D/D2H traffic
+        // `bytes_per_batch` models above); the allocation *sequence* is
+        // width-independent so injected OOM traps fire at the same indices
+        // in every precision.
         let buffers = [
             mem.alloc_amp(elems, layout, width).map_err(oom)?,
             mem.alloc_amp(elems, layout, width).map_err(oom)?,
@@ -762,7 +938,7 @@ impl BqSimulator {
                     // packed Vec, the H2D copy becomes a plane memcpy, and
                     // in the narrow precisions each amplitude rounds exactly
                     // once, here.
-                    host.alloc_staged_amp(&batches[b], layout, width)
+                    host.alloc_staged_amp(batches[b], layout, width)
                 } else {
                     host.alloc_zeroed(0)
                 }
@@ -861,262 +1037,24 @@ impl BqSimulator {
                 timeline,
                 breakdown,
                 power,
+                health: RunHealth::new(),
             },
             faulted,
             high_water,
         ))
     }
 
-    /// Runs batches under an injected [`FaultPlan`], recovering per
-    /// `policy`, and reports a [`RunHealth`] account alongside the result.
-    ///
-    /// Transient faults (kernel faults, copy corruption, hangs) are
-    /// absorbed by retry/backoff inside the engine, so with enough retries
-    /// the outputs are **bit-identical** to a fault-free run. An injected
-    /// OOM walks the degradation ladder: re-split the fused gates and
-    /// convert on the CPU (smaller device tables), then fall back to the
-    /// dense host reference for every batch. Tasks that exhaust their
-    /// retries — and batches on a lost device — are recomputed per batch on
-    /// the host when `policy.host_fallback` is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BqsimError::BadInputLength`] on malformed inputs,
-    /// [`BqsimError::DeviceOom`] when allocation fails and the policy
-    /// forbids the next ladder rung, [`BqsimError::RetriesExhausted`] /
-    /// [`BqsimError::DeviceLost`] when batches fail permanently and
-    /// `policy.host_fallback` is off (or outputs are not materialised).
-    pub fn run_batches_recovering(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> Result<RecoveredRun, BqsimError> {
-        self.run_batches_recovering_cancellable(batches, plan, policy, &CancelToken::new())
-    }
-
-    /// [`run_batches_recovering`](Self::run_batches_recovering) under a
-    /// cooperative [`CancelToken`].
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`run_batches_recovering`](Self::run_batches_recovering)'
-    /// errors, returns [`BqsimError::Cancelled`] when the token fires;
-    /// partial outputs are discarded.
-    pub fn run_batches_recovering_cancellable(
-        &self,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<RecoveredRun, BqsimError> {
-        let rec = self.run_batches_recovering_cancellable_on(0, batches, plan, policy, cancel)?;
-        if let Some(&batch) = rec.health.failed_batches.first() {
-            if let Some(&device) = rec.health.lost_devices.first() {
-                return Err(BqsimError::DeviceLost { device });
-            }
-            if let Some(e) = rec
-                .health
-                .events
-                .iter()
-                .find(|e| e.resolution == Resolution::Exhausted)
-            {
-                return Err(BqsimError::RetriesExhausted {
-                    device: e.device,
-                    batch,
-                    task_label: e.label.clone(),
-                    attempts: e.attempt + 1,
-                });
-            }
-        }
-        Ok(rec)
-    }
-
-    /// [`run_batches_recovering`](Self::run_batches_recovering) for device
-    /// `device` of a multi-device plan, with one difference: batches that
-    /// cannot be absorbed locally are *reported* in `health.failed_batches`
-    /// instead of raised as errors — the multi-GPU runner drains that list
-    /// by requeueing onto surviving devices.
-    pub fn run_batches_recovering_on(
-        &self,
-        device: usize,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> Result<RecoveredRun, BqsimError> {
-        self.run_batches_recovering_cancellable_on(
-            device,
-            batches,
-            plan,
-            policy,
-            &CancelToken::new(),
-        )
-    }
-
-    /// [`run_batches_recovering_on`](Self::run_batches_recovering_on) under
-    /// a cooperative [`CancelToken`], polled at task boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Additionally returns [`BqsimError::Cancelled`] when the token fires
-    /// mid-run; partial outputs are discarded.
-    pub fn run_batches_recovering_cancellable_on(
-        &self,
-        device: usize,
-        batches: &[Vec<Vec<Complex>>],
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<RecoveredRun, BqsimError> {
-        let batch_size = self.validate_batches(batches)?;
-        let num_batches = batches.len();
-        let injector = FaultInjector::for_device(plan, device);
-        let mut traps = plan.oom_allocs(device);
-        let mut health = RunHealth::new();
-        let mut degraded_gates: Option<Vec<ConvertedGate>> = None;
-
-        let (result, faulted, kernels) = loop {
-            let gates = degraded_gates.as_deref().unwrap_or(&self.gates);
-            match self.run_gates_faulted(
-                gates,
-                batches,
-                num_batches,
-                batch_size,
-                device,
-                &injector,
-                &traps,
-                policy,
-                cancel,
-            ) {
-                Ok((run, faulted, high_water)) => {
-                    if faulted.cancelled_at.is_some() {
-                        return Err(BqsimError::Cancelled);
-                    }
-                    health.high_water_bytes.push((device, high_water));
-                    break (run, faulted, gates.len());
-                }
-                Err(BqsimError::DeviceOom { source, .. }) => {
-                    // Allocation order is deterministic, so the lowest armed
-                    // trap is the one that fired; disarm it so the next rung
-                    // can only be knocked down by a *different* injected OOM
-                    // (exactly-once accounting).
-                    let fired = traps.iter().copied().min();
-                    if let Some(alloc) = fired {
-                        traps.retain(|&a| a != alloc);
-                    }
-                    let can_resplit = policy.degrade && degraded_gates.is_none();
-                    if !can_resplit && !policy.host_fallback {
-                        return Err(BqsimError::DeviceOom {
-                            device,
-                            batch: None,
-                            source,
-                        });
-                    }
-                    if let Some(alloc) = fired {
-                        health.events.push(FaultEvent {
-                            device,
-                            kind: FaultKind::Oom { alloc },
-                            label: String::new(),
-                            attempt: 0,
-                            at_ns: 0,
-                            resolution: Resolution::Degraded,
-                        });
-                    }
-                    if can_resplit {
-                        health
-                            .degradations
-                            .push("re-split fused gates + CPU conversion".to_string());
-                        degraded_gates = Some(self.resplit_gates());
-                    } else {
-                        // Bottom rung: dense reference on the host.
-                        health.degradations.push("dense host fallback".to_string());
-                        health.degraded_batches.extend(0..num_batches);
-                        let outputs = if self.opts.exec_mode == ExecMode::Functional {
-                            batches.iter().map(|b| self.dense_reference(b)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let run = RunResult {
-                            outputs,
-                            timeline: Timeline::default(),
-                            breakdown: self.compile_breakdown(),
-                            power: PowerReport {
-                                cpu_w: cpu_average_power_w(&self.opts.cpu, 1, 1.0),
-                                gpu_w: 0.0,
-                                duration_ns: 0,
-                            },
-                        };
-                        return Ok(RecoveredRun { run, health });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-
-        health.events.extend(faulted.events.iter().cloned());
-        health.retries += faulted.retries;
-        health.backoff_ns += faulted.backoff_ns;
-        health.abandoned_tasks += faulted.abandoned.len() as u64;
-        if faulted.device_lost_at.is_some() {
-            health.lost_devices.push(device);
-        }
-
-        let mut failed: Vec<usize> = faulted
-            .exhausted
-            .iter()
-            .chain(faulted.abandoned.iter())
-            .map(|t| schedule::batch_of_task(t.index(), kernels))
-            .collect();
-        failed.sort_unstable();
-        failed.dedup();
-
-        let mut run = result;
-        if !failed.is_empty() {
-            let materialised =
-                self.opts.exec_mode == ExecMode::Functional && !run.outputs.is_empty();
-            if policy.host_fallback && materialised {
-                health
-                    .degradations
-                    .push("per-batch dense fallback".to_string());
-                for &b in &failed {
-                    run.outputs[b] = self.dense_reference(&batches[b]);
-                }
-                health.degraded_batches.extend(failed.iter().copied());
-            } else {
-                health.failed_batches = failed;
-            }
-        }
-        Ok(RecoveredRun { run, health })
-    }
-
     /// Rung two of the degradation ladder: recompile the stored circuit
     /// with fusion disabled (each source gate keeps its small NZR
     /// footprint) and force the CPU conversion path, shrinking the
     /// device-resident gate tables an injected OOM said we cannot afford.
-    fn resplit_gates(&self) -> Vec<ConvertedGate> {
-        let n = self.num_qubits;
-        let mut dd = DdPackage::new();
-        let lowered = lower_circuit(&self.circuit);
-        let fused: Vec<FusedGate> = if lowered.is_empty() {
-            let id = dd.identity(n);
-            vec![FusedGate::classify(&mut dd, id, n, 0)]
-        } else {
-            fusion::classify_gates(&mut dd, n, &lowered)
+    fn resplit_gates(&self) -> Result<Vec<ConvertedGate>, BqsimError> {
+        let opts = BqSimOptions {
+            skip_fusion: true,
+            force_conversion: Some(ConversionMethod::Cpu),
+            ..self.opts.clone()
         };
-        let converter = HybridConverter::new(
-            self.opts.tau,
-            self.opts.device.clone(),
-            self.opts.cpu.clone(),
-        );
-        // Fresh DdPackage → fresh cache (edge ids are arena indices and
-        // must not cross packages); unfused circuits repeat gates heavily.
-        let mut cache = EllCache::new();
-        fused
-            .iter()
-            .map(|g| {
-                converter.convert_with_cached(&mut cache, &mut dd, g, n, ConversionMethod::Cpu)
-            })
-            .collect()
+        Ok(BqSimulator::compile(&self.circuit, opts)?.gates)
     }
 
     /// The dense host reference for one batch — the bottom of the
@@ -1174,6 +1112,11 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    fn two_gpus(circuit: &Circuit) -> crate::MultiGpuRunner {
+        let devices = vec![DeviceSpec::rtx_a6000(); 2];
+        crate::MultiGpuRunner::compile(circuit, &BqSimOptions::default(), devices).unwrap()
     }
 
     fn assert_outputs_match(circuit: &Circuit, opts: BqSimOptions) {
@@ -1392,6 +1335,26 @@ mod tests {
                 got: 3
             })
         ));
+        // Across devices the error names the *global* batch index, even
+        // when each device's share is rectangular on its own.
+        let runner = two_gpus(&circuit);
+        assert!(matches!(
+            runner.execute(&RunRequest::batches(&ragged)),
+            Err(BqsimError::MismatchedBatchSize {
+                batch_index: 2,
+                expected: 2,
+                got: 3
+            })
+        ));
+        let pair = vec![random_input_batch(3, 3, 0), random_input_batch(3, 4, 1)];
+        assert!(matches!(
+            runner.execute(&RunRequest::batches(&pair)),
+            Err(BqsimError::MismatchedBatchSize {
+                batch_index: 1,
+                expected: 3,
+                got: 4
+            })
+        ));
     }
 
     #[test]
@@ -1399,6 +1362,13 @@ mod tests {
         let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
         assert!(matches!(
             sim.run_batches(&[]),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 0,
+                batch_size: 0
+            })
+        ));
+        assert!(matches!(
+            two_gpus(&generators::ghz(3)).execute(&RunRequest::batches(&[])),
             Err(BqsimError::EmptyBatchRun {
                 num_batches: 0,
                 batch_size: 0
@@ -1416,6 +1386,13 @@ mod tests {
                 batch_size: 0
             })
         ));
+        assert!(matches!(
+            two_gpus(&generators::ghz(3)).execute(&RunRequest::batches(&[vec![]])),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 1,
+                batch_size: 0
+            })
+        ));
     }
 
     #[test]
@@ -1423,6 +1400,13 @@ mod tests {
         let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
         assert!(matches!(
             sim.run_synthetic(0, 8),
+            Err(BqsimError::EmptyBatchRun {
+                num_batches: 0,
+                batch_size: 8
+            })
+        ));
+        assert!(matches!(
+            two_gpus(&generators::ghz(3)).execute(&RunRequest::synthetic(0, 8)),
             Err(BqsimError::EmptyBatchRun {
                 num_batches: 0,
                 batch_size: 8
@@ -1439,32 +1423,38 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         assert!(matches!(
-            sim.run_batches_cancellable(&batches, &cancel),
+            sim.execute(&RunRequest {
+                cancel: Some(&cancel),
+                ..RunRequest::batches(&batches)
+            }),
             Err(BqsimError::Cancelled)
         ));
         // A fresh token changes nothing about the result.
         let clean = sim.run_batches(&batches).unwrap();
+        let fresh = CancelToken::new();
         let again = sim
-            .run_batches_cancellable(&batches, &CancelToken::new())
+            .execute(&RunRequest {
+                cancel: Some(&fresh),
+                ..RunRequest::batches(&batches)
+            })
             .unwrap();
         assert_eq!(clean.outputs, again.outputs);
     }
 
     #[test]
     fn transient_faults_recover_bit_identically() {
-        use bqsim_faults::{FaultBudget, FaultPlan, RecoveryPolicy};
+        use bqsim_faults::{FaultBudget, RecoveryPolicy};
         let circuit = generators::vqe(5, 3);
         let sim = BqSimulator::compile(&circuit, BqSimOptions::default()).unwrap();
         let batches: Vec<_> = (0..3).map(|b| random_input_batch(5, 4, b as u64)).collect();
         let clean = sim.run_batches(&batches).unwrap();
-        let tasks = batches.len() * schedule::tasks_per_batch(sim.gates().len());
-        let plan = FaultPlan::seeded(11, 1, tasks, 5, &FaultBudget::transient(2, 1, 2));
+        let plan = sim.seeded_fault_plan(11, batches.len(), &FaultBudget::transient(2, 1, 2));
         assert!(plan.is_transient() && !plan.is_empty());
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
         assert_eq!(
-            rec.run.outputs, clean.outputs,
+            rec.outputs, clean.outputs,
             "recovered outputs must be bit-identical to the fault-free run"
         );
         assert_eq!(
@@ -1497,18 +1487,15 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.push(0, FaultKind::Oom { alloc: 4 });
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
         assert_eq!(rec.health.count_of("oom"), 1);
         assert_eq!(
             rec.health.degradations,
             vec!["re-split fused gates + CPU conversion"]
         );
-        assert!(
-            rec.run.timeline.total_ns() > 0,
-            "rung two still runs on-device"
-        );
-        check(&rec.run.outputs);
+        assert!(rec.timeline.total_ns() > 0, "rung two still runs on-device");
+        check(&rec.outputs);
 
         // Two OOMs: the second knocks the re-split run down to the dense
         // host reference.
@@ -1516,7 +1503,7 @@ mod tests {
         plan.push(0, FaultKind::Oom { alloc: 0 })
             .push(0, FaultKind::Oom { alloc: 1 });
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
         assert_eq!(rec.health.count_of("oom"), 2);
         assert_eq!(
@@ -1524,7 +1511,27 @@ mod tests {
             Some("dense host fallback")
         );
         assert_eq!(rec.health.degraded_batches, vec![0, 1]);
-        check(&rec.run.outputs);
+        check(&rec.outputs);
+    }
+
+    #[test]
+    fn every_seeded_oom_lands_on_an_allocation_the_run_makes() {
+        use bqsim_faults::{FaultBudget, RecoveryPolicy};
+        let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
+        let batches = vec![random_input_batch(3, 2, 0)];
+        let budget = FaultBudget {
+            ooms: 1,
+            ..FaultBudget::default()
+        };
+        for seed in 0..32 {
+            let plan = sim.seeded_fault_plan(seed, batches.len(), &budget);
+            let run = sim
+                .execute(
+                    &RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()),
+                )
+                .unwrap();
+            assert_eq!(run.health.count_of("oom"), 1, "seed {seed}: {plan:?}");
+        }
     }
 
     #[test]
@@ -1542,7 +1549,7 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &policy)
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &policy))
             .unwrap();
         assert!(
             rec.health.degraded_batches.contains(&0),
@@ -1553,7 +1560,7 @@ mod tests {
         assert_eq!(rec.health.count_of("kernel-fault"), 2);
         assert!(rec.health.abandoned_tasks > 0);
         let want = reference_outputs(&circuit, &batches);
-        for (got_b, want_b) in rec.run.outputs.iter().zip(&want) {
+        for (got_b, want_b) in rec.outputs.iter().zip(&want) {
             for (got, want) in got_b.iter().zip(want_b) {
                 assert!(vectors_eq(got, want, 1e-9));
             }
@@ -1567,7 +1574,7 @@ mod tests {
             host_fallback: false,
             ..RecoveryPolicy::default()
         };
-        match sim.run_batches_recovering(&batches, &plan, &strict) {
+        match sim.execute(&RunRequest::batches(&batches).with_faults(&plan, &strict)) {
             Err(BqsimError::RetriesExhausted {
                 device,
                 batch,

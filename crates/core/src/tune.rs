@@ -160,7 +160,7 @@ pub fn tune_or_stored(
         }
     }
 
-    let opts = sim.opts();
+    let opts = &sim.opts;
     if opts.skip_ell || opts.generic_spmm {
         let resolved = sim.resolved_options();
         let record = TuningRecord {
@@ -406,7 +406,7 @@ mod tests {
         let store = bqsim_artifact::ArtifactStore::open(&dir).unwrap();
         let circuit = generators::vqe(4, 3);
         let (mut cold, _) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
-        let key = crate::artifact::artifact_key(&circuit, cold.opts());
+        let key = crate::artifact::artifact_key(&circuit, &cold.opts);
         let probed =
             tune_or_stored(&mut cold, Precision::F32, Some(1e-9), Some((&store, key))).unwrap();
         assert_eq!(probed.source, TuningSource::Probed);
@@ -453,7 +453,7 @@ mod tests {
         let store = bqsim_artifact::ArtifactStore::open(&dir).unwrap();
         let circuit = generators::ghz(3);
         let (mut sim, _) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
-        let key = crate::artifact::artifact_key(&circuit, sim.opts());
+        let key = crate::artifact::artifact_key(&circuit, &sim.opts);
         // Forge a stored f32 record (tuned under some looser budget)...
         sim.apply_tuning(&TuningRecord {
             precision: Precision::F32,
@@ -476,13 +476,13 @@ mod tests {
         assert_eq!(outcome.record.precision, Precision::F64);
         // A stored f64 record is exempt: f64 is the quarantine terminal.
         let (mut f64_warm, _) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
-        f64_warm.set_stored_tuning(Some(TuningRecord {
+        f64_warm.stored_tuning = Some(TuningRecord {
             precision: Precision::F64,
             layout: Layout::Planar,
             threads: 1,
             use_pattern: true,
             probe_ns: 1,
-        }));
+        });
         let outcome = tune_or_stored(&mut f64_warm, Precision::F32, Some(budget), None).unwrap();
         assert_eq!(outcome.source, TuningSource::Stored);
         assert_eq!(outcome.probes, 0);
@@ -495,7 +495,7 @@ mod tests {
         let store = bqsim_artifact::ArtifactStore::open(&dir).unwrap();
         let circuit = generators::ghz(3);
         let (mut sim, _) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
-        let key = crate::artifact::artifact_key(&circuit, sim.opts());
+        let key = crate::artifact::artifact_key(&circuit, &sim.opts);
         // Forge a stored f32 record, then demand at least f64.
         sim.apply_tuning(&TuningRecord {
             precision: Precision::F32,

@@ -39,7 +39,7 @@ use bqsim_campaign::{
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
     AuditVerdict, BqSimOptions, BqSimulator, CompileSource, CompileWall, FaultBudget, FaultPlan,
-    Precision, RecoveryPolicy, SeededDefect, StoreStats, TuneOutcome, TuningSource,
+    Precision, RecoveryPolicy, RunRequest, SeededDefect, StoreStats, TuneOutcome, TuningSource,
 };
 use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
@@ -145,10 +145,6 @@ struct FaultArgs {
     retries: Option<u32>,
     backoff: Option<u64>,
 }
-
-/// Allocation-sequence sites per run: four state buffers plus the
-/// gate-table reservation (mirrors the simulator's residency layout).
-const ALLOCS_PER_RUN: usize = 5;
 
 /// How `bqsim analyze` renders its report.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -438,11 +434,12 @@ fn parse_fault_plan(spec: &str) -> Result<FaultArgs, String> {
     Ok(fa)
 }
 
-/// Seeds the plan once the schedule size is known and applies any policy
-/// overrides from the spec.
+/// Seeds the plan for `num_batches` batches of `sim`'s schedule and
+/// applies any policy overrides from the spec.
 fn build_fault_setup(
     fa: &FaultArgs,
-    tasks_per_device: usize,
+    sim: &BqSimulator,
+    num_batches: usize,
     default_seed: u64,
 ) -> (FaultPlan, RecoveryPolicy) {
     let budget = FaultBudget {
@@ -452,13 +449,7 @@ fn build_fault_setup(
         ooms: fa.oom,
         device_losses: fa.loss,
     };
-    let plan = FaultPlan::seeded(
-        fa.seed.unwrap_or(default_seed),
-        1,
-        tasks_per_device,
-        ALLOCS_PER_RUN,
-        &budget,
-    );
+    let plan = sim.seeded_fault_plan(fa.seed.unwrap_or(default_seed), num_batches, &budget);
     let mut policy = RecoveryPolicy::default();
     if let Some(r) = fa.retries {
         policy.max_retries = r;
@@ -792,17 +783,12 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     // With a fault plan, also execute the schedule under injection and
     // verify the *recovery* schedule introduces no hazards.
     if let Some(fa) = &args.fault_plan {
-        let tasks_per_device = args.batches * (pipeline.gates_checked + 2);
-        let (plan, policy) = build_fault_setup(fa, tasks_per_device, args.seed);
-        let diags = bqsim_core::analyze_recovery(
-            circuit,
-            &opts,
-            args.batches,
-            args.batch_size,
-            &plan,
-            &policy,
-        )
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+        let sim = BqSimulator::compile(circuit, opts.clone())
+            .map_err(|e| CliError::Sim(e.to_string()))?;
+        let (plan, policy) = build_fault_setup(fa, &sim, args.batches, args.seed);
+        let diags =
+            bqsim_core::analyze_recovery(&sim, args.batches, args.batch_size, &plan, &policy)
+                .map_err(|e| CliError::Sim(e.to_string()))?;
         report.push_section(
             "recovery schedule",
             format!("executed under {} injected fault(s)", plan.len()),
@@ -851,8 +837,7 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
         hang: 1,
         ..FaultArgs::default()
     });
-    let tasks_per_device = args.batches * (sim.gates().len() + 2);
-    let (plan, policy) = build_fault_setup(&fa, tasks_per_device, args.seed);
+    let (plan, policy) = build_fault_setup(&fa, &sim, args.batches, args.seed);
     println!(
         "\ninjecting {} fault(s) (seed {}), max {} retries:",
         plan.len(),
@@ -864,21 +849,21 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
     }
 
     let rec = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .execute(&RunRequest::batches(&batches).with_faults(&plan, &policy))
         .map_err(|e| CliError::Sim(e.to_string()))?;
     println!(
         "\nfaulted run: {:.3} ms virtual\nhealth: {}",
-        rec.run.timeline.total_ms(),
+        rec.timeline.total_ms(),
         rec.health
     );
 
     if args.gantt {
         println!("device schedule ('x' marks failed attempts):");
-        println!("{}", rec.run.timeline.render_gantt(72));
+        println!("{}", rec.timeline.render_gantt(72));
     }
 
     let ok = if plan.is_transient() {
-        let identical = rec.run.outputs == clean.outputs;
+        let identical = rec.outputs == clean.outputs;
         println!(
             "recovered outputs bit-identical to fault-free run: {}",
             if identical { "yes" } else { "NO" }
@@ -1544,18 +1529,23 @@ fn run() -> Result<ExitCode, CliError> {
             }
         })
         .collect();
-    let result = if let Some(fa) = &args.fault_plan {
-        let tasks_per_device = args.batches * (sim.gates().len() + 2);
-        let (plan, policy) = build_fault_setup(fa, tasks_per_device, args.seed);
-        let rec = sim
-            .run_batches_recovering(&batches, &plan, &policy)
-            .map_err(|e| CliError::Sim(e.to_string()))?;
-        println!("injected {} fault(s); health: {}", plan.len(), rec.health);
-        rec.run
-    } else {
-        sim.run_batches(&batches)
-            .map_err(|e| CliError::Sim(e.to_string()))?
-    };
+    let faults = args
+        .fault_plan
+        .as_ref()
+        .map(|fa| build_fault_setup(fa, &sim, args.batches, args.seed));
+    let result = sim
+        .execute(&RunRequest {
+            faults: faults.as_ref().map(|(plan, policy)| (plan, policy)),
+            ..RunRequest::batches(&batches)
+        })
+        .map_err(|e| CliError::Sim(e.to_string()))?;
+    if let Some((plan, _)) = &faults {
+        println!(
+            "injected {} fault(s); health: {}",
+            plan.len(),
+            result.health
+        );
+    }
     println!(
         "simulated {} inputs in {:.3} ms virtual device time ({:.0} W GPU avg)",
         args.batches * args.batch_size,

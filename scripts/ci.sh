@@ -49,6 +49,17 @@ echo "==> bqsim analyze under injected faults (recovery schedule must be hazard-
 cargo run -q -p bqsim-serve --release --bin bqsim -- analyze \
     --family vqe --qubits 6 --batches 4 --fault-plan seed=42,kernel=2,copy=1,hang=1
 
+echo "==> bqsim faults (a recovering run must match the fault-free run bit-for-bit)"
+# Capture, then grep: the command must exit 0 and print the verdict.
+faults_out="$(cargo run -q -p bqsim-serve --release --bin bqsim -- faults \
+    --family vqe --qubits 6 --batches 4)"
+if ! printf '%s\n' "$faults_out" | grep -qF 'recovered outputs bit-identical to fault-free run: yes'; then
+    echo "FAIL: bqsim faults did not recover bit-identically:" >&2
+    printf '%s\n' "$faults_out" >&2
+    exit 1
+fi
+echo "    recovered outputs bit-identical to the fault-free run"
+
 echo "==> durable campaign interrupt-resume gate (digest must be bit-identical)"
 journal="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-XXXXXX.journal")"
 svc_root="$(mktemp -d "${TMPDIR:-/tmp}/bqsim-ci-serve-XXXXXX")"

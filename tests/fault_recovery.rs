@@ -5,18 +5,15 @@
 //! a device loss — with every injected fault accounted exactly once in the
 //! [`bqsim_faults::RunHealth`] report.
 
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, BqsimError, MultiGpuRunner};
+use bqsim_core::{
+    random_input_batch, BqSimOptions, BqSimulator, BqsimError, MultiGpuRunner, RunRequest,
+};
 use bqsim_faults::{FaultBudget, FaultKind, FaultPlan, RecoveryPolicy};
 use bqsim_gpu::DeviceSpec;
 use bqsim_num::approx::vectors_eq;
 use bqsim_num::Complex;
 use bqsim_qcir::{dense, generators, Circuit};
 use proptest::prelude::*;
-
-/// Task count of the single-device schedule: `batches × (H2D + L kernels + D2H)`.
-fn tasks_for(sim: &BqSimulator, num_batches: usize) -> usize {
-    num_batches * (sim.gates().len() + 2)
-}
 
 fn assert_matches_oracle(circuit: &Circuit, inputs: &[Vec<Complex>], outputs: &[Vec<Complex>]) {
     for (input, got) in inputs.iter().zip(outputs) {
@@ -53,13 +50,13 @@ proptest! {
         let clean = sim.run_batches(&batches).unwrap();
 
         let budget = FaultBudget::transient(kernel, copy, hang);
-        let plan = FaultPlan::seeded(fault_seed, 1, tasks_for(&sim, batches.len()), 5, &budget);
+        let plan = sim.seeded_fault_plan(fault_seed, batches.len(), &budget);
         prop_assert!(plan.is_transient());
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
 
-        prop_assert_eq!(&rec.run.outputs, &clean.outputs);
+        prop_assert_eq!(&rec.outputs, &clean.outputs);
         prop_assert_eq!(rec.health.fault_count(), plan.len());
         let planned = |pred: fn(&FaultKind) -> bool| {
             plan.specs().iter().filter(|s| pred(&s.kind)).count()
@@ -102,7 +99,7 @@ proptest! {
         let mut plan = FaultPlan::new();
         plan.push(1, FaultKind::DeviceLoss { at_task: lost_task });
         let rec = runner
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
 
         prop_assert_eq!(rec.health.count_of("device-loss"), 1);
@@ -134,12 +131,12 @@ proptest! {
             plan.push(0, FaultKind::Oom { alloc: a });
         }
         let rec = sim
-            .run_batches_recovering(&batches, &plan, &RecoveryPolicy::default())
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
         prop_assert_eq!(rec.health.count_of("oom"), ooms);
         prop_assert_eq!(rec.health.degradations.len(), ooms);
         prop_assert!(rec.health.failed_batches.is_empty());
-        for (batch_in, batch_out) in batches.iter().zip(&rec.run.outputs) {
+        for (batch_in, batch_out) in batches.iter().zip(&rec.outputs) {
             assert_matches_oracle(&circuit, batch_in, batch_out);
         }
     }
@@ -159,26 +156,20 @@ fn seed_matrix_recovery_is_deterministic() {
     let batches: Vec<_> = (0..3).map(|b| random_input_batch(5, 4, b)).collect();
     let clean = sim.run_batches(&batches).unwrap();
 
-    let plan = FaultPlan::seeded(
-        seed,
-        1,
-        tasks_for(&sim, batches.len()),
-        5,
-        &FaultBudget::transient(2, 1, 2),
-    );
+    let plan = sim.seeded_fault_plan(seed, batches.len(), &FaultBudget::transient(2, 1, 2));
     let policy = RecoveryPolicy::default();
     let rec1 = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .execute(&RunRequest::batches(&batches).with_faults(&plan, &policy))
         .unwrap();
     let rec2 = sim
-        .run_batches_recovering(&batches, &plan, &policy)
+        .execute(&RunRequest::batches(&batches).with_faults(&plan, &policy))
         .unwrap();
     assert_eq!(
         rec1.health, rec2.health,
         "seed {seed}: health must be deterministic"
     );
     assert_eq!(
-        rec1.run.outputs, clean.outputs,
+        rec1.outputs, clean.outputs,
         "seed {seed}: transient recovery must be bit-identical"
     );
     assert_eq!(rec1.health.fault_count(), plan.len(), "seed {seed}");
@@ -193,7 +184,8 @@ fn no_recovery_surfaces_structured_errors() {
     let batches = vec![random_input_batch(3, 2, 1)];
     let mut plan = FaultPlan::new();
     plan.push(0, FaultKind::KernelFault { task: 1 });
-    match sim.run_batches_recovering(&batches, &plan, &RecoveryPolicy::no_recovery()) {
+    let no_recovery = RecoveryPolicy::no_recovery();
+    match sim.execute(&RunRequest::batches(&batches).with_faults(&plan, &no_recovery)) {
         Err(BqsimError::RetriesExhausted {
             device,
             batch,

@@ -5,8 +5,10 @@
 //! cache: a layered circuit converts each distinct fused gate exactly once.
 
 use bqsim_core::kernels::EllSpmmKernel;
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, EllCache, HybridConverter};
-use bqsim_faults::{FaultBudget, FaultPlan, RecoveryPolicy};
+use bqsim_core::{
+    random_input_batch, BqSimOptions, BqSimulator, EllCache, HybridConverter, RunRequest,
+};
+use bqsim_faults::{FaultBudget, RecoveryPolicy};
 use bqsim_gpu::{DeviceMemory, DeviceSpec, Kernel};
 use bqsim_num::Complex;
 use bqsim_qcir::{generators, Circuit};
@@ -85,17 +87,17 @@ proptest! {
         let batches = lane_batches(n, num_batches, circuit_seed);
         let serial_sim = BqSimulator::compile(&circuit, lane_opts(1)).unwrap();
         prop_assert!(effective_lanes(&serial_sim, LANE_BATCH, 2) > 1);
-        let tasks = batches.len() * (serial_sim.gates().len() + 2);
-        let plan = FaultPlan::seeded(fault_seed, 1, tasks, 5, &FaultBudget::transient(2, 1, 1));
+        let plan =
+            serial_sim.seeded_fault_plan(fault_seed, batches.len(), &FaultBudget::transient(2, 1, 1));
         let policy = RecoveryPolicy::default();
         let serial = serial_sim.run_batches(&batches).unwrap();
-        let serial_rec = serial_sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
-        prop_assert_eq!(&serial_rec.run.outputs, &serial.outputs);
+        let serial_rec = serial_sim.execute(&RunRequest::batches(&batches).with_faults(&plan, &policy)).unwrap();
+        prop_assert_eq!(&serial_rec.outputs, &serial.outputs);
         for threads in [2usize, 7] {
             let sim = BqSimulator::compile(&circuit, lane_opts(threads)).unwrap();
-            let rec = sim.run_batches_recovering(&batches, &plan, &policy).unwrap();
+            let rec = sim.execute(&RunRequest::batches(&batches).with_faults(&plan, &policy)).unwrap();
             prop_assert_eq!(
-                &rec.run.outputs, &serial.outputs,
+                &rec.outputs, &serial.outputs,
                 "{} threads diverged from one lane under fault recovery", threads
             );
             prop_assert_eq!(rec.health.fault_count(), serial_rec.health.fault_count());

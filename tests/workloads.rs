@@ -2,7 +2,7 @@
 //! introduction motivates, composed from the public APIs.
 
 use bqsim_core::multi_gpu::MultiGpuRunner;
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator};
+use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, RunRequest};
 use bqsim_gpu::DeviceSpec;
 use bqsim_num::approx::vectors_eq;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
@@ -92,16 +92,11 @@ fn multi_gpu_scaling_workload() {
         vec![DeviceSpec::rtx_a6000(); 4],
     )
     .unwrap();
-    let run1 = single.run_batches(&batches).unwrap();
-    let run4 = quad.run_batches(&batches).unwrap();
+    let run1 = single.execute(&RunRequest::batches(&batches)).unwrap();
+    let run4 = quad.execute(&RunRequest::batches(&batches)).unwrap();
     assert!(run4.makespan_ns < run1.makespan_ns);
-    let out1 = single.gather_outputs(&run1, batches.len());
-    let out4 = quad.gather_outputs(&run4, batches.len());
-    for (a, b) in out1.iter().zip(&out4) {
-        for (x, y) in a.iter().zip(b) {
-            assert!(vectors_eq(x, y, 1e-12));
-        }
-    }
+    assert_eq!(run1.outputs.len(), batches.len());
+    assert_eq!(run1.outputs, run4.outputs, "devices must not change a bit");
 }
 
 /// A QASM program from text to sampled measurement outcomes — the full
