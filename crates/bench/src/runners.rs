@@ -1,13 +1,15 @@
-//! Shared simulator runners for the report binaries.
+//! Shared simulator runners for the reports.
 
 use crate::ReportParams;
 use bqsim_baselines::aer::{AerOptions, QiskitAerLike};
 use bqsim_baselines::cuq::{CuQuantumLike, GateSource};
 use bqsim_baselines::flatdd::FlatDdLike;
-use bqsim_core::{BqSimOptions, BqSimulator};
+use bqsim_baselines::BaselineError;
+use bqsim_core::{BqSimOptions, BqSimulator, BqsimError};
 use bqsim_gpu::{CpuSpec, DeviceSpec};
 use bqsim_qcir::generators::SuiteEntry;
 use bqsim_qcir::Circuit;
+use std::error::Error;
 
 /// Builds the circuit of a suite entry under the report parameters.
 pub fn build_circuit(entry: &SuiteEntry, params: &ReportParams) -> Circuit {
@@ -16,11 +18,63 @@ pub fn build_circuit(entry: &SuiteEntry, params: &ReportParams) -> Circuit {
 
 /// Compiles BQSim with default options.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if compilation fails (suite circuits are never empty).
-pub fn compile_bqsim(circuit: &Circuit) -> BqSimulator {
-    BqSimulator::compile(circuit, BqSimOptions::default()).expect("suite circuit compiles")
+/// As [`BqSimulator::compile`].
+pub fn compile_bqsim(circuit: &Circuit) -> Result<BqSimulator, BqsimError> {
+    BqSimulator::compile(circuit, BqSimOptions::default())
+}
+
+/// Compiles the cuQuantum-like baseline from `source` gates, timing-only,
+/// on the paper's RTX A6000 + i7-11700 host.
+///
+/// # Errors
+///
+/// As [`CuQuantumLike::compile`]: a dense gate that exceeds device memory.
+pub fn compile_cuquantum(
+    circuit: &Circuit,
+    source: GateSource,
+) -> Result<CuQuantumLike, BaselineError> {
+    CuQuantumLike::compile(
+        circuit,
+        source,
+        DeviceSpec::rtx_a6000(),
+        CpuSpec::i7_11700(),
+        false,
+    )
+}
+
+/// The four simulators of Tables 2 and 3, compiled for one circuit.
+pub struct Simulators {
+    /// BQSim with default options.
+    pub bqsim: BqSimulator,
+    /// cuQuantum-like on unfused gates.
+    pub cuquantum: CuQuantumLike,
+    /// Qiskit-Aer-like with its default fusion.
+    pub aer: QiskitAerLike,
+    /// FlatDD-like on 16 CPU threads.
+    pub flatdd: FlatDdLike,
+}
+
+impl Simulators {
+    /// Compiles all four simulators for `circuit`.
+    ///
+    /// # Errors
+    ///
+    /// The first compile error of BQSim or cuQuantum.
+    pub fn compile(circuit: &Circuit) -> Result<Self, Box<dyn Error>> {
+        Ok(Simulators {
+            bqsim: compile_bqsim(circuit)?,
+            cuquantum: compile_cuquantum(circuit, GateSource::Unfused)?,
+            aer: QiskitAerLike::compile(
+                circuit,
+                DeviceSpec::rtx_a6000(),
+                CpuSpec::i7_11700(),
+                AerOptions::default(),
+            ),
+            flatdd: FlatDdLike::compile(circuit, CpuSpec::i7_11700(), 16),
+        })
+    }
 }
 
 /// All four simulators' end-to-end virtual times for one circuit.
@@ -37,42 +91,27 @@ pub struct SimulatorTimes {
 }
 
 /// Runs the Table 2 comparison for one circuit.
-pub fn table2_times(circuit: &Circuit, params: &ReportParams) -> SimulatorTimes {
-    let sim = compile_bqsim(circuit);
-    let run = sim
-        .run_synthetic(params.batches, params.batch_size)
-        .expect("synthetic run fits device");
-    let bqsim_ns = run.breakdown.total_ns();
-
-    let cuq = CuQuantumLike::compile(
-        circuit,
-        GateSource::Unfused,
-        DeviceSpec::rtx_a6000(),
-        CpuSpec::i7_11700(),
-        false,
-    )
-    .expect("unfused gates always fit");
-    let cuquantum_ns = cuq
-        .run_synthetic(params.batches, params.batch_size)
-        .total_ns;
-
-    let aer = QiskitAerLike::compile(
-        circuit,
-        DeviceSpec::rtx_a6000(),
-        CpuSpec::i7_11700(),
-        AerOptions::default(),
-    );
-    let aer_ns = aer.run_synthetic(params.total_inputs()).total_ns;
-
-    let flatdd = FlatDdLike::compile(circuit, CpuSpec::i7_11700(), 16);
-    let flatdd_ns = flatdd.run_synthetic(params.total_inputs()).total_ns;
-
-    SimulatorTimes {
-        bqsim_ns,
-        cuquantum_ns,
-        aer_ns,
-        flatdd_ns,
-    }
+///
+/// # Errors
+///
+/// A compile error, or BQSim's run error (e.g. a batch beyond device
+/// memory).
+pub fn table2_times(
+    circuit: &Circuit,
+    params: &ReportParams,
+) -> Result<SimulatorTimes, Box<dyn Error>> {
+    let sims = Simulators::compile(circuit)?;
+    let (batches, batch_size) = (params.batches, params.batch_size);
+    Ok(SimulatorTimes {
+        bqsim_ns: sims
+            .bqsim
+            .run_synthetic(batches, batch_size)?
+            .breakdown
+            .total_ns(),
+        cuquantum_ns: sims.cuquantum.run_synthetic(batches, batch_size).total_ns,
+        aer_ns: sims.aer.run_synthetic(params.total_inputs()).total_ns,
+        flatdd_ns: sims.flatdd.run_synthetic(params.total_inputs()).total_ns,
+    })
 }
 
 /// All four simulators' #MAC per input for one circuit (Table 3).
@@ -89,29 +128,18 @@ pub struct MacCounts {
 }
 
 /// Computes Table 3's per-input #MAC for one circuit.
-pub fn table3_macs(circuit: &Circuit) -> MacCounts {
-    let sim = compile_bqsim(circuit);
-    let cuq = CuQuantumLike::compile(
-        circuit,
-        GateSource::Unfused,
-        DeviceSpec::rtx_a6000(),
-        CpuSpec::i7_11700(),
-        false,
-    )
-    .expect("unfused gates always fit");
-    let aer = QiskitAerLike::compile(
-        circuit,
-        DeviceSpec::rtx_a6000(),
-        CpuSpec::i7_11700(),
-        AerOptions::default(),
-    );
-    let flatdd = FlatDdLike::compile(circuit, CpuSpec::i7_11700(), 16);
-    MacCounts {
-        bqsim: sim.mac_per_input(),
-        cuquantum: cuq.mac_per_input(),
-        aer: aer.mac_per_input(),
-        flatdd: flatdd.mac_per_input(),
-    }
+///
+/// # Errors
+///
+/// As [`Simulators::compile`].
+pub fn table3_macs(circuit: &Circuit) -> Result<MacCounts, Box<dyn Error>> {
+    let sims = Simulators::compile(circuit)?;
+    Ok(MacCounts {
+        bqsim: sims.bqsim.mac_per_input(),
+        cuquantum: sims.cuquantum.mac_per_input(),
+        aer: sims.aer.mac_per_input(),
+        flatdd: sims.flatdd.mac_per_input(),
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +155,7 @@ mod tests {
             ..ReportParams::default()
         };
         let circuit = generators::routing(6, 1);
-        let t = table2_times(&circuit, &params);
+        let t = table2_times(&circuit, &params).unwrap();
         assert!(t.bqsim_ns < t.cuquantum_ns);
         assert!(t.bqsim_ns < t.aer_ns);
         assert!(t.bqsim_ns < t.flatdd_ns);
@@ -136,7 +164,7 @@ mod tests {
     #[test]
     fn table3_macs_match_paper_for_routing6() {
         let circuit = generators::routing(6, 1);
-        let m = table3_macs(&circuit);
+        let m = table3_macs(&circuit).unwrap();
         // Paper Table 3, Routing n=6: cuQuantum 9 984, BQSim 3 072.
         assert_eq!(m.cuquantum, 9984);
         assert!(m.bqsim <= m.flatdd);

@@ -277,29 +277,6 @@ impl fmt::Display for Complex {
     }
 }
 
-// Hand-written (de)serialisation against the workspace serde shim's value
-// model, mirroring what `#[derive(Serialize, Deserialize)]` would emit:
-// a struct maps to `{"re": …, "im": …}`.
-#[cfg(feature = "serde")]
-impl serde::Serialize for Complex {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("re", serde::Serialize::to_value(&self.re)),
-            ("im", serde::Serialize::to_value(&self.im)),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for Complex {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Complex {
-            re: serde::field(v, "re")?,
-            im: serde::field(v, "im")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

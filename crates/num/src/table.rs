@@ -274,22 +274,6 @@ impl Default for ComplexTable {
     }
 }
 
-// Hand-written (de)serialisation against the workspace serde shim:
-// a newtype struct maps to its inner value, like serde's derive.
-#[cfg(feature = "serde")]
-impl serde::Serialize for CIdx {
-    fn to_value(&self) -> serde::Value {
-        serde::Serialize::to_value(&self.0)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for CIdx {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        serde::Deserialize::from_value(v).map(CIdx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

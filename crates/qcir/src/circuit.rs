@@ -277,30 +277,6 @@ impl Extend<Gate> for Circuit {
     }
 }
 
-// Hand-written (de)serialisation against the workspace serde shim: the
-// struct-as-object encoding serde's derive would produce.
-#[cfg(feature = "serde")]
-impl serde::Serialize for Circuit {
-    fn to_value(&self) -> serde::Value {
-        serde::object([
-            ("name", serde::Serialize::to_value(&self.name)),
-            ("num_qubits", serde::Serialize::to_value(&self.num_qubits)),
-            ("gates", serde::Serialize::to_value(&self.gates)),
-        ])
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for Circuit {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Circuit {
-            name: serde::field(v, "name")?,
-            num_qubits: serde::field(v, "num_qubits")?,
-            gates: serde::field(v, "gates")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -397,165 +397,6 @@ impl fmt::Display for Gate {
     }
 }
 
-// Hand-written (de)serialisation against the workspace serde shim,
-// mirroring serde's derive encodings: unit enum variants as strings
-// (`"Cx"`), newtype variants as single-key objects (`{"Rx": 0.5}`), tuple
-// variants as single-key objects holding arrays (`{"U": [a, b, c]}`).
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::{Gate, GateKind};
-    use serde::{field, object, Deserialize, Error, Serialize, Value};
-
-    fn unit(name: &str) -> Value {
-        Value::String(name.to_string())
-    }
-
-    fn newtype(name: &'static str, x: f64) -> Value {
-        object([(name, x.to_value())])
-    }
-
-    impl Serialize for GateKind {
-        fn to_value(&self) -> Value {
-            use GateKind::*;
-            match self {
-                I => unit("I"),
-                H => unit("H"),
-                X => unit("X"),
-                Y => unit("Y"),
-                Z => unit("Z"),
-                S => unit("S"),
-                Sdg => unit("Sdg"),
-                T => unit("T"),
-                Tdg => unit("Tdg"),
-                Sx => unit("Sx"),
-                Sxdg => unit("Sxdg"),
-                Sy => unit("Sy"),
-                Sydg => unit("Sydg"),
-                Sw => unit("Sw"),
-                Swdg => unit("Swdg"),
-                Cx => unit("Cx"),
-                Cz => unit("Cz"),
-                Swap => unit("Swap"),
-                Iswap => unit("Iswap"),
-                Ccx => unit("Ccx"),
-                Cswap => unit("Cswap"),
-                Rx(t) => newtype("Rx", *t),
-                Ry(t) => newtype("Ry", *t),
-                Rz(t) => newtype("Rz", *t),
-                Phase(t) => newtype("Phase", *t),
-                Cp(t) => newtype("Cp", *t),
-                Crz(t) => newtype("Crz", *t),
-                Cry(t) => newtype("Cry", *t),
-                Crx(t) => newtype("Crx", *t),
-                Rzz(t) => newtype("Rzz", *t),
-                Rxx(t) => newtype("Rxx", *t),
-                U(a, b, c) => object([(
-                    "U",
-                    Value::Array(vec![a.to_value(), b.to_value(), c.to_value()]),
-                )]),
-            }
-        }
-    }
-
-    impl Deserialize for GateKind {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            use GateKind::*;
-            match v {
-                Value::String(s) => match s.as_str() {
-                    "I" => Ok(I),
-                    "H" => Ok(H),
-                    "X" => Ok(X),
-                    "Y" => Ok(Y),
-                    "Z" => Ok(Z),
-                    "S" => Ok(S),
-                    "Sdg" => Ok(Sdg),
-                    "T" => Ok(T),
-                    "Tdg" => Ok(Tdg),
-                    "Sx" => Ok(Sx),
-                    "Sxdg" => Ok(Sxdg),
-                    "Sy" => Ok(Sy),
-                    "Sydg" => Ok(Sydg),
-                    "Sw" => Ok(Sw),
-                    "Swdg" => Ok(Swdg),
-                    "Cx" => Ok(Cx),
-                    "Cz" => Ok(Cz),
-                    "Swap" => Ok(Swap),
-                    "Iswap" => Ok(Iswap),
-                    "Ccx" => Ok(Ccx),
-                    "Cswap" => Ok(Cswap),
-                    other => Err(Error::custom(format!("unknown gate kind `{other}`"))),
-                },
-                Value::Object(map) => {
-                    let (name, inner) = map
-                        .iter()
-                        .next()
-                        .ok_or_else(|| Error::custom("empty gate-kind object".to_string()))?;
-                    let angle = || f64::from_value(inner);
-                    match name.as_str() {
-                        "Rx" => Ok(Rx(angle()?)),
-                        "Ry" => Ok(Ry(angle()?)),
-                        "Rz" => Ok(Rz(angle()?)),
-                        "Phase" => Ok(Phase(angle()?)),
-                        "Cp" => Ok(Cp(angle()?)),
-                        "Crz" => Ok(Crz(angle()?)),
-                        "Cry" => Ok(Cry(angle()?)),
-                        "Crx" => Ok(Crx(angle()?)),
-                        "Rzz" => Ok(Rzz(angle()?)),
-                        "Rxx" => Ok(Rxx(angle()?)),
-                        "U" => {
-                            let params = Vec::<f64>::from_value(inner)?;
-                            match params[..] {
-                                [a, b, c] => Ok(U(a, b, c)),
-                                _ => Err(Error::custom(format!(
-                                    "U expects 3 parameters, got {}",
-                                    params.len()
-                                ))),
-                            }
-                        }
-                        other => Err(Error::custom(format!("unknown gate kind `{other}`"))),
-                    }
-                }
-                other => Err(Error::custom(format!(
-                    "expected gate kind string/object, found {other:?}"
-                ))),
-            }
-        }
-    }
-
-    impl Serialize for Gate {
-        fn to_value(&self) -> Value {
-            object([
-                ("kind", self.kind.to_value()),
-                ("qubits", self.qubits.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for Gate {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            let kind: GateKind = field(v, "kind")?;
-            let qubits: Vec<usize> = field(v, "qubits")?;
-            if qubits.len() != kind.arity() {
-                return Err(Error::custom(format!(
-                    "gate {} expects {} qubit(s), got {}",
-                    kind.name(),
-                    kind.arity(),
-                    qubits.len()
-                )));
-            }
-            for (i, &q) in qubits.iter().enumerate() {
-                if qubits[..i].contains(&q) {
-                    return Err(Error::custom(format!(
-                        "gate {} applied to duplicate qubit {q}",
-                        kind.name()
-                    )));
-                }
-            }
-            Ok(Gate::new(kind, qubits))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

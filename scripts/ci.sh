@@ -29,6 +29,23 @@ cargo test --workspace -q
 echo "==> benchmark harness builds and passes against the current crate APIs"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
+echo "==> paper reports (table1 renders; a zero count is a usage error, exit 2)"
+table1_out="$(cargo run -q -p bqsim-bench --release --bin report -- table1)"
+if ! printf '%s\n' "$table1_out" | grep -qF '# Table 1'; then
+    echo "FAIL: report table1 did not print '# Table 1':" >&2
+    printf '%s\n' "$table1_out" >&2
+    exit 1
+fi
+set +e
+cargo run -q -p bqsim-bench --release --bin report -- table2 --batches 0 2>/dev/null
+report_rc=$?
+set -e
+if [ "$report_rc" -ne 2 ]; then
+    echo "FAIL: report table2 --batches 0 exited $report_rc, want 2 (usage error)" >&2
+    exit 1
+fi
+echo "    report table1 rendered; report table2 --batches 0 rejected (exit 2)"
+
 echo "==> fault-recovery seed matrix"
 for seed in 1 7 42 1234; do
     echo "    BQSIM_FAULT_SEED=$seed"
