@@ -158,14 +158,17 @@ pub enum StateMode {
 }
 
 impl StateMode {
-    fn token(self) -> &'static str {
+    /// The header's `state=` token (`full` or `checksum`), also used by
+    /// `bqsim run --journal-state` and the service manifest.
+    pub fn token(self) -> &'static str {
         match self {
             StateMode::Full => "full",
             StateMode::ChecksumOnly => "checksum",
         }
     }
 
-    fn parse(token: &str) -> Option<StateMode> {
+    /// Inverse of [`token`](Self::token); `None` for anything else.
+    pub fn parse(token: &str) -> Option<StateMode> {
         match token {
             "full" => Some(StateMode::Full),
             "checksum" => Some(StateMode::ChecksumOnly),
@@ -337,9 +340,8 @@ pub fn state_path(path: &Path) -> PathBuf {
 /// lets a group-commit caller amortize fsyncs over several records, as
 /// long as it preserves the write-ahead order: every staged slot must be
 /// `sync_state`'d **before** the record committing it is written to the
-/// journal file at all. The convenience methods [`append`](Self::append)
-/// and [`append_batch`](Self::append_batch) do one fully durable record
-/// per call.
+/// journal file at all. [`append`](Self::append) does one fully durable
+/// record per call.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -475,10 +477,9 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Durably appends one record (write + fsync). Use
-    /// [`append_batch`](Self::append_batch) for completions on a
-    /// full-mode journal — a bare `batch` record would commit a sidecar
-    /// slot that was never written.
+    /// Durably appends one record (write + fsync). On a full-mode journal
+    /// a `batch` record must follow its synced slot — a bare one would
+    /// commit a sidecar slot that was never written.
     ///
     /// # Errors
     ///
@@ -486,24 +487,6 @@ impl JournalWriter {
     pub fn append(&mut self, rec: &Record) -> Result<(), JournalError> {
         self.append_unsynced(rec)?;
         self.sync_journal()
-    }
-
-    /// Durably records the completion of batch `index`: writes and fsyncs
-    /// its sidecar slot, then appends and fsyncs the committing `batch`
-    /// record. `checksum` must be the FNV-1a of `state`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn append_batch(
-        &mut self,
-        index: usize,
-        checksum: u64,
-        state: &[u8],
-    ) -> Result<(), JournalError> {
-        self.write_slot(index, state)?;
-        self.sync_state()?;
-        self.append(&Record::Batch { index, checksum })
     }
 }
 
@@ -754,6 +737,17 @@ mod tests {
         std::fs::remove_file(state_path(path)).ok();
     }
 
+    /// Commits batch `index` durably: its slot first, then its record.
+    fn commit_slot(w: &mut JournalWriter, index: usize, slot: &[u8]) {
+        w.write_slot(index, slot).unwrap();
+        w.sync_state().unwrap();
+        w.append(&Record::Batch {
+            index,
+            checksum: fnv1a(slot),
+        })
+        .unwrap();
+    }
+
     #[test]
     fn header_and_records_roundtrip() {
         let path = tmp("roundtrip");
@@ -820,8 +814,8 @@ mod tests {
         let slot_b = vec![0xbbu8; 32];
         // Out-of-order completion (batch 2 before batch 0) must still put
         // every slot at `index * slot_bytes`.
-        w.append_batch(2, fnv1a(&slot_b), &slot_b).unwrap();
-        w.append_batch(0, fnv1a(&slot_a), &slot_a).unwrap();
+        commit_slot(&mut w, 2, &slot_b);
+        commit_slot(&mut w, 0, &slot_a);
         drop(w);
         assert_eq!(read_state_slot(&path, 0, 32).unwrap(), slot_a);
         assert_eq!(read_state_slot(&path, 2, 32).unwrap(), slot_b);

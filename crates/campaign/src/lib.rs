@@ -11,7 +11,7 @@
 //!   binary state sidecar, then appends an fsync'd record committing the
 //!   slot with its checksum. A crash can only tear the journal's tail
 //!   (detected and truncated) or an uncommitted slot (ignored).
-//! * **Resume** ([`run_campaign`] with
+//! * **Resume** ([`Campaign::open`] with
 //!   [`CampaignOptions::resume`]) — verifies the fingerprint, loads
 //!   completed batches bit-exactly from the journal, and runs only what
 //!   is left. Interrupted-and-resumed output is bit-identical to an
@@ -50,6 +50,6 @@ pub use journal::{
     StateMode,
 };
 pub use runner::{
-    execute_campaign_batch, plan_fingerprint, run_campaign, BatchOutcome, CampaignError,
-    CampaignOptions, CampaignResult, ExecutedBatch,
+    execute_campaign_batch, plan_fingerprint, run_campaign, BatchOutcome, BatchRun, Campaign,
+    CampaignError, CampaignOptions, CampaignOutputs, CampaignResult, ExecutedBatch,
 };

@@ -150,9 +150,10 @@ mod tests {
     }
 
     fn append_state(w: &mut JournalWriter, index: usize, batch: &[Vec<Complex>]) {
-        let bytes = encode_state(batch);
-        w.append_batch(index, state_checksum(batch), &bytes)
-            .unwrap();
+        w.write_slot(index, &encode_state(batch)).unwrap();
+        w.sync_state().unwrap();
+        let checksum = state_checksum(batch);
+        w.append(&Record::Batch { index, checksum }).unwrap();
     }
 
     #[test]

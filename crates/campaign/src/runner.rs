@@ -13,28 +13,28 @@
 //! resume proof possible: an interrupted-and-resumed campaign is
 //! *bit-identical* to an uninterrupted one, record for record.
 //!
+//! # One campaign path
+//!
+//! [`Campaign`] is the only code that opens, resumes, runs and settles a
+//! plan's batches. [`run_campaign`] drives one campaign serially; the
+//! `bqsim-serve` fleet interleaves the batches of many campaigns through
+//! the same [`Campaign::open`] / [`Campaign::run_batch`] calls, so a
+//! service digest equals the serial digest by construction.
+//!
 //! # The commit pipeline
 //!
-//! Both journaling modes **group-commit**: records accumulate for up to
-//! [`CampaignOptions::commit_interval`] and are then made durable with
-//! one fsync pair, so fsync cost is amortized over however many batches
-//! completed in the window. What differs is where the I/O runs:
-//!
-//! * [`StateMode::Full`] — durability I/O (state encode, sidecar write +
-//!   fsync, record append + fsync) runs on a dedicated persister thread,
-//!   pipelined behind the compute of later batches; the critical path
-//!   only hands each finished batch over by reference. The write-ahead
-//!   *order* is preserved group-wise — every staged sidecar slot is
-//!   fsync'd before the record committing it is written to the journal
-//!   file at all — so a journal record still proves durable state.
-//! * [`StateMode::ChecksumOnly`] — records are a few dozen bytes each,
-//!   so they are committed inline on the critical path: buffered in
-//!   memory (a `Vec` push) and written + fsync'd as one group when the
-//!   interval elapses. A persister thread would cost more in per-record
-//!   wakeups than it hides — on a single-core host it could never
-//!   overlap compute anyway — and holding the open group in memory
-//!   instead of the page cache changes nothing about crash durability,
-//!   which begins only at the fsync.
+//! A [`Campaign`] commits **synchronously** unless told otherwise: every
+//! record (and its sidecar slot) is fsync'd before
+//! [`Campaign::commit`] returns, on the calling thread — what the fleet
+//! wants, one shard at a time per submission on its device worker.
+//! [`run_campaign`] **group-commits** instead: records accumulate for up
+//! to [`CampaignOptions::commit_interval`] and are made durable with one
+//! fsync pair — staged sidecar slots first, then the records committing
+//! them, so a journal record still proves durable state. For
+//! [`StateMode::Full`] that I/O runs on a persister thread, pipelined
+//! behind later batches' compute. [`StateMode::ChecksumOnly`] records
+//! are a few dozen bytes, so they are buffered in memory and flushed
+//! inline: a thread's per-record wakeups would cost more than they hide.
 //!
 //! Group commit relaxes only *when* a record becomes durable: within one
 //! commit interval, and never later than the campaign's return (the
@@ -69,6 +69,7 @@ use bqsim_faults::CancelToken;
 use bqsim_gpu::ExecMode;
 use bqsim_num::Complex;
 use bqsim_qcir::Circuit;
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -283,51 +284,98 @@ impl From<BqsimError> for CampaignError {
 struct PersistMsg {
     rec: Record,
     /// The batch's output amplitudes, for the sidecar slot the record
-    /// commits — always `Some` for `batch` records in a
-    /// [`StateMode::Full`] journal, `None` for quarantines.
+    /// commits — `Some` for `batch` records in a [`StateMode::Full`]
+    /// journal, `None` otherwise.
     state: Option<Arc<Vec<Vec<Complex>>>>,
 }
 
-/// Flushes one commit group: fsync staged sidecar slots first, then
-/// append and fsync the records that commit them — the write-ahead order,
-/// amortized over the whole group.
-fn flush_group(
-    writer: &mut JournalWriter,
-    pending: &mut Vec<Record>,
-    state_dirty: &mut bool,
-) -> Result<(), JournalError> {
-    if pending.is_empty() && !*state_dirty {
-        return Ok(());
+/// One open commit group over a [`JournalWriter`]. Sidecar slots are
+/// staged as their batches arrive and records are held back; a flush
+/// fsyncs the staged slots first, then appends and fsyncs the records
+/// that commit them — the write-ahead order, amortized over the group.
+struct CommitGroup {
+    writer: JournalWriter,
+    interval: Duration,
+    /// The open group's records, held in memory until its deadline —
+    /// unsynced page-cache bytes were never durable either, so buffering
+    /// here changes write-syscall count, not crash semantics.
+    pending: Vec<Record>,
+    /// Whether a staged sidecar slot still needs its fsync.
+    state_dirty: bool,
+    /// Deadline of the open group; `None` when everything committed so
+    /// far is fsync'd.
+    flush_due: Option<Instant>,
+}
+
+impl CommitGroup {
+    fn new(writer: JournalWriter, interval: Duration) -> CommitGroup {
+        CommitGroup {
+            writer,
+            interval,
+            pending: Vec::new(),
+            state_dirty: false,
+            flush_due: None,
+        }
     }
-    if *state_dirty {
-        writer.sync_state()?;
-        *state_dirty = false;
+
+    /// Adds one record to the open group, staging the sidecar slot of a
+    /// `batch` record that carries its state.
+    fn stage(&mut self, rec: Record, state: Option<&[Vec<Complex>]>) -> Result<(), JournalError> {
+        if let (Some(state), Record::Batch { index, .. }) = (state, &rec) {
+            // By `state_checksum`'s construction, the record's checksum is
+            // exactly `fnv1a(&encode_state(state))`.
+            self.writer.write_slot(*index, &encode_state(state))?;
+            self.state_dirty = true;
+        }
+        self.pending.push(rec);
+        let interval = self.interval;
+        self.flush_due
+            .get_or_insert_with(|| Instant::now() + interval);
+        Ok(())
     }
-    for rec in pending.drain(..) {
-        writer.append_unsynced(&rec)?;
+
+    /// Makes the open group durable.
+    fn flush(&mut self) -> Result<(), JournalError> {
+        self.flush_due = None;
+        if self.pending.is_empty() && !self.state_dirty {
+            return Ok(());
+        }
+        if self.state_dirty {
+            self.writer.sync_state()?;
+            self.state_dirty = false;
+        }
+        for rec in self.pending.drain(..) {
+            self.writer.append_unsynced(&rec)?;
+        }
+        self.writer.sync_journal()
     }
-    writer.sync_journal()
+
+    /// Stages one record and flushes once the group's window has elapsed
+    /// — at once for a zero window.
+    fn commit(&mut self, rec: Record, state: Option<&[Vec<Complex>]>) -> Result<(), JournalError> {
+        self.stage(rec, state)?;
+        if self.flush_due.is_some_and(|due| Instant::now() >= due) {
+            self.flush()?;
+        }
+        Ok(())
+    }
 }
 
 /// Handle to the background persister thread (see the module docs'
-/// "commit pipeline" section). The thread owns the [`JournalWriter`],
-/// stages each message's sidecar slot on arrival, and group-commits the
-/// records on the configured interval.
+/// "commit pipeline" section). The thread owns the [`CommitGroup`],
+/// stages each message's sidecar slot on arrival, and flushes the group
+/// on the configured interval.
 struct Persister {
     tx: Option<mpsc::Sender<PersistMsg>>,
     handle: Option<thread::JoinHandle<Result<(), JournalError>>>,
 }
 
 impl Persister {
-    fn spawn(mut writer: JournalWriter, interval: Duration) -> Self {
+    fn spawn(mut group: CommitGroup) -> Self {
         let (tx, rx) = mpsc::channel::<PersistMsg>();
         let handle = thread::spawn(move || {
-            let mut pending: Vec<Record> = Vec::new();
-            let mut state_dirty = false;
-            // Deadline of the open commit group; `None` when empty.
-            let mut flush_due: Option<Instant> = None;
             loop {
-                let msg = match flush_due {
+                let msg = match group.flush_due {
                     None => match rx.recv() {
                         Ok(m) => Some(m),
                         Err(_) => break,
@@ -342,24 +390,13 @@ impl Persister {
                 };
                 match msg {
                     Some(PersistMsg { rec, state }) => {
-                        if let (Some(state), Record::Batch { index, .. }) = (state, &rec) {
-                            // By `state_checksum`'s construction, the
-                            // record's checksum is exactly
-                            // `fnv1a(&encode_state(&state))`.
-                            writer.write_slot(*index, &encode_state(&state))?;
-                            state_dirty = true;
-                        }
-                        pending.push(rec);
-                        flush_due.get_or_insert_with(|| Instant::now() + interval);
+                        group.stage(rec, state.as_deref().map(Vec::as_slice))?;
                     }
-                    None => {
-                        flush_group(&mut writer, &mut pending, &mut state_dirty)?;
-                        flush_due = None;
-                    }
+                    None => group.flush()?,
                 }
             }
             // Channel closed: the graceful drain's final flush.
-            flush_group(&mut writer, &mut pending, &mut state_dirty)
+            group.flush()
         });
         Persister {
             tx: Some(tx),
@@ -388,83 +425,43 @@ impl Persister {
     }
 }
 
-/// How the runner commits records, chosen by [`StateMode`]. Full mode
-/// pipelines the heavy state I/O onto the persister thread; checksum-only
-/// mode appends its few-dozen-byte records inline (a buffered write on
-/// the critical path) and fsyncs on the group-commit interval — for that
-/// traffic a thread's per-record wakeups cost more than they hide,
-/// especially on single-core hosts where the persister can never overlap
-/// compute anyway.
+/// How a campaign commits its records. A freshly opened [`Campaign`]
+/// commits `Inline` with a zero window: every record is durable before
+/// [`Campaign::commit`] returns, on the calling thread. [`run_campaign`]
+/// switches to group commit — `Pipelined` onto the persister thread for
+/// full-state journals, `Inline` on the commit interval for checksum-only
+/// ones, whose few-dozen-byte records cost a thread more in per-record
+/// wakeups than it hides (on a single-core host it could never overlap
+/// compute anyway).
 enum Committer {
     Pipelined(Persister),
-    Inline {
-        writer: JournalWriter,
-        interval: Duration,
-        /// The open commit group, held in memory until its deadline —
-        /// unsynced page-cache bytes were never durable either, so
-        /// buffering here changes write-syscall count, not crash
-        /// semantics.
-        pending: Vec<Record>,
-        /// Deadline of the open commit group; `None` when everything
-        /// committed so far is fsync'd.
-        flush_due: Option<Instant>,
-    },
+    Inline(CommitGroup),
 }
 
 impl Committer {
-    fn new(writer: JournalWriter, mode: StateMode, interval: Duration) -> Committer {
-        match mode {
-            StateMode::Full => Committer::Pipelined(Persister::spawn(writer, interval)),
-            StateMode::ChecksumOnly => Committer::Inline {
-                writer,
-                interval,
-                pending: Vec::new(),
-                flush_due: None,
-            },
-        }
-    }
-
-    /// Hands one record (plus, in full mode, the batch state its sidecar
-    /// slot needs) to the journal. `Ok(false)` means the pipelined
-    /// persister has died — its error surfaces in [`finish`](Self::finish).
+    /// `Ok(false)` means the pipelined persister has died — its error
+    /// surfaces in [`finish`](Self::finish).
     fn commit(
         &mut self,
         rec: Record,
-        state: Option<Arc<Vec<Vec<Complex>>>>,
+        state: Option<&Arc<Vec<Vec<Complex>>>>,
     ) -> Result<bool, JournalError> {
         match self {
-            Committer::Pipelined(p) => Ok(p.send(PersistMsg { rec, state })),
-            Committer::Inline {
-                writer,
-                interval,
-                pending,
-                flush_due,
-            } => {
-                pending.push(rec);
-                let now = Instant::now();
-                if now >= *flush_due.get_or_insert(now + *interval) {
-                    let mut no_state = false;
-                    flush_group(writer, pending, &mut no_state)?;
-                    *flush_due = None;
-                }
-                Ok(true)
-            }
+            Committer::Pipelined(p) => Ok(p.send(PersistMsg {
+                rec,
+                state: state.cloned(),
+            })),
+            Committer::Inline(group) => group
+                .commit(rec, state.map(|s| s.as_slice()))
+                .map(|()| true),
         }
     }
 
-    /// The graceful drain: everything committed becomes durable before
-    /// the campaign returns.
+    /// The graceful drain: everything committed becomes durable.
     fn finish(self) -> Result<(), JournalError> {
         match self {
             Committer::Pipelined(p) => p.join(),
-            Committer::Inline {
-                mut writer,
-                mut pending,
-                ..
-            } => {
-                let mut no_state = false;
-                flush_group(&mut writer, &mut pending, &mut no_state)
-            }
+            Committer::Inline(mut group) => group.flush(),
         }
     }
 }
@@ -481,17 +478,15 @@ pub struct ExecutedBatch {
     pub health: RunHealth,
 }
 
-/// Executes one batch of a campaign plan — the re-entrant core of
-/// [`run_campaign`]'s loop, exposed so external schedulers (the
-/// `bqsim-serve` fleet) can interleave batches of *different* campaigns
-/// while preserving the resume proof.
+/// Executes one batch of a campaign plan — the simulation step of
+/// [`Campaign::run_batch`], without its integrity check, `f64` retry or
+/// checksum.
 ///
 /// The computation is a pure function of the compiled plan and the batch
 /// index: with a fault seed, batch `index` draws its plan from
-/// `fault_seed ^ index` exactly as [`run_campaign`] does, so the same
-/// batch executed here — on any thread, in any order, interleaved with
-/// any other tenant's work — produces bit-identical outputs to a serial
-/// campaign of the same fingerprint.
+/// `fault_seed ^ index`, so the same batch executed here — on any thread,
+/// in any order, interleaved with any other tenant's work — produces
+/// bit-identical outputs to a serial campaign of the same fingerprint.
 ///
 /// # Errors
 ///
@@ -585,6 +580,287 @@ pub(crate) fn batch_dims(batches: &[Vec<Vec<Complex>>]) -> (usize, usize) {
     (batch_size, amps)
 }
 
+/// Output states of every batch of a campaign, `None` where a batch has
+/// none to offer (see [`CampaignResult::outputs`]).
+pub type CampaignOutputs = Vec<Option<Vec<Vec<Complex>>>>;
+
+/// One batch executed by [`Campaign::run_batch`], ready to commit.
+#[derive(Debug)]
+pub struct BatchRun {
+    /// The journal record that settles the batch: `batch` with its
+    /// output checksum, or `quarantine`.
+    pub record: Record,
+    /// A completed batch's output states; `None` when quarantined.
+    pub outputs: Option<Arc<Vec<Vec<Complex>>>>,
+    /// Fault/recovery accounting for this batch, its `f64` retry
+    /// included.
+    pub health: RunHealth,
+}
+
+/// One campaign plan's lifecycle — the single path both [`run_campaign`]
+/// and the `bqsim-serve` fleet run batches through.
+///
+/// [`open`](Self::open) fingerprints the plan, compiles it (or loads it
+/// from an artifact store), then creates the journal or verifies and
+/// resumes it: fingerprint, state mode, index range, duplicate
+/// completions and every committed sidecar slot's checksum.
+/// [`run_batch`](Self::run_batch) executes, integrity-checks and
+/// checksums one batch, retrying a drifted narrow-precision batch once at
+/// `f64`. [`commit`](Self::commit) hands its record to the journal.
+///
+/// A freshly opened campaign commits synchronously, on the calling
+/// thread; [`run_campaign`] switches to group commit. The campaign keeps
+/// checksums and outcomes, never output amplitudes.
+pub struct Campaign<'a> {
+    sim: BqSimulator,
+    /// Built lazily on the first narrow-precision quarantine; shares the
+    /// compiled gates with `sim` (Arc), so the retry pays execution only.
+    f64_retry: Option<BqSimulator>,
+    precision: Precision,
+    inputs: Cow<'a, [Vec<Vec<Complex>>]>,
+    copts: CampaignOptions,
+    committer: Option<Committer>,
+    compile_source: Option<CompileSource>,
+    checksums: Vec<Option<u64>>,
+    outcomes: Vec<BatchOutcome>,
+    resumed: usize,
+    executed: usize,
+    precision_retries: usize,
+}
+
+impl<'a> Campaign<'a> {
+    /// Opens (or, with [`CampaignOptions::resume`], resumes) the campaign
+    /// of `circuit` over `inputs`, compiling through `store` when one is
+    /// given. Returns the campaign and the outputs a full-state journal
+    /// rematerialized (`None` for every batch still to run, and for
+    /// every batch of a checksum-only journal).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Journal`] when the journal cannot be created, or
+    /// cannot be trusted on resume; [`CampaignError::Sim`] when the
+    /// compile fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `opts.exec_mode` is not [`ExecMode::Functional`]: a
+    /// campaign journals and integrity-checks real amplitudes, which
+    /// timing-only runs do not produce.
+    pub fn open(
+        circuit: &Circuit,
+        opts: BqSimOptions,
+        inputs: impl Into<Cow<'a, [Vec<Vec<Complex>>]>>,
+        copts: &CampaignOptions,
+        store: Option<&ArtifactStore>,
+    ) -> Result<(Campaign<'a>, CampaignOutputs), CampaignError> {
+        assert!(
+            matches!(opts.exec_mode, ExecMode::Functional),
+            "campaigns require ExecMode::Functional (timing-only runs have no \
+             outputs to journal or integrity-check)"
+        );
+        let inputs = inputs.into();
+        let fingerprint = plan_fingerprint(circuit, &opts, &inputs, copts.fault_seed);
+        let precision = opts.effective_precision();
+        let (sim, compile_source) = match store {
+            Some(store) => {
+                let (sim, source) = BqSimulator::compile_or_load(circuit, opts, store)?;
+                if let CompileSource::RecompiledCorrupt { warning } = &source {
+                    eprintln!("warning: artifact store: {warning}; recompiled and republished");
+                }
+                (sim, Some(source))
+            }
+            None => (BqSimulator::compile(circuit, opts)?, None),
+        };
+
+        let n = inputs.len();
+        let mut checksums = vec![None; n];
+        let mut outcomes = vec![BatchOutcome::Pending; n];
+        let mut outputs: CampaignOutputs = (0..n).map(|_| None).collect();
+        let mut resumed = 0usize;
+        let mode = if copts.persist_state {
+            StateMode::Full
+        } else {
+            StateMode::ChecksumOnly
+        };
+        let writer = match &copts.journal_path {
+            None => None,
+            Some(path) if copts.resume && path.exists() => {
+                let contents = read_journal(path)?;
+                if let Some(field) = fingerprint.mismatch(&contents.fingerprint) {
+                    return Err(JournalError::FingerprintMismatch { field }.into());
+                }
+                if contents.state_mode != mode {
+                    return Err(JournalError::FingerprintMismatch {
+                        field: "state persistence mode",
+                    }
+                    .into());
+                }
+                let state = load_journal_state(path, &contents)?;
+                for (b, (done, quarantine)) in state
+                    .completed
+                    .into_iter()
+                    .zip(state.quarantined)
+                    .enumerate()
+                {
+                    if let Some(done) = done {
+                        checksums[b] = Some(done.checksum);
+                        outputs[b] = done.state;
+                        outcomes[b] = BatchOutcome::Completed { resumed: true };
+                        resumed += 1;
+                    } else if let Some((reason, drift)) = quarantine {
+                        if !copts.retry_quarantined {
+                            outcomes[b] = BatchOutcome::Quarantined { reason, drift };
+                        }
+                    }
+                }
+                Some(JournalWriter::open_append(path, contents.valid_len, mode)?)
+            }
+            Some(path) => Some(JournalWriter::create(path, &fingerprint, mode)?),
+        };
+        let campaign = Campaign {
+            sim,
+            f64_retry: None,
+            precision,
+            inputs,
+            copts: copts.clone(),
+            committer: writer.map(|w| Committer::Inline(CommitGroup::new(w, Duration::ZERO))),
+            compile_source,
+            checksums,
+            outcomes,
+            resumed,
+            executed: 0,
+            precision_retries: 0,
+        };
+        Ok((campaign, outputs))
+    }
+
+    /// Executes batch `b`, checks its integrity and checksums it. A
+    /// narrow-precision batch that fails the check is retried once at the
+    /// `f64` reference before it is quarantined. The batch's outcome is
+    /// settled here; [`commit`](Self::commit) makes it durable.
+    ///
+    /// # Errors
+    ///
+    /// [`BqsimError::Cancelled`] when `cancel` fires first (the batch
+    /// stays pending); any other [`BqsimError`] is an unrecoverable
+    /// simulation failure.
+    pub fn run_batch(&mut self, b: usize, cancel: &CancelToken) -> Result<BatchRun, BqsimError> {
+        let batch_in = &self.inputs[b];
+        let exec = execute_campaign_batch(&self.sim, batch_in, b, &self.copts, cancel)?;
+        let (mut out, mut health) = (exec.outputs, exec.health);
+        let mut verdict = check_batch(batch_in, &out, &self.copts.integrity);
+        // A narrow-precision run that drifted past the budget is not
+        // evidence of a broken batch — the budget may simply be tighter
+        // than f32 can hold for this circuit. Retry once at the f64
+        // reference before condemning the batch; f64 campaigns quarantine
+        // directly.
+        if verdict != IntegrityVerdict::Ok && self.precision != Precision::F64 {
+            let sim = &self.sim;
+            let retry_sim = self
+                .f64_retry
+                .get_or_insert_with(|| sim.with_precision(Precision::F64));
+            let retry = execute_campaign_batch(retry_sim, batch_in, b, &self.copts, cancel)?;
+            health.merge(retry.health);
+            if check_batch(batch_in, &retry.outputs, &self.copts.integrity) == IntegrityVerdict::Ok
+            {
+                self.precision_retries += 1;
+                out = retry.outputs;
+                verdict = IntegrityVerdict::Ok;
+            }
+        }
+        self.executed += 1;
+        let (record, outputs) = match verdict {
+            IntegrityVerdict::Ok => {
+                let checksum = state_checksum(&out);
+                self.checksums[b] = Some(checksum);
+                self.outcomes[b] = BatchOutcome::Completed { resumed: false };
+                (Record::Batch { index: b, checksum }, Some(Arc::new(out)))
+            }
+            IntegrityVerdict::Quarantine { reason, drift } => {
+                self.outcomes[b] = BatchOutcome::Quarantined {
+                    reason: reason.to_string(),
+                    drift,
+                };
+                let rec = Record::Quarantine {
+                    index: b,
+                    reason: reason.to_string(),
+                    drift_bits: drift.to_bits(),
+                };
+                (rec, None)
+            }
+        };
+        Ok(BatchRun {
+            record,
+            outputs,
+            health,
+        })
+    }
+
+    /// Hands `run`'s record — and, for a full-state journal, its outputs
+    /// — to the journal under the campaign's commit policy; a no-op
+    /// without a journal. `Ok(false)` means a pipelined persister has
+    /// died: stop running batches, its error surfaces from the drain.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] when the synchronous commit fails.
+    pub fn commit(&mut self, run: &BatchRun) -> Result<bool, JournalError> {
+        let state = run.outputs.as_ref().filter(|_| self.copts.persist_state);
+        match &mut self.committer {
+            Some(c) => c.commit(run.record.clone(), state),
+            None => Ok(true),
+        }
+    }
+
+    /// Switches to [`run_campaign`]'s group commit on `interval`.
+    fn group_commit(&mut self, interval: Duration) {
+        if let Some(Committer::Inline(group)) = self.committer.take() {
+            let group = CommitGroup::new(group.writer, interval);
+            self.committer = Some(if self.copts.persist_state {
+                Committer::Pipelined(Persister::spawn(group))
+            } else {
+                Committer::Inline(group)
+            });
+        }
+    }
+
+    /// The first batch still to run, if any.
+    pub fn next_pending(&self) -> Option<usize> {
+        self.outcomes
+            .iter()
+            .position(|o| matches!(o, BatchOutcome::Pending))
+    }
+
+    /// Per-batch output checksums; `Some` for every completed batch.
+    pub fn checksums(&self) -> &[Option<u64>] {
+        &self.checksums
+    }
+
+    /// Indices of quarantined batches, ascending.
+    pub fn quarantined(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| matches!(o, BatchOutcome::Quarantined { .. }))
+            .map(|(b, _)| b)
+    }
+
+    /// Batches the journal recorded as completed when the campaign opened.
+    pub fn resumed(&self) -> usize {
+        self.resumed
+    }
+
+    /// Batches [`run_batch`](Self::run_batch) has executed.
+    pub fn executed(&self) -> usize {
+        self.executed
+    }
+
+    /// Where the compiled simulator came from (`None` without a store).
+    pub fn compile_source(&self) -> Option<&CompileSource> {
+        self.compile_source.as_ref()
+    }
+}
+
 /// Runs (or resumes) a durable campaign over explicit input batches.
 ///
 /// See the module docs for the execution model. Cancellation — via the
@@ -601,222 +877,60 @@ pub(crate) fn batch_dims(batches: &[Vec<Vec<Complex>>]) -> (usize, usize) {
 ///
 /// # Panics
 ///
-/// Panics when `opts.exec_mode` is not [`ExecMode::Functional`]: a
-/// campaign journals and integrity-checks real amplitudes, which
-/// timing-only runs do not produce.
+/// Panics when `opts.exec_mode` is not [`ExecMode::Functional`] (see
+/// [`Campaign::open`]).
 pub fn run_campaign(
     circuit: &Circuit,
     opts: BqSimOptions,
     batches: &[Vec<Vec<Complex>>],
     copts: &CampaignOptions,
 ) -> Result<CampaignResult, CampaignError> {
-    assert!(
-        matches!(opts.exec_mode, ExecMode::Functional),
-        "campaigns require ExecMode::Functional (timing-only runs have no \
-         outputs to journal or integrity-check)"
-    );
-    let fingerprint = plan_fingerprint(circuit, &opts, batches, copts.fault_seed);
-    let run_precision = opts.effective_precision();
     // Store-open failure is durability-infrastructure I/O, same class as
     // a journal that cannot be created.
     let store = match &copts.artifact_dir {
         Some(dir) => Some(ArtifactStore::open(dir).map_err(JournalError::from)?),
         None => None,
     };
-    let (sim, compile_source) = match &store {
-        Some(store) => {
-            let (sim, source) = BqSimulator::compile_or_load(circuit, opts, store)?;
-            if let CompileSource::RecompiledCorrupt { warning } = &source {
-                eprintln!("warning: artifact store: {warning}; recompiled and republished");
-            }
-            (sim, Some(source))
-        }
-        None => (BqSimulator::compile(circuit, opts)?, None),
-    };
-    let n = batches.len();
-
-    let mut outputs: Vec<Option<Arc<Vec<Vec<Complex>>>>> = (0..n).map(|_| None).collect();
-    let mut checksums: Vec<Option<u64>> = vec![None; n];
-    let mut outcomes = vec![BatchOutcome::Pending; n];
-    let mut resumed = 0usize;
-    let mut prior_quarantine: Vec<Option<(String, f64)>> = vec![None; n];
-
-    let mode = if copts.persist_state {
-        StateMode::Full
-    } else {
-        StateMode::ChecksumOnly
-    };
-    let mut writer: Option<JournalWriter> = None;
-    if let Some(path) = &copts.journal_path {
-        if copts.resume && path.exists() {
-            let contents = read_journal(path)?;
-            if let Some(field) = fingerprint.mismatch(&contents.fingerprint) {
-                return Err(JournalError::FingerprintMismatch { field }.into());
-            }
-            if contents.state_mode != mode {
-                return Err(JournalError::FingerprintMismatch {
-                    field: "state persistence mode",
-                }
-                .into());
-            }
-            let state = load_journal_state(path, &contents)?;
-            for (b, cb) in state.completed.into_iter().enumerate() {
-                if let Some(cb) = cb {
-                    checksums[b] = Some(cb.checksum);
-                    outputs[b] = cb.state.map(Arc::new);
-                    outcomes[b] = BatchOutcome::Completed { resumed: true };
-                    resumed += 1;
-                }
-            }
-            prior_quarantine = state.quarantined;
-            writer = Some(JournalWriter::open_append(path, contents.valid_len, mode)?);
-        } else {
-            writer = Some(JournalWriter::create(path, &fingerprint, mode)?);
-        }
-    }
-    let mut committer = writer.map(|w| Committer::new(w, mode, copts.commit_interval));
+    let (mut campaign, resumed) = Campaign::open(circuit, opts, batches, copts, store.as_ref())?;
+    campaign.group_commit(copts.commit_interval);
+    let mut outputs: Vec<Option<Arc<Vec<Vec<Complex>>>>> =
+        resumed.into_iter().map(|o| o.map(Arc::new)).collect();
 
     let cancel = match copts.deadline {
         Some(d) => CancelToken::with_deadline(d),
         None => CancelToken::new(),
     };
-    let mut executed = 0usize;
-    let mut quarantined = Vec::new();
     let mut cancelled = false;
     let mut health = RunHealth::new();
-    let mut precision_retries = 0usize;
-    // Built lazily on the first narrow-precision quarantine; shares the
-    // compiled gates with `sim` (Arc), so the retry pays execution only.
-    let mut f64_retry: Option<BqSimulator> = None;
-
-    for (b, batch_in) in batches.iter().enumerate() {
-        if matches!(outcomes[b], BatchOutcome::Completed { .. }) {
+    for (b, output) in outputs.iter_mut().enumerate() {
+        if !matches!(campaign.outcomes[b], BatchOutcome::Pending) {
             continue;
         }
-        if let Some((reason, drift)) = &prior_quarantine[b] {
-            if !copts.retry_quarantined {
-                outcomes[b] = BatchOutcome::Quarantined {
-                    reason: reason.clone(),
-                    drift: *drift,
-                };
-                quarantined.push(b);
-                continue;
-            }
-        }
-        if copts.stop_after.is_some_and(|k| executed >= k) {
+        if copts.stop_after.is_some_and(|k| campaign.executed >= k) {
             cancel.cancel();
         }
         if cancel.is_cancelled() {
             cancelled = true;
             break;
         }
-
-        let out = match execute_campaign_batch(&sim, batch_in, b, copts, &cancel) {
-            Ok(exec) => {
-                health.merge(exec.health);
-                exec.outputs
-            }
+        let run = match campaign.run_batch(b, &cancel) {
+            Ok(run) => run,
             Err(BqsimError::Cancelled) => {
                 cancelled = true;
                 break;
             }
             Err(e) => return Err(e.into()),
         };
-        executed += 1;
-
-        let mut persist_dead = false;
-        match check_batch(batch_in, &out, &copts.integrity) {
-            IntegrityVerdict::Ok => {
-                // The checksum is part of every campaign's result (it is
-                // the digest's input), journaled or not — so it is
-                // computed here, uniformly, not in the persister.
-                let checksum = state_checksum(&out);
-                let out = Arc::new(out);
-                if let Some(c) = &mut committer {
-                    persist_dead = !c.commit(
-                        Record::Batch { index: b, checksum },
-                        copts.persist_state.then(|| Arc::clone(&out)),
-                    )?;
-                }
-                checksums[b] = Some(checksum);
-                outputs[b] = Some(out);
-                outcomes[b] = BatchOutcome::Completed { resumed: false };
-            }
-            IntegrityVerdict::Quarantine { reason, drift } => {
-                // A narrow-precision run that drifted past the budget is
-                // not evidence of a broken batch — the budget may simply
-                // be tighter than f32 can hold for this circuit. Retry
-                // once at the f64 reference before condemning the batch;
-                // f64 campaigns quarantine directly as before.
-                let mut rescued = false;
-                if run_precision != Precision::F64 {
-                    let retry_sim =
-                        f64_retry.get_or_insert_with(|| sim.with_precision(Precision::F64));
-                    let retry_out =
-                        match execute_campaign_batch(retry_sim, batch_in, b, copts, &cancel) {
-                            Ok(exec) => {
-                                health.merge(exec.health);
-                                Some(exec.outputs)
-                            }
-                            Err(BqsimError::Cancelled) => {
-                                cancelled = true;
-                                None
-                            }
-                            Err(e) => return Err(e.into()),
-                        };
-                    if cancelled {
-                        // Cancelled mid-retry: the batch stays pending
-                        // and a resume re-runs it from scratch.
-                        break;
-                    }
-                    if let Some(retry_out) = retry_out {
-                        if matches!(
-                            check_batch(batch_in, &retry_out, &copts.integrity),
-                            IntegrityVerdict::Ok
-                        ) {
-                            precision_retries += 1;
-                            let checksum = state_checksum(&retry_out);
-                            let retry_out = Arc::new(retry_out);
-                            if let Some(c) = &mut committer {
-                                persist_dead = !c.commit(
-                                    Record::Batch { index: b, checksum },
-                                    copts.persist_state.then(|| Arc::clone(&retry_out)),
-                                )?;
-                            }
-                            checksums[b] = Some(checksum);
-                            outputs[b] = Some(retry_out);
-                            outcomes[b] = BatchOutcome::Completed { resumed: false };
-                            rescued = true;
-                        }
-                    }
-                }
-                if !rescued {
-                    if let Some(c) = &mut committer {
-                        persist_dead = !c.commit(
-                            Record::Quarantine {
-                                index: b,
-                                reason: reason.to_string(),
-                                drift_bits: drift.to_bits(),
-                            },
-                            None,
-                        )?;
-                    }
-                    outcomes[b] = BatchOutcome::Quarantined {
-                        reason: reason.to_string(),
-                        drift,
-                    };
-                    quarantined.push(b);
-                }
-            }
-        }
-        if persist_dead {
+        let alive = campaign.commit(&run)?;
+        health.merge(run.health);
+        *output = run.outputs;
+        if !alive {
             // The persister exited early; stop computing and surface its
-            // error from the join below.
+            // error from the drain below.
             break;
         }
     }
-
-    if let Some(c) = committer {
+    if let Some(c) = campaign.committer.take() {
         c.finish()?;
     }
 
@@ -825,18 +939,18 @@ pub fn run_campaign(
             .into_iter()
             .map(|o| o.map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone())))
             .collect(),
-        checksums,
-        outcomes,
-        resumed,
-        executed,
-        quarantined,
+        quarantined: campaign.quarantined().collect(),
+        checksums: campaign.checksums,
+        outcomes: campaign.outcomes,
+        resumed: campaign.resumed,
+        executed: campaign.executed,
         cancelled,
         health,
-        compile_source,
+        compile_source: campaign.compile_source,
         store_stats: store.as_ref().map(ArtifactStore::stats),
-        cache_stats: sim.conversion_cache_stats(),
-        compile_wall: sim.compile_wall(),
-        precision_retries,
+        cache_stats: campaign.sim.conversion_cache_stats(),
+        compile_wall: campaign.sim.compile_wall(),
+        precision_retries: campaign.precision_retries,
     })
 }
 

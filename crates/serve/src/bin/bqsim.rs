@@ -34,7 +34,7 @@
 use bqsim_analyze::{check_service_schedule, parse_schedule_trace};
 use bqsim_campaign::{
     audit_journal, campaign_digest, run_campaign, BatchOutcome, CampaignError, CampaignOptions,
-    IntegrityBudget, JournalError,
+    IntegrityBudget, JournalError, StateMode,
 };
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
@@ -182,7 +182,7 @@ struct Args {
     faults: bool,
     campaign: bool,
     journal: Option<PathBuf>,
-    journal_state_full: bool,
+    journal_state: StateMode,
     journal_sync_ms: Option<u64>,
     resume: bool,
     artifact_dir: Option<PathBuf>,
@@ -231,7 +231,7 @@ fn parse_args() -> Result<Args, String> {
         faults: false,
         campaign: false,
         journal: None,
-        journal_state_full: true,
+        journal_state: StateMode::Full,
         journal_sync_ms: None,
         resume: false,
         artifact_dir: None,
@@ -319,15 +319,10 @@ fn parse_args() -> Result<Args, String> {
             "--fault-plan" => args.fault_plan = Some(parse_fault_plan(&value(&mut i)?)?),
             "--journal" => args.journal = Some(PathBuf::from(value(&mut i)?)),
             "--journal-state" => {
-                args.journal_state_full = match value(&mut i)?.as_str() {
-                    "full" => true,
-                    "checksum" => false,
-                    other => {
-                        return Err(format!(
-                            "--journal-state must be `full` or `checksum`, got `{other}`"
-                        ))
-                    }
-                }
+                let v = value(&mut i)?;
+                args.journal_state = StateMode::parse(&v).ok_or_else(|| {
+                    format!("--journal-state must be `full` or `checksum`, got `{v}`")
+                })?;
             }
             "--journal-sync-ms" => {
                 args.journal_sync_ms = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
@@ -569,7 +564,7 @@ OPTIONS:
                          same plan); f64 digests are bit-identical
                          across layouts, threads, and tuning; narrow
                          runs that drift past --integrity-budget are
-                         quarantined and (run) retried at f64
+                         quarantined and retried at f64
                          [default: $BQSIM_PRECISION or f64]
     --qubits <n>         width for --family circuits        [default: 8]
     --batches <N>        number of input batches            [default: 2]
@@ -948,7 +943,7 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         resume: args.resume,
         deadline: args.deadline_ms.map(Duration::from_millis),
         stop_after: args.stop_after,
-        persist_state: args.journal_state_full,
+        persist_state: args.journal_state == StateMode::Full,
         artifact_dir: args.artifact_dir.clone(),
         ..CampaignOptions::default()
     };

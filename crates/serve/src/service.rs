@@ -13,6 +13,15 @@
 //! service journal is also a valid `bqsim run --resume` journal and
 //! passes the journal-DFA audit).
 //!
+//! Every shard runs through `bqsim-campaign`'s [`Campaign`], the code
+//! `bqsim run` uses: admission is [`Campaign::open`] and a worker's shard
+//! is [`Campaign::run_batch`] plus [`Campaign::commit`], so the `f64`
+//! retry of a drifted narrow shard and resume's journal checks are the
+//! same on both paths. The commit is synchronous, on the worker that ran
+//! the shard: a group-commit thread per submission would grow with the
+//! queue capacity, and the shard's outputs are freed as soon as it is
+//! durable.
+//!
 //! # Admission and the degradation ladder
 //!
 //! Admission is strictly bounded. In order:
@@ -49,26 +58,20 @@
 //! Admissions append an fsync'd line to the session `manifest` before
 //! any shard runs; every completed shard is durably journaled before it
 //! is reported. A `kill -9` therefore loses at most in-flight shards;
-//! [`ServiceConfig::resume`] replays the manifest, verifies each
-//! journal's fingerprint, and re-admits every non-terminal submission —
-//! completed shards are skipped and the final digests are bit-identical
-//! to an uninterrupted session.
+//! [`ServiceConfig::resume`] replays the manifest, verifies each journal
+//! as `bqsim run --resume` does (fingerprint, state mode, index range,
+//! duplicate completions, sidecar checksums — a failed check fails the
+//! submission), and re-admits every non-terminal submission — completed
+//! shards are skipped and the final digests are bit-identical to an
+//! uninterrupted session.
 
 use crate::error::ServeError;
 use crate::spec::{SubmitSpec, TenantQuota};
 use bqsim_analyze::{ScheduleEvent, ShardOutcome, VT_SCALE};
-use bqsim_campaign::checksum::{encode_state, state_checksum};
-use bqsim_campaign::{
-    campaign_digest, check_batch, execute_campaign_batch, plan_fingerprint, read_journal,
-    CampaignOptions, IntegrityVerdict, JournalWriter, Record, StateMode,
-};
-use bqsim_core::{
-    ArtifactStore, BqSimOptions, BqSimulator, BqsimError, CompileSource, RecoveryPolicy, RunHealth,
-    StoreStats,
-};
+use bqsim_campaign::{campaign_digest, Campaign, CampaignOptions, Record, StateMode};
+use bqsim_core::{ArtifactStore, BqsimError, RecoveryPolicy, RunHealth, StoreStats};
 use bqsim_faults::{CancelToken, Clock, WallClock};
-use bqsim_num::Complex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -363,19 +366,17 @@ enum ManifestLine {
     },
 }
 
-fn mode_token(mode: StateMode) -> &'static str {
-    match mode {
-        StateMode::Full => "full",
-        StateMode::ChecksumOnly => "checksum",
-    }
-}
+/// Longest `reason=` token a manifest line carries.
+const REASON_TOKEN_CAP: usize = 120;
 
-fn parse_mode(tok: &str) -> Option<StateMode> {
-    match tok {
-        "full" => Some(StateMode::Full),
-        "checksum" => Some(StateMode::ChecksumOnly),
-        _ => None,
-    }
+/// A failure reason as one manifest token: whitespace becomes `-`, and
+/// the token is capped at [`REASON_TOKEN_CAP`] characters.
+fn reason_token(reason: &str) -> String {
+    reason
+        .chars()
+        .map(|c| if c.is_whitespace() { '-' } else { c })
+        .take(REASON_TOKEN_CAP)
+        .collect()
 }
 
 fn kv_of<'a>(tokens: &'a [&'a str], key: &str) -> Option<&'a str> {
@@ -397,7 +398,7 @@ fn parse_manifest_line(line: &str) -> Result<ManifestLine, String> {
     match kw {
         "admitted" => {
             let mode = kv_of(&tokens, "mode")
-                .and_then(parse_mode)
+                .and_then(StateMode::parse)
                 .ok_or("missing or bad mode=")?;
             let spec_line: String = tokens
                 .iter()
@@ -442,7 +443,6 @@ fn parse_manifest_line(line: &str) -> Result<ManifestLine, String> {
 fn parse_manifest(text: &str) -> Result<Vec<ManifestLine>, ServeError> {
     let lines: Vec<&str> = text.lines().collect();
     let mut out = Vec::new();
-    let ends_clean = text.is_empty() || text.ends_with('\n');
     for (i, line) in lines.iter().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -466,7 +466,6 @@ fn parse_manifest(text: &str) -> Result<Vec<ManifestLine>, ServeError> {
     // A final line without its newline (hard kill mid-append) was either
     // parsed — harmless, its effect is idempotent on replay — or skipped
     // above as the torn tail.
-    let _ = ends_clean;
     Ok(out)
 }
 
@@ -569,35 +568,29 @@ impl Phase {
     }
 }
 
-/// The per-submission execution bundle, taken out of the scheduler lock
-/// by the claiming worker (one shard in flight per submission makes this
-/// exclusive by construction).
-struct JobExec {
-    sim: BqSimulator,
-    inputs: Vec<Vec<Vec<Complex>>>,
-    writer: Option<JournalWriter>,
-    copts: CampaignOptions,
-}
-
 struct Job {
     spec: SubmitSpec,
     weight: u32,
     vt: u64,
     phase: Phase,
-    /// Not-yet-terminal shard indices, ascending; the front is next.
-    pending: VecDeque<usize>,
-    checksums: Vec<Option<u64>>,
-    quarantined: Vec<usize>,
-    resumed: usize,
-    executed: usize,
-    /// Device-loss requeue attempts for the shard at the queue front.
+    /// Device-loss requeue attempts for the campaign's next shard.
     attempts: u32,
     started_any: bool,
     downgraded: bool,
     charged: u64,
     cancel: CancelToken,
-    exec: Option<Box<JobExec>>,
+    /// The submission's campaign: its shards' outcomes and checksums, and
+    /// the journal they commit to. Taken out of the scheduler lock by the
+    /// claiming worker (one shard in flight per submission makes this
+    /// exclusive by construction) and put back when the shard settles.
+    campaign: Option<Box<Campaign<'static>>>,
     fail_reason: Option<String>,
+}
+
+impl Job {
+    fn checksums(&self) -> &[Option<u64>] {
+        self.campaign.as_ref().map_or(&[], |c| c.checksums())
+    }
 }
 
 #[derive(Debug, Default)]
@@ -644,20 +637,12 @@ impl Core {
     }
 
     fn ledger(&mut self, tenant: &str, cfg: &ServiceConfig) -> &mut TenantLedger {
-        if !self.tenants.contains_key(tenant) {
-            let quota = cfg.quotas.get(tenant).copied().unwrap_or(cfg.default_quota);
-            self.tenants.insert(
-                tenant.to_string(),
-                TenantLedger {
-                    quota,
-                    ..TenantLedger::default()
-                },
-            );
-        }
-        // The entry was just ensured above.
         self.tenants
-            .get_mut(tenant)
-            .unwrap_or_else(|| unreachable!("ledger entry was just inserted"))
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantLedger {
+                quota: cfg.quotas.get(tenant).copied().unwrap_or(cfg.default_quota),
+                ..TenantLedger::default()
+            })
     }
 
     fn all_terminal(&self) -> bool {
@@ -681,13 +666,21 @@ impl Core {
         });
     }
 
+    /// Moves a job to a terminal `phase`; a job that never started
+    /// leaves the bounded queue.
+    fn leave(&mut self, idx: usize, phase: Phase) -> (String, String) {
+        let j = &mut self.jobs[idx];
+        j.phase = phase;
+        if !j.started_any {
+            j.started_any = true;
+            self.queued = self.queued.saturating_sub(1);
+        }
+        (j.spec.tenant.clone(), j.spec.id.clone())
+    }
+
     fn finalize_done(&mut self, idx: usize) {
-        let digest = campaign_digest(&self.jobs[idx].checksums);
-        let (tenant, id) = {
-            let j = &mut self.jobs[idx];
-            j.phase = Phase::Done { digest };
-            (j.spec.tenant.clone(), j.spec.id.clone())
-        };
+        let digest = campaign_digest(self.jobs[idx].checksums());
+        let (tenant, id) = self.leave(idx, Phase::Done { digest });
         self.emit(&ScheduleEvent::Done {
             tenant: tenant.clone(),
             id: id.clone(),
@@ -703,18 +696,7 @@ impl Core {
     }
 
     fn finalize_cancelled(&mut self, idx: usize) {
-        let (tenant, id) = {
-            let j = &mut self.jobs[idx];
-            j.phase = Phase::Cancelled;
-            if !j.started_any {
-                // Never started: it leaves the bounded queue.
-                j.started_any = true;
-                self.queued = self.queued.saturating_sub(1);
-                (j.spec.tenant.clone(), j.spec.id.clone())
-            } else {
-                (j.spec.tenant.clone(), j.spec.id.clone())
-            }
-        };
+        let (tenant, id) = self.leave(idx, Phase::Cancelled);
         self.release(idx);
         self.manifest_line(&format!("cancelled tenant={tenant} id={id}"));
         if let Some(led) = self.tenants.get_mut(&tenant) {
@@ -723,36 +705,20 @@ impl Core {
     }
 
     fn finalize_failed(&mut self, idx: usize, reason: String) {
-        let (tenant, id) = {
-            let j = &mut self.jobs[idx];
-            j.phase = Phase::Failed;
-            j.fail_reason = Some(reason.clone());
-            if !j.started_any {
-                j.started_any = true;
-                self.queued = self.queued.saturating_sub(1);
-            }
-            (j.spec.tenant.clone(), j.spec.id.clone())
-        };
+        let (tenant, id) = self.leave(idx, Phase::Failed);
         self.release(idx);
-        let token: String = reason
-            .chars()
-            .map(|c| if c.is_whitespace() { '-' } else { c })
-            .take(120)
-            .collect();
-        self.manifest_line(&format!("failed tenant={tenant} id={id} reason={token}"));
+        self.manifest_line(&format!(
+            "failed tenant={tenant} id={id} reason={}",
+            reason_token(&reason)
+        ));
+        self.jobs[idx].fail_reason = Some(reason);
         if let Some(led) = self.tenants.get_mut(&tenant) {
             led.health.failed += 1;
         }
     }
 
     fn finalize_shed(&mut self, idx: usize) {
-        let (tenant, id) = {
-            let j = &mut self.jobs[idx];
-            j.phase = Phase::Shed;
-            j.started_any = true;
-            self.queued = self.queued.saturating_sub(1);
-            (j.spec.tenant.clone(), j.spec.id.clone())
-        };
+        let (tenant, id) = self.leave(idx, Phase::Shed);
         self.emit(&ScheduleEvent::Shed {
             tenant: tenant.clone(),
             id: id.clone(),
@@ -784,8 +750,8 @@ enum Admission {
     /// Pushed as `jobs[idx]`.
     Admitted(usize),
     Rejected(ServeError),
-    /// Resume-time failure (e.g. fingerprint mismatch): recorded
-    /// terminally.
+    /// The campaign could not be opened (compile, journal creation, or
+    /// resume verification): recorded terminally.
     FailedAtAdmit(String),
 }
 
@@ -815,46 +781,32 @@ fn admit(
     if !is_resume {
         let led = core.ledger(&spec.tenant, cfg);
         let quota = led.quota;
-        if led.in_use_bytes + charged > quota.max_amp_bytes {
-            let err = ServeError::QuotaExceeded {
-                tenant: spec.tenant.clone(),
-                resource: "amp-bytes",
-                requested: charged,
-                limit: quota.max_amp_bytes,
-                in_use: led.in_use_bytes,
-            };
-            led.health.rejected_quota += 1;
-            core.manifest_line(&format!(
-                "rejected tenant={} id={} reason=quota",
-                spec.tenant, spec.id
-            ));
-            return Admission::Rejected(err);
-        }
-        if led.inflight + 1 > quota.max_inflight {
-            let err = ServeError::QuotaExceeded {
-                tenant: spec.tenant.clone(),
-                resource: "in-flight",
-                requested: 1,
-                limit: u64::from(quota.max_inflight),
-                in_use: u64::from(led.inflight),
-            };
-            led.health.rejected_quota += 1;
-            core.manifest_line(&format!(
-                "rejected tenant={} id={} reason=quota",
-                spec.tenant, spec.id
-            ));
-            return Admission::Rejected(err);
-        }
-        // Precision floor: a tenant pinned to f64 may not submit work
-        // below that accuracy rank (narrower than the floor).
-        if spec.precision.rank() < quota.min_precision.rank() {
-            let err = ServeError::QuotaExceeded {
-                tenant: spec.tenant.clone(),
-                resource: "precision-floor",
-                requested: u64::from(spec.precision.rank()),
-                limit: u64::from(quota.min_precision.rank()),
-                in_use: 0,
-            };
+        let exceeded = |resource, requested, limit, in_use| ServeError::QuotaExceeded {
+            tenant: spec.tenant.clone(),
+            resource,
+            requested,
+            limit,
+            in_use,
+        };
+        let (rank, floor) = (spec.precision.rank(), quota.min_precision.rank());
+        let err = if led.in_use_bytes + charged > quota.max_amp_bytes {
+            Some(exceeded(
+                "amp-bytes",
+                charged,
+                quota.max_amp_bytes,
+                led.in_use_bytes,
+            ))
+        } else if led.inflight + 1 > quota.max_inflight {
+            let (limit, in_use) = (quota.max_inflight, led.inflight);
+            Some(exceeded("in-flight", 1, limit.into(), in_use.into()))
+        } else if rank < floor {
+            // Precision floor: a tenant pinned to f64 may not submit work
+            // below that accuracy rank (narrower than the floor).
+            Some(exceeded("precision-floor", rank.into(), floor.into(), 0))
+        } else {
+            None
+        };
+        if let Some(err) = err {
             led.health.rejected_quota += 1;
             core.manifest_line(&format!(
                 "rejected tenant={} id={} reason=quota",
@@ -917,92 +869,41 @@ fn admit(
         }
     }
 
-    // --- Build the execution bundle.
+    // --- Open the campaign: compile (or load), then create the journal
+    // or verify and reopen it on resume, exactly as `bqsim run` does.
     let circuit = match spec.build_circuit() {
         Ok(c) => c,
         Err(e) => return Admission::Rejected(e),
     };
-    let opts = BqSimOptions {
-        precision: spec.precision,
-        ..BqSimOptions::default()
-    };
-    let inputs = spec.build_inputs();
-    let fingerprint = plan_fingerprint(&circuit, &opts, &inputs, spec.fault_seed);
-    let sim = match store {
-        Some(store) => match BqSimulator::compile_or_load(&circuit, opts, store) {
-            Ok((sim, source)) => {
-                if let CompileSource::RecompiledCorrupt { warning } = &source {
-                    eprintln!(
-                        "warning: artifact store (tenant={} id={}): {warning}; \
-                         recompiled and republished",
-                        spec.tenant, spec.id
-                    );
-                }
-                if source.is_warm() {
-                    core.warm_compiles += 1;
-                } else {
-                    core.cold_compiles += 1;
-                }
-                sim
-            }
-            Err(e) => return Admission::FailedAtAdmit(format!("compile failed: {e}")),
-        },
-        None => match BqSimulator::compile(&circuit, opts) {
-            Ok(s) => s,
-            Err(e) => return Admission::FailedAtAdmit(format!("compile failed: {e}")),
-        },
-    };
-    let mut copts = CampaignOptions {
-        fault_seed: spec.fault_seed,
+    let (opts, copts) = spec.run_options();
+    let copts = CampaignOptions {
+        journal_path: Some(journal_path(&cfg.state_dir, &spec.tenant, &spec.id)),
+        resume: is_resume,
         recovery: cfg.recovery,
         persist_state: matches!(mode, StateMode::Full),
-        ..CampaignOptions::default()
+        ..copts
     };
-    if spec.fault_seed.is_some() {
-        copts.fault_budget = SubmitSpec::fault_budget();
+    // Rematerialized outputs are dropped at once: the service keeps
+    // checksums, never amplitudes.
+    let campaign = match Campaign::open(&circuit, opts, spec.build_inputs(), &copts, store) {
+        Ok((campaign, _)) => campaign,
+        Err(e) => {
+            let reason = e.to_string();
+            core.manifest_line(&format!(
+                "failed tenant={} id={} reason={}{}",
+                spec.tenant,
+                spec.id,
+                if is_resume { "resume-" } else { "" },
+                reason_token(&reason)
+            ));
+            return Admission::FailedAtAdmit(reason);
+        }
+    };
+    match campaign.compile_source() {
+        Some(source) if source.is_warm() => core.warm_compiles += 1,
+        Some(_) => core.cold_compiles += 1,
+        None => {}
     }
-
-    // --- Journal: create fresh, or verify + reopen on resume.
-    let jpath = journal_path(&cfg.state_dir, &spec.tenant, &spec.id);
-    let mut checksums: Vec<Option<u64>> = vec![None; spec.batches];
-    let mut resumed = 0usize;
-    let writer = if is_resume && jpath.exists() {
-        let contents = match read_journal(&jpath) {
-            Ok(c) => c,
-            Err(e) => return Admission::FailedAtAdmit(format!("journal unreadable: {e}")),
-        };
-        if let Some(field) = fingerprint.mismatch(&contents.fingerprint) {
-            return Admission::FailedAtAdmit(format!("journal fingerprint mismatch on {field}"));
-        }
-        if contents.state_mode != mode {
-            return Admission::FailedAtAdmit(
-                "journal state mode differs from the manifest's".to_string(),
-            );
-        }
-        for rec in &contents.records {
-            if let Record::Batch { index, checksum } = rec {
-                if *index < spec.batches && checksums[*index].is_none() {
-                    checksums[*index] = Some(*checksum);
-                    resumed += 1;
-                }
-            }
-            // Prior-session quarantines stay pending: like
-            // `run_campaign`, a resume retries them.
-        }
-        match JournalWriter::open_append(&jpath, contents.valid_len, mode) {
-            Ok(w) => Some(w),
-            Err(e) => return Admission::FailedAtAdmit(format!("journal reopen failed: {e}")),
-        }
-    } else {
-        match JournalWriter::create(&jpath, &fingerprint, mode) {
-            Ok(w) => Some(w),
-            Err(e) => return Admission::FailedAtAdmit(format!("journal create failed: {e}")),
-        }
-    };
-
-    let pending: VecDeque<usize> = (0..spec.batches)
-        .filter(|b| checksums[*b].is_none())
-        .collect();
 
     // --- Charge the ledger and enqueue.
     {
@@ -1040,7 +941,7 @@ fn admit(
         core.manifest_line(&format!(
             "admitted {} mode={}",
             spec.render_line(),
-            mode_token(mode)
+            mode.token()
         ));
     }
     core.emit(&ScheduleEvent::Admit {
@@ -1053,36 +954,24 @@ fn admit(
         downgraded,
     });
 
+    let fully_resumed = campaign.next_pending().is_none();
     let job = Job {
         weight: spec.priority.weight(),
         vt: vt0,
         phase: Phase::Runnable,
-        pending,
-        checksums,
-        quarantined: Vec::new(),
-        resumed,
-        executed: 0,
         attempts: 0,
         started_any: false,
         downgraded,
         charged,
         cancel,
-        exec: Some(Box::new(JobExec {
-            sim,
-            inputs,
-            writer,
-            copts,
-        })),
+        campaign: Some(Box::new(campaign)),
         fail_reason: None,
         spec,
     };
     core.jobs.push(job);
     core.queued += 1;
     let idx = core.jobs.len() - 1;
-    // A submission with nothing pending (fully resumed) is already done.
-    if core.jobs[idx].pending.is_empty() {
-        core.jobs[idx].started_any = true;
-        core.queued = core.queued.saturating_sub(1);
+    if fully_resumed {
         core.finalize_done(idx);
     }
     Admission::Admitted(idx)
@@ -1093,8 +982,11 @@ fn admit(
 // ---------------------------------------------------------------------
 
 enum ShardResult {
-    Completed { checksum: u64, health: RunHealth },
-    Quarantined,
+    /// Run and durably committed: completed (`ok`) or quarantined.
+    Settled {
+        ok: bool,
+        health: RunHealth,
+    },
     Cancelled,
     Failed(String),
 }
@@ -1103,7 +995,7 @@ fn worker(device: usize, sh: &Shared<'_>) {
     let cfg = sh.cfg;
     'serve: loop {
         let mut g = lock(sh);
-        let (idx, shard, exec, cancel) = loop {
+        let (idx, shard, mut campaign, cancel) = loop {
             if g.fatal.is_some() || g.lost[device] || g.all_terminal() {
                 sh.cv.notify_all();
                 return;
@@ -1132,14 +1024,17 @@ fn worker(device: usize, sh: &Shared<'_>) {
                 .map(|(i, _)| i);
             if let Some(i) = pick {
                 let min_vt = g.jobs[i].vt;
-                let Some(&shard) = g.jobs[i].pending.front() else {
+                let Some(campaign) = g.jobs[i].campaign.take() else {
+                    g.finalize_failed(i, "campaign missing".to_string());
+                    continue;
+                };
+                let Some(shard) = campaign.next_pending() else {
                     // Defensive: a runnable job always has pending work.
+                    g.jobs[i].campaign = Some(campaign);
                     g.finalize_done(i);
                     continue;
                 };
-                if g.jobs[i].started_any {
-                    // Already counted out of the queue.
-                } else {
+                if !g.jobs[i].started_any {
                     g.jobs[i].started_any = true;
                     g.queued = g.queued.saturating_sub(1);
                 }
@@ -1165,6 +1060,7 @@ fn worker(device: usize, sh: &Shared<'_>) {
                     dl.device == device && g.starts_on_device[device] == dl.after_starts
                 });
                 if dies {
+                    g.jobs[i].campaign = Some(campaign);
                     g.lost[device] = true;
                     g.emit(&ScheduleEvent::DeviceLost { device });
                     g.jobs[i].attempts += 1;
@@ -1195,12 +1091,8 @@ fn worker(device: usize, sh: &Shared<'_>) {
                     return; // this device is gone
                 }
 
-                let Some(exec) = g.jobs[i].exec.take() else {
-                    g.finalize_failed(i, "execution bundle missing".to_string());
-                    continue;
-                };
                 let cancel = g.jobs[i].cancel.clone();
-                break (i, shard, exec, cancel);
+                break (i, shard, campaign, cancel);
             }
             // Nothing runnable. Sleep toward the nearest backoff (the
             // Clock makes this deterministic under VirtualClock), or
@@ -1226,46 +1118,15 @@ fn worker(device: usize, sh: &Shared<'_>) {
             g = g2;
         };
         drop(g);
-        // ---- Execute the shard outside the lock.
-        let mut exec = exec;
-        let batch_in = &exec.inputs[shard];
-        let result = match execute_campaign_batch(&exec.sim, batch_in, shard, &exec.copts, &cancel)
-        {
-            Ok(eb) => match check_batch(batch_in, &eb.outputs, &exec.copts.integrity) {
-                IntegrityVerdict::Ok => {
-                    let checksum = state_checksum(&eb.outputs);
-                    let write = match &mut exec.writer {
-                        Some(w) if exec.copts.persist_state => {
-                            w.append_batch(shard, checksum, &encode_state(&eb.outputs))
-                        }
-                        Some(w) => w.append(&Record::Batch {
-                            index: shard,
-                            checksum,
-                        }),
-                        None => Ok(()),
-                    };
-                    match write {
-                        Ok(()) => ShardResult::Completed {
-                            checksum,
-                            health: eb.health,
-                        },
-                        Err(e) => ShardResult::Failed(format!("journal append failed: {e}")),
-                    }
-                }
-                IntegrityVerdict::Quarantine { reason, drift } => {
-                    let write = match &mut exec.writer {
-                        Some(w) => w.append(&Record::Quarantine {
-                            index: shard,
-                            reason: reason.to_string(),
-                            drift_bits: drift.to_bits(),
-                        }),
-                        None => Ok(()),
-                    };
-                    match write {
-                        Ok(()) => ShardResult::Quarantined,
-                        Err(e) => ShardResult::Failed(format!("journal append failed: {e}")),
-                    }
-                }
+        // ---- Run and commit the shard outside the lock, on this worker.
+        // The outputs are dropped once the commit returns.
+        let result = match campaign.run_batch(shard, &cancel) {
+            Ok(run) => match campaign.commit(&run) {
+                Ok(_) => ShardResult::Settled {
+                    ok: matches!(run.record, Record::Batch { .. }),
+                    health: run.health,
+                },
+                Err(e) => ShardResult::Failed(format!("journal append failed: {e}")),
             },
             Err(BqsimError::Cancelled) => ShardResult::Cancelled,
             Err(e) => ShardResult::Failed(format!("{e}")),
@@ -1273,76 +1134,38 @@ fn worker(device: usize, sh: &Shared<'_>) {
 
         // ---- Publish the result.
         let mut g = lock(sh);
+        let done = campaign.next_pending().is_none();
         let (tenant, id) = {
             let j = &mut g.jobs[idx];
-            j.exec = Some(exec);
+            j.campaign = Some(campaign);
             j.attempts = 0;
             (j.spec.tenant.clone(), j.spec.id.clone())
         };
+        let outcome = match &result {
+            ShardResult::Settled { ok: true, .. } => ShardOutcome::Ok,
+            ShardResult::Settled { ok: false, .. } => ShardOutcome::Quarantined,
+            ShardResult::Cancelled => ShardOutcome::Cancelled,
+            ShardResult::Failed(_) => ShardOutcome::Failed,
+        };
+        g.emit(&ScheduleEvent::Finish {
+            tenant: tenant.clone(),
+            id,
+            device,
+            shard,
+            outcome,
+        });
         match result {
-            ShardResult::Completed { checksum, health } => {
-                g.emit(&ScheduleEvent::Finish {
-                    tenant: tenant.clone(),
-                    id,
-                    device,
-                    shard,
-                    outcome: ShardOutcome::Ok,
-                });
-                let done = {
-                    let j = &mut g.jobs[idx];
-                    j.checksums[shard] = Some(checksum);
-                    j.pending.pop_front();
-                    j.executed += 1;
-                    j.phase = Phase::Runnable;
-                    j.pending.is_empty()
-                };
+            ShardResult::Settled { health, .. } => {
                 if let Some(led) = g.tenants.get_mut(&tenant) {
                     led.health.faults.merge(health);
                 }
+                g.jobs[idx].phase = Phase::Runnable;
                 if done {
                     g.finalize_done(idx);
                 }
             }
-            ShardResult::Quarantined => {
-                g.emit(&ScheduleEvent::Finish {
-                    tenant,
-                    id,
-                    device,
-                    shard,
-                    outcome: ShardOutcome::Quarantined,
-                });
-                let done = {
-                    let j = &mut g.jobs[idx];
-                    j.pending.pop_front();
-                    j.executed += 1;
-                    j.quarantined.push(shard);
-                    j.phase = Phase::Runnable;
-                    j.pending.is_empty()
-                };
-                if done {
-                    g.finalize_done(idx);
-                }
-            }
-            ShardResult::Cancelled => {
-                g.emit(&ScheduleEvent::Finish {
-                    tenant,
-                    id,
-                    device,
-                    shard,
-                    outcome: ShardOutcome::Cancelled,
-                });
-                g.finalize_cancelled(idx);
-            }
-            ShardResult::Failed(reason) => {
-                g.emit(&ScheduleEvent::Finish {
-                    tenant,
-                    id,
-                    device,
-                    shard,
-                    outcome: ShardOutcome::Failed,
-                });
-                g.finalize_failed(idx, reason);
-            }
+            ShardResult::Cancelled => g.finalize_cancelled(idx),
+            ShardResult::Failed(reason) => g.finalize_failed(idx, reason),
         }
         sh.cv.notify_all();
     }
@@ -1446,38 +1269,28 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
     });
 
     // Report slots: Admitted entries resolve to job outcomes after the
-    // run; rejections are final immediately.
+    // run; rejections and admission failures are final immediately.
     enum Slot {
         Job(usize),
         Immediate(SubmissionReport),
     }
     let mut slots: Vec<Slot> = Vec::new();
+    let admit_slot = |core: &mut Core, spec: SubmitSpec, readmit: Option<StateMode>| {
+        let (tenant, id) = (spec.tenant.clone(), spec.id.clone());
+        let outcome = match admit(core, cfg, store.as_ref(), spec, readmit) {
+            Admission::Admitted(idx) => return Slot::Job(idx),
+            Admission::Rejected(e) => SubmissionOutcome::Rejected(e),
+            Admission::FailedAtAdmit(reason) => SubmissionOutcome::Failed { reason },
+        };
+        Slot::Immediate(SubmissionReport {
+            tenant,
+            id,
+            outcome,
+        })
+    };
 
     for (spec, mode) in readmits {
-        let (tenant, id) = (spec.tenant.clone(), spec.id.clone());
-        match admit(&mut core, cfg, store.as_ref(), spec, Some(mode)) {
-            Admission::Admitted(idx) => slots.push(Slot::Job(idx)),
-            Admission::Rejected(e) => slots.push(Slot::Immediate(SubmissionReport {
-                tenant,
-                id,
-                outcome: SubmissionOutcome::Rejected(e),
-            })),
-            Admission::FailedAtAdmit(reason) => {
-                core.manifest_line(&format!(
-                    "failed tenant={tenant} id={id} reason=resume-{}",
-                    reason
-                        .chars()
-                        .map(|c| if c.is_whitespace() { '-' } else { c })
-                        .take(100)
-                        .collect::<String>()
-                ));
-                slots.push(Slot::Immediate(SubmissionReport {
-                    tenant,
-                    id,
-                    outcome: SubmissionOutcome::Failed { reason },
-                }));
-            }
-        }
+        slots.push(admit_slot(&mut core, spec, Some(mode)));
     }
     // Resubmitting a command file alongside --resume is idempotent:
     // specs already being readmitted are skipped, specs the manifest
@@ -1508,29 +1321,7 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
                 continue;
             }
         }
-        match admit(&mut core, cfg, store.as_ref(), spec.clone(), None) {
-            Admission::Admitted(idx) => slots.push(Slot::Job(idx)),
-            Admission::Rejected(e) => slots.push(Slot::Immediate(SubmissionReport {
-                tenant,
-                id,
-                outcome: SubmissionOutcome::Rejected(e),
-            })),
-            Admission::FailedAtAdmit(reason) => {
-                core.manifest_line(&format!(
-                    "failed tenant={tenant} id={id} reason={}",
-                    reason
-                        .chars()
-                        .map(|c| if c.is_whitespace() { '-' } else { c })
-                        .take(100)
-                        .collect::<String>()
-                ));
-                slots.push(Slot::Immediate(SubmissionReport {
-                    tenant,
-                    id,
-                    outcome: SubmissionOutcome::Failed { reason },
-                }));
-            }
-        }
+        slots.push(admit_slot(&mut core, spec.clone(), None));
     }
 
     let shared = Shared {
@@ -1571,16 +1362,17 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
             Slot::Immediate(r) => r,
             Slot::Job(idx) => {
                 let j = &core.jobs[idx];
+                let c = j.campaign.as_deref();
                 let outcome = match &j.phase {
                     Phase::Done { digest } => SubmissionOutcome::Completed {
                         digest: *digest,
-                        executed: j.executed,
-                        resumed: j.resumed,
-                        quarantined: j.quarantined.len(),
+                        executed: c.map_or(0, Campaign::executed),
+                        resumed: c.map_or(0, Campaign::resumed),
+                        quarantined: c.map_or(0, |c| c.quarantined().count()),
                         downgraded: j.downgraded,
                     },
                     Phase::Cancelled => SubmissionOutcome::Cancelled {
-                        completed: j.checksums.iter().flatten().count(),
+                        completed: j.checksums().iter().flatten().count(),
                     },
                     Phase::Shed => SubmissionOutcome::Shed,
                     _ => SubmissionOutcome::Failed {

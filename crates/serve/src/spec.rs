@@ -12,7 +12,8 @@
 //! digests are bit-identical to a serial `bqsim run` of the same spec.
 
 use crate::error::ServeError;
-use bqsim_core::Precision;
+use bqsim_campaign::CampaignOptions;
+use bqsim_core::{BqSimOptions, Precision};
 use bqsim_faults::FaultBudget;
 use bqsim_num::Complex;
 use bqsim_qcir::{generators::Family, Circuit};
@@ -232,6 +233,24 @@ impl SubmitSpec {
     /// service submission with `fault-seed=S`.
     pub fn fault_budget() -> FaultBudget {
         FaultBudget::transient(2, 1, 1)
+    }
+
+    /// The simulator and campaign options the spec's campaign runs under:
+    /// its precision, and its fault seed with [`fault_budget`](Self::fault_budget).
+    /// Journaling, recovery and the integrity budget stay at their
+    /// defaults for the caller to set — the service's admission and a
+    /// serial `run_campaign` twin start from this same pair.
+    pub fn run_options(&self) -> (BqSimOptions, CampaignOptions) {
+        let opts = BqSimOptions {
+            precision: self.precision,
+            ..BqSimOptions::default()
+        };
+        let copts = CampaignOptions {
+            fault_seed: self.fault_seed,
+            fault_budget: Self::fault_budget(),
+            ..CampaignOptions::default()
+        };
+        (opts, copts)
     }
 
     /// Renders the spec as one `key=value` line (the inverse of

@@ -3,10 +3,11 @@
 
 use crate::*;
 use bqsim_analyze::{check_service_schedule, parse_schedule_trace};
-use bqsim_campaign::{campaign_digest, run_campaign, CampaignOptions};
-use bqsim_core::BqSimOptions;
+use bqsim_campaign::{
+    campaign_digest, read_journal, run_campaign, state_path, CampaignOptions, JournalWriter,
+};
 use bqsim_faults::VirtualClock;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,18 +44,54 @@ fn test_config(dir: PathBuf) -> ServiceConfig {
 /// The serial twin of a service submission: `run_campaign` over the
 /// same circuit, options, inputs, and fault plan.
 fn serial_digest(s: &SubmitSpec) -> u64 {
-    let circuit = s.build_circuit().unwrap();
-    let inputs = s.build_inputs();
-    let mut copts = CampaignOptions {
-        fault_seed: s.fault_seed,
-        ..CampaignOptions::default()
-    };
-    if s.fault_seed.is_some() {
-        copts.fault_budget = SubmitSpec::fault_budget();
-    }
-    let result = run_campaign(&circuit, BqSimOptions::default(), &inputs, &copts).unwrap();
+    let (opts, copts) = s.run_options();
+    let result =
+        run_campaign(&s.build_circuit().unwrap(), opts, &s.build_inputs(), &copts).unwrap();
     assert!(result.is_complete(), "serial reference must complete");
     campaign_digest(&result.checksums)
+}
+
+/// Session 1 stand-in: `s`'s campaign interrupted after one batch — the
+/// journal a SIGKILLed service session leaves behind — plus the manifest
+/// admission record. Returns the journal path.
+fn interrupted_submission(dir: &Path, s: &SubmitSpec) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let jpath = journal_path(dir, &s.tenant, &s.id);
+    let (opts, copts) = s.run_options();
+    let copts = CampaignOptions {
+        journal_path: Some(jpath.clone()),
+        stop_after: Some(1),
+        ..copts
+    };
+    let partial =
+        run_campaign(&s.build_circuit().unwrap(), opts, &s.build_inputs(), &copts).unwrap();
+    assert!(partial.cancelled && partial.executed == 1);
+    std::fs::write(
+        manifest_path(dir),
+        format!("admitted {} mode=full\n", s.render_line()),
+    )
+    .unwrap();
+    jpath
+}
+
+/// Resumes `dir` and returns the one submission's failure reason,
+/// checking that the manifest never records it done.
+fn resume_fails(dir: &Path) -> String {
+    let mut cfg = test_config(dir.to_path_buf());
+    cfg.resume = true;
+    let report = run_service(&cfg, &[]).unwrap();
+    assert_eq!(report.submissions.len(), 1);
+    let SubmissionOutcome::Failed { reason } = &report.submissions[0].outcome else {
+        panic!("resume over a damaged journal must fail: {report:?}");
+    };
+    let status = read_status(dir).unwrap();
+    assert!(
+        matches!(status[0].state, StatusState::Failed(_)),
+        "{status:?}"
+    );
+    let manifest = std::fs::read_to_string(manifest_path(dir)).unwrap();
+    assert!(!manifest.contains("done "), "{manifest}");
+    reason.clone()
 }
 
 #[test]
@@ -80,6 +117,32 @@ fn service_digests_match_serial_campaigns() {
             sub.id
         );
     }
+}
+
+/// A narrow submission whose shards drift past the integrity budget is
+/// retried at f64 shard by shard, exactly like `bqsim run`, instead of
+/// completing with every shard quarantined.
+#[test]
+fn narrow_precision_submissions_retry_at_f64_like_serial_runs() {
+    let s = SubmitSpec {
+        family: "qnn".into(),
+        qubits: 8,
+        batch_size: 4,
+        fault_seed: None,
+        precision: bqsim_core::Precision::F32,
+        ..spec("alice", "narrow", 3, Priority::Normal)
+    };
+    let report = run_service(&test_config(state_dir("narrow")), std::slice::from_ref(&s)).unwrap();
+    let SubmissionOutcome::Completed {
+        digest,
+        quarantined,
+        ..
+    } = report.submissions[0].outcome
+    else {
+        panic!("narrow submission should complete: {report:?}");
+    };
+    assert_eq!(quarantined, 0);
+    assert_eq!(digest, serial_digest(&s));
 }
 
 #[test]
@@ -307,30 +370,9 @@ fn device_loss_parse_round_trips() {
 #[test]
 fn resume_finishes_interrupted_submissions_bit_identically() {
     let dir = state_dir("resume");
-    std::fs::create_dir_all(&dir).unwrap();
     let s = spec("alice", "big", 4, Priority::Normal);
     let reference = serial_digest(&s);
-
-    // Session 1 stand-in: a campaign interrupted after one batch — the
-    // same journal state a SIGKILLed service session leaves behind —
-    // plus the manifest admission record.
-    let circuit = s.build_circuit().unwrap();
-    let inputs = s.build_inputs();
-    let jpath = journal_path(&dir, &s.tenant, &s.id);
-    let copts = CampaignOptions {
-        journal_path: Some(jpath),
-        stop_after: Some(1),
-        fault_seed: s.fault_seed,
-        fault_budget: SubmitSpec::fault_budget(),
-        ..CampaignOptions::default()
-    };
-    let partial = run_campaign(&circuit, BqSimOptions::default(), &inputs, &copts).unwrap();
-    assert!(partial.cancelled && partial.executed == 1);
-    std::fs::write(
-        manifest_path(&dir),
-        format!("admitted {} mode=full\n", s.render_line()),
-    )
-    .unwrap();
+    interrupted_submission(&dir, &s);
 
     // Session 2: resume re-admits and finishes it.
     let mut cfg = test_config(dir.clone());
@@ -354,6 +396,45 @@ fn resume_finishes_interrupted_submissions_bit_identically() {
     let status = read_status(&dir).unwrap();
     assert_eq!(status.len(), 1);
     assert_eq!(status[0].state, StatusState::Done(reference));
+}
+
+/// Resume verifies what `bqsim run --resume` verifies: a flipped byte in
+/// a committed sidecar slot fails the submission, naming the slot.
+#[test]
+fn resume_over_a_damaged_sidecar_fails_the_submission() {
+    use std::io::{Seek as _, SeekFrom, Write as _};
+    let dir = state_dir("damaged-sidecar");
+    let jpath = interrupted_submission(&dir, &spec("alice", "big", 4, Priority::Normal));
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(state_path(&jpath))
+        .unwrap();
+    f.seek(SeekFrom::Start(3)).unwrap();
+    f.write_all(&[0xff]).unwrap();
+    drop(f);
+    let reason = resume_fails(&dir);
+    assert!(
+        reason.contains("sidecar slot for batch 0 is damaged"),
+        "{reason}"
+    );
+}
+
+/// A journal that completes one batch twice cannot be trusted; resume
+/// fails the submission instead of skipping the duplicate.
+#[test]
+fn resume_over_a_duplicate_completion_fails_the_submission() {
+    let dir = state_dir("duplicate");
+    let jpath = interrupted_submission(&dir, &spec("alice", "big", 4, Priority::Normal));
+    let contents = read_journal(&jpath).unwrap();
+    let mut w =
+        JournalWriter::open_append(&jpath, contents.valid_len, contents.state_mode).unwrap();
+    w.append(&contents.records[0]).unwrap();
+    drop(w);
+    let reason = resume_fails(&dir);
+    assert!(
+        reason.contains("duplicate completion of batch 0"),
+        "{reason}"
+    );
 }
 
 #[test]
@@ -438,7 +519,8 @@ mod properties {
     use rand::{Rng, RngCore, SeedableRng};
 
     /// A deterministic random fleet of tenant submissions: mixed
-    /// families, shapes, priorities, and per-tenant fault seeds.
+    /// families, shapes, priorities, precisions, and per-tenant fault
+    /// seeds.
     fn random_fleet(seed: u64, tenants: usize) -> Vec<SubmitSpec> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let families = ["ghz", "qft", "graph", "vqe"];
@@ -458,7 +540,11 @@ mod properties {
                     1 => Priority::Normal,
                     _ => Priority::High,
                 },
-                precision: bqsim_core::Precision::F64,
+                precision: if rng.gen_range(0u8..2) == 0 {
+                    bqsim_core::Precision::F64
+                } else {
+                    bqsim_core::Precision::F32
+                },
                 deadline_ms: None,
             })
             .collect()

@@ -304,6 +304,8 @@ sv_qubits=(12 10 9 8 10 12 10 9)
 sv_batches=(8 6 6 4 4 8 6 4)
 sv_bs=(64 32 32 32 32 64 32 32)
 sv_prios=(low normal high low normal high normal high)
+# t4 runs narrow, so SIGKILL and resume also cover the f64 retry path.
+sv_precs=(f64 f64 f64 f32 f64 f64 f64 f64)
 sv_expect=()
 cmds="$svc_root/jobs.cmd"
 for i in 0 1 2 3 4 5 6 7; do
@@ -311,12 +313,14 @@ for i in 0 1 2 3 4 5 6 7; do
     run_bqsim submit --submissions "$cmds" \
         "tenant=t$n" "id=j$n" "family=${sv_fams[$i]}" "qubits=${sv_qubits[$i]}" \
         "batches=${sv_batches[$i]}" "batch-size=${sv_bs[$i]}" "seed=$((10 + n))" \
-        "fault-seed=$((100 + n))" "priority=${sv_prios[$i]}" >/dev/null
+        "fault-seed=$((100 + n))" "priority=${sv_prios[$i]}" \
+        "precision=${sv_precs[$i]}" >/dev/null
     # Serial twin: the same campaign submitted alone must yield the
     # digest the service reports for this tenant.
     d="$(run_bqsim run --family "${sv_fams[$i]}" --qubits "${sv_qubits[$i]}" \
         --batches "${sv_batches[$i]}" --batch-size "${sv_bs[$i]}" --seed "$((10 + n))" \
-        --fault-plan "seed=$((100 + n))" | grep 'campaign digest:' | awk '{print $NF}')"
+        --fault-plan "seed=$((100 + n))" --precision "${sv_precs[$i]}" \
+        | grep 'campaign digest:' | awk '{print $NF}')"
     sv_expect+=("$d")
 done
 for threads in 1 4; do
