@@ -98,6 +98,7 @@ mod tests {
         Fingerprint {
             circuit: 1,
             options: 2,
+            source: None,
             inputs: 3,
             artifact: 4,
             fault_seed: None,

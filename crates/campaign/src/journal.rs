@@ -47,6 +47,7 @@
 //! [`JournalError::Corrupt`].
 
 use crate::checksum::{fnv1a, parse_hex_u64};
+use crate::inputs::Generator;
 use bqsim_core::{Layout, Precision};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -68,7 +69,13 @@ pub struct Fingerprint {
     /// launch/exec modes, ablation flags) — *excluding* `threads`, layout
     /// and precision, which are recorded as their own fields below.
     pub options: u64,
-    /// FNV-1a over the raw bit patterns of every input amplitude.
+    /// Where the inputs come from: `None` for explicit batches, else the
+    /// generator that makes batch `b` from the shape fields below.
+    pub source: Option<Generator>,
+    /// FNV-1a over the raw bit patterns of every input amplitude for
+    /// explicit batches; of batch 0's alone for a generated source, which
+    /// the other fields already name, so a generator whose output changed
+    /// is still a mismatch.
     pub inputs: u64,
     /// The compile's content address (`bqsim_core::artifact_key`) — the
     /// same key that names the circuit executable in an artifact store.
@@ -116,6 +123,26 @@ impl Fingerprint {
         if self.options != other.options {
             return Some("options");
         }
+        match (self.source, other.source) {
+            (Some(Generator::Random { seed: a }), Some(Generator::Random { seed: b }))
+                if a != b =>
+            {
+                return Some("seed")
+            }
+            (a, b) if a != b => return Some("source"),
+            _ => {}
+        }
+        // The shape before the input hash: a different batch size also
+        // changes batch 0's bytes, and the shape is the better name.
+        if self.num_batches != other.num_batches {
+            return Some("num_batches");
+        }
+        if self.batch_size != other.batch_size {
+            return Some("batch_size");
+        }
+        if self.amps != other.amps {
+            return Some("amps");
+        }
         if self.inputs != other.inputs {
             return Some("inputs");
         }
@@ -130,15 +157,6 @@ impl Fingerprint {
         }
         if self.precision != other.precision {
             return Some("precision");
-        }
-        if self.num_batches != other.num_batches {
-            return Some("num_batches");
-        }
-        if self.batch_size != other.batch_size {
-            return Some("batch_size");
-        }
-        if self.amps != other.amps {
-            return Some("amps");
         }
         None
     }
@@ -291,10 +309,13 @@ fn render_header(fp: &Fingerprint, mode: StateMode) -> String {
         None => "none".to_string(),
     };
     format!(
-        "plan circuit={:016x} options={:016x} inputs={:016x} artifact={:016x} fault_seed={} \
-         threads={} layout={} precision={} batches={} batch_size={} amps={} state={}",
+        "plan circuit={:016x} options={:016x} source={} inputs={:016x} artifact={:016x} \
+         fault_seed={} threads={} layout={} precision={} batches={} batch_size={} amps={} \
+         state={}",
         fp.circuit,
         fp.options,
+        fp.source
+            .map_or_else(|| "explicit".to_string(), |g| g.to_string()),
         fp.inputs,
         fp.artifact,
         seed,
@@ -550,7 +571,21 @@ fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), Journa
     }
     let circuit = parse_hex_u64(parse_kv(t.next()?, "circuit")?.as_bytes())?;
     let options = parse_hex_u64(parse_kv(t.next()?, "options")?.as_bytes())?;
-    let inputs = parse_hex_u64(parse_kv(t.next()?, "inputs")?.as_bytes())?;
+    let mut next = t.next()?;
+    // Headers written before generated sources existed carry no
+    // `source=` token; their inputs were always hashed in full.
+    let source = match parse_kv(next, "source") {
+        Some("explicit") => {
+            next = t.next()?;
+            None
+        }
+        Some(token) => {
+            next = t.next()?;
+            Some(Generator::parse(token)?)
+        }
+        None => None,
+    };
+    let inputs = parse_hex_u64(parse_kv(next, "inputs")?.as_bytes())?;
     let artifact = parse_hex_u64(parse_kv(t.next()?, "artifact")?.as_bytes())?;
     let seed = parse_kv(t.next()?, "fault_seed")?;
     let fault_seed = if seed == "none" {
@@ -577,6 +612,7 @@ fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), Journa
         Fingerprint {
             circuit,
             options,
+            source,
             inputs,
             artifact,
             fault_seed,
@@ -714,6 +750,7 @@ mod tests {
         Fingerprint {
             circuit: 0x1111,
             options: 0x2222,
+            source: None,
             inputs: 0x3333,
             artifact: 0x4444,
             fault_seed: Some(42),
@@ -779,6 +816,30 @@ mod tests {
 
     /// A journal written when `precision=mixed` existed is refused as a
     /// plan mismatch (exit 4), not parsed as f64 and not called corrupt.
+    #[test]
+    fn header_names_the_input_source_and_older_headers_read_as_explicit() {
+        let path = tmp("source-token");
+        let generated = Fingerprint {
+            source: Some(Generator::Random { seed: 42 }),
+            ..fp()
+        };
+        let header = render_header(&generated, StateMode::Full);
+        assert!(header.contains(" source=random:42 "), "{header}");
+        std::fs::write(&path, render_line(&header)).unwrap();
+        assert_eq!(read_journal(&path).unwrap().fingerprint, generated);
+        // A header written before generated sources existed has no
+        // `source=` token; its inputs were hashed in full.
+        let explicit = render_header(&fp(), StateMode::Full);
+        assert!(explicit.contains(" source=explicit "), "{explicit}");
+        std::fs::write(
+            &path,
+            render_line(&explicit.replace(" source=explicit ", " ")),
+        )
+        .unwrap();
+        assert_eq!(read_journal(&path).unwrap().fingerprint, fp());
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn retired_precision_token_is_a_fingerprint_mismatch() {
         let path = tmp("retired-precision");

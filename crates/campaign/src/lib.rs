@@ -37,6 +37,7 @@
 
 pub mod audit;
 pub mod checksum;
+mod inputs;
 pub mod integrity;
 pub mod journal;
 mod resume;
@@ -44,12 +45,14 @@ mod runner;
 
 pub use audit::{audit_journal, journal_facts};
 pub use checksum::campaign_digest;
+pub use inputs::{CampaignInputs, GeneratedInputs, Generator};
 pub use integrity::{check_batch, IntegrityBudget, IntegrityVerdict};
 pub use journal::{
     read_journal, state_path, Fingerprint, JournalContents, JournalError, JournalWriter, Record,
     StateMode,
 };
 pub use runner::{
-    execute_campaign_batch, plan_fingerprint, run_campaign, BatchOutcome, BatchRun, Campaign,
-    CampaignError, CampaignOptions, CampaignOutputs, CampaignResult, ExecutedBatch,
+    execute_campaign_batch, plan_fingerprint, run_campaign, stream_campaign, BatchOutcome,
+    BatchRun, Campaign, CampaignError, CampaignOptions, CampaignOutputs, CampaignResult,
+    ExecutedBatch,
 };

@@ -28,9 +28,10 @@ pub(crate) struct JournalState {
 
 /// Decodes a journal's records into [`JournalState`]. For a
 /// [`StateMode::Full`] journal, every completed batch's sidecar slot is
-/// loaded and its raw bytes verified against the record checksum before
-/// decoding; for [`StateMode::ChecksumOnly`], completion is taken from
-/// the record alone.
+/// read and its raw bytes verified against the record checksum, then
+/// decoded and kept only with `keep_states` (so a caller that drops
+/// outputs holds one slot at a time); for [`StateMode::ChecksumOnly`],
+/// completion is taken from the record alone.
 ///
 /// # Errors
 ///
@@ -41,6 +42,7 @@ pub(crate) struct JournalState {
 pub(crate) fn load_journal_state(
     path: &Path,
     contents: &JournalContents,
+    keep_states: bool,
 ) -> Result<JournalState, JournalError> {
     let n = contents.fingerprint.num_batches;
     let slot_bytes = state_slot_bytes(contents.fingerprint.batch_size, contents.fingerprint.amps);
@@ -81,7 +83,7 @@ pub(crate) fn load_journal_state(
                                 reason: "undecodable slot".to_string(),
                             });
                         };
-                        Some(state)
+                        keep_states.then_some(state)
                     }
                 };
                 quarantined[b] = None; // a completion supersedes any earlier quarantine
@@ -126,6 +128,7 @@ mod tests {
         Fingerprint {
             circuit: 0,
             options: 0,
+            source: None,
             inputs: 0,
             artifact: 0,
             fault_seed: None,
@@ -170,12 +173,17 @@ mod tests {
         append_state(&mut w, 1, &state);
         drop(w);
         let contents = read_journal(&path).unwrap();
-        let st = load_journal_state(&path, &contents).unwrap();
+        let st = load_journal_state(&path, &contents, true).unwrap();
         assert!(st.quarantined[1].is_none(), "retry cleared the quarantine");
         let cb = st.completed[1].as_ref().unwrap();
         assert_eq!(cb.checksum, state_checksum(&state));
         assert_eq!(cb.state.as_deref(), Some(&state[..]));
         assert!(st.completed[0].is_none() && st.completed[2].is_none());
+        // Without `keep_states` the slot is verified but not kept.
+        let st = load_journal_state(&path, &contents, false).unwrap();
+        let cb = st.completed[1].as_ref().unwrap();
+        assert_eq!(cb.checksum, state_checksum(&state));
+        assert!(cb.state.is_none());
         cleanup(&path);
     }
 
@@ -194,7 +202,7 @@ mod tests {
             "checksum-only journals have no sidecar"
         );
         let contents = read_journal(&path).unwrap();
-        let st = load_journal_state(&path, &contents).unwrap();
+        let st = load_journal_state(&path, &contents, true).unwrap();
         let cb = st.completed[2].as_ref().unwrap();
         assert_eq!(cb.checksum, 0xfeed);
         assert!(cb.state.is_none(), "no amplitudes to rematerialize");
@@ -218,11 +226,13 @@ mod tests {
         f.write_all(&[0xff]).unwrap();
         drop(f);
         let contents = read_journal(&path).unwrap();
-        match load_journal_state(&path, &contents) {
-            Err(JournalError::State { index: 0, reason }) => {
-                assert!(reason.contains("checksum"), "{reason}");
+        for keep_states in [true, false] {
+            match load_journal_state(&path, &contents, keep_states) {
+                Err(JournalError::State { index: 0, reason }) => {
+                    assert!(reason.contains("checksum"), "{reason}");
+                }
+                other => panic!("expected slot checksum failure, got {other:?}"),
             }
-            other => panic!("expected slot checksum failure, got {other:?}"),
         }
         cleanup(&path);
     }
@@ -236,7 +246,7 @@ mod tests {
         drop(w);
         std::fs::remove_file(state_path(&path)).unwrap();
         let contents = read_journal(&path).unwrap();
-        match load_journal_state(&path, &contents) {
+        match load_journal_state(&path, &contents, true) {
             Err(JournalError::State { index: 2, .. }) => {}
             other => panic!("expected missing-sidecar State error, got {other:?}"),
         }
@@ -253,7 +263,7 @@ mod tests {
         drop(w);
         let contents = read_journal(&path).unwrap();
         assert!(matches!(
-            load_journal_state(&path, &contents),
+            load_journal_state(&path, &contents, true),
             Err(JournalError::Corrupt { line: 3, .. })
         ));
         cleanup(&path);
@@ -264,7 +274,7 @@ mod tests {
         drop(w);
         let contents = read_journal(&path).unwrap();
         assert!(matches!(
-            load_journal_state(&path, &contents),
+            load_journal_state(&path, &contents, true),
             Err(JournalError::Corrupt { line: 2, .. })
         ));
         cleanup(&path);

@@ -4,8 +4,9 @@
 //!
 //! # Why batch-at-a-time
 //!
-//! The campaign runs each batch as its own single-batch simulation, with
-//! any injected faults drawn from a plan seeded by
+//! The campaign runs each batch as its own single-batch simulation — on
+//! the one [`BatchExecutor`] it keeps, whose reuse is invisible to
+//! results — with any injected faults drawn from a plan seeded by
 //! `fault_seed ^ batch_index`. Every batch's computation is therefore a
 //! pure function of the plan fingerprint and its own index — independent
 //! of which batches ran before it, in which process, or how many times
@@ -35,6 +36,9 @@
 //! behind later batches' compute. [`StateMode::ChecksumOnly`] records
 //! are a few dozen bytes, so they are buffered in memory and flushed
 //! inline: a thread's per-record wakeups would cost more than they hide.
+//! The persister's queue holds at most [`PERSIST_QUEUE_BATCHES`] batches,
+//! so a disk slower than the simulation slows the producer instead of
+//! buffering outputs.
 //!
 //! Group commit relaxes only *when* a record becomes durable: within one
 //! commit interval, and never later than the campaign's return (the
@@ -57,13 +61,14 @@
 //! rematerialization on resume.
 
 use crate::checksum::{encode_state, fnv1a, fnv1a_extend, state_checksum};
+use crate::inputs::CampaignInputs;
 use crate::integrity::{check_batch, IntegrityBudget, IntegrityVerdict};
 use crate::journal::{read_journal, Fingerprint, JournalError, JournalWriter, Record, StateMode};
 use crate::resume::load_journal_state;
 use bqsim_core::{
-    artifact_key, ArtifactStore, BatchSource, BqSimOptions, BqSimulator, BqsimError, CompileSource,
-    CompileWall, EllCacheStats, FaultBudget, Precision, RecoveryPolicy, RunHealth, RunRequest,
-    StoreStats,
+    artifact_key, ArtifactStore, BatchExecutor, BatchSource, BqSimOptions, BqSimulator, BqsimError,
+    CompileSource, CompileWall, EllCacheStats, FaultBudget, Precision, RecoveryPolicy, RunHealth,
+    RunRequest, StoreStats,
 };
 use bqsim_faults::CancelToken;
 use bqsim_gpu::ExecMode;
@@ -281,6 +286,11 @@ impl From<BqsimError> for CampaignError {
     }
 }
 
+/// Batches a full-state campaign may run ahead of its persister: the
+/// queue between them is bounded, so at most this many batches' outputs
+/// wait in memory for the disk.
+const PERSIST_QUEUE_BATCHES: usize = 8;
+
 struct PersistMsg {
     rec: Record,
     /// The batch's output amplitudes, for the sidecar slot the record
@@ -364,15 +374,16 @@ impl CommitGroup {
 /// Handle to the background persister thread (see the module docs'
 /// "commit pipeline" section). The thread owns the [`CommitGroup`],
 /// stages each message's sidecar slot on arrival, and flushes the group
-/// on the configured interval.
+/// on the configured interval. Its queue is bounded by
+/// [`PERSIST_QUEUE_BATCHES`]: a send blocks while it is full.
 struct Persister {
-    tx: Option<mpsc::Sender<PersistMsg>>,
+    tx: Option<mpsc::SyncSender<PersistMsg>>,
     handle: Option<thread::JoinHandle<Result<(), JournalError>>>,
 }
 
 impl Persister {
     fn spawn(mut group: CommitGroup) -> Self {
-        let (tx, rx) = mpsc::channel::<PersistMsg>();
+        let (tx, rx) = mpsc::sync_channel::<PersistMsg>(PERSIST_QUEUE_BATCHES);
         let handle = thread::spawn(move || {
             loop {
                 let msg = match group.flush_due {
@@ -480,7 +491,8 @@ pub struct ExecutedBatch {
 
 /// Executes one batch of a campaign plan — the simulation step of
 /// [`Campaign::run_batch`], without its integrity check, `f64` retry or
-/// checksum.
+/// checksum — on a one-batch executor built for this call alone. A
+/// campaign keeps its executor across batches instead.
 ///
 /// The computation is a pure function of the compiled plan and the batch
 /// index: with a fault seed, batch `index` draws its plan from
@@ -500,14 +512,31 @@ pub fn execute_campaign_batch(
     copts: &CampaignOptions,
     cancel: &CancelToken,
 ) -> Result<ExecutedBatch, BqsimError> {
+    let mut executor = BatchExecutor::new(sim, 1, batch.len())?;
+    run_on(sim, &mut executor, batch, index, copts, cancel)
+}
+
+/// Runs campaign batch `index` through `executor` under its seeded fault
+/// plan.
+fn run_on(
+    sim: &BqSimulator,
+    executor: &mut BatchExecutor,
+    batch: &[Vec<Complex>],
+    index: usize,
+    copts: &CampaignOptions,
+    cancel: &CancelToken,
+) -> Result<ExecutedBatch, BqsimError> {
     let plan = copts
         .fault_seed
         .map(|seed| sim.seeded_fault_plan(seed ^ index as u64, 1, &copts.fault_budget));
-    let run = sim.execute(&RunRequest {
-        source: BatchSource::Batches(vec![batch]),
-        cancel: Some(cancel),
-        faults: plan.as_ref().map(|plan| (plan, &copts.recovery)),
-    })?;
+    let run = executor.run(
+        sim,
+        &RunRequest {
+            source: BatchSource::Batches(vec![batch]),
+            cancel: Some(cancel),
+            faults: plan.as_ref().map(|plan| (plan, &copts.recovery)),
+        },
+    )?;
     Ok(ExecutedBatch {
         outputs: run.outputs.into_iter().next().unwrap_or_default(),
         health: run.health,
@@ -517,18 +546,56 @@ pub fn execute_campaign_batch(
 /// Computes the campaign's plan [`Fingerprint`].
 ///
 /// The circuit and option hashes are FNV-1a over canonical debug
-/// renderings (pure data, no addresses); the input hash covers the raw
-/// bit patterns of every amplitude. The effective amplitude layout and
-/// precision are deliberately excluded from the options hash and carried
-/// as their own fields so a mismatch report can name them — the most
-/// common way to accidentally change a plan between sessions is
-/// `BQSIM_LAYOUT` or `BQSIM_PRECISION`. `threads` (spMM lanes) is
-/// recorded too but never refuses a resume: it cannot change an output
-/// bit.
-pub fn plan_fingerprint(
+/// renderings (pure data, no addresses). Explicit input batches are
+/// hashed over the raw bit patterns of every amplitude; a generated
+/// source is named by its generator and shape, and only batch 0's bytes
+/// are hashed. The effective amplitude layout and precision are
+/// deliberately excluded from the options hash and carried as their own
+/// fields so a mismatch report can name them — the most common way to
+/// accidentally change a plan between sessions is `BQSIM_LAYOUT` or
+/// `BQSIM_PRECISION`. `threads` (spMM lanes) is recorded too but never
+/// refuses a resume: it cannot change an output bit.
+pub fn plan_fingerprint<'a>(
     circuit: &Circuit,
     opts: &BqSimOptions,
-    batches: &[Vec<Vec<Complex>>],
+    inputs: impl Into<CampaignInputs<'a>>,
+    fault_seed: Option<u64>,
+) -> Fingerprint {
+    let inputs = inputs.into();
+    let (inputs_hash, _) = hash_inputs(&inputs);
+    fingerprint_with(circuit, opts, &inputs, inputs_hash, fault_seed)
+}
+
+/// The fingerprint's input hash (see [`plan_fingerprint`]), and batch 0
+/// when it had to be generated for it — a campaign then runs that batch
+/// instead of generating it twice.
+fn hash_inputs(inputs: &CampaignInputs) -> (u64, Option<Vec<Vec<Complex>>>) {
+    let hash_batches = |batches: &[Vec<Vec<Complex>>]| {
+        let mut h = fnv1a(b"inputs");
+        for batch in batches {
+            for state in batch {
+                for z in state {
+                    h = fnv1a_extend(h, &z.re.to_bits().to_le_bytes());
+                    h = fnv1a_extend(h, &z.im.to_bits().to_le_bytes());
+                }
+            }
+        }
+        h
+    };
+    match inputs {
+        CampaignInputs::Batches(b) => (hash_batches(b), None),
+        CampaignInputs::Generated(g) => {
+            let first = g.batch(0);
+            (hash_batches(std::slice::from_ref(&first)), Some(first))
+        }
+    }
+}
+
+fn fingerprint_with(
+    circuit: &Circuit,
+    opts: &BqSimOptions,
+    inputs: &CampaignInputs,
+    inputs_hash: u64,
     fault_seed: Option<u64>,
 ) -> Fingerprint {
     let circuit_hash = fnv1a(format!("{circuit:?}").as_bytes());
@@ -545,20 +612,16 @@ pub fn plan_fingerprint(
         opts.skip_ell,
         opts.generic_spmm,
     );
-    let mut inputs = fnv1a(b"inputs");
-    for batch in batches {
-        for state in batch {
-            for z in state {
-                inputs = fnv1a_extend(inputs, &z.re.to_bits().to_le_bytes());
-                inputs = fnv1a_extend(inputs, &z.im.to_bits().to_le_bytes());
-            }
-        }
-    }
-    let (batch_size, amps) = batch_dims(batches);
+    let source = match inputs {
+        CampaignInputs::Batches(_) => None,
+        CampaignInputs::Generated(g) => Some(g.generator),
+    };
+    let (batch_size, amps) = inputs.dims();
     Fingerprint {
         circuit: circuit_hash,
         options: fnv1a(opt_repr.as_bytes()),
-        inputs,
+        source,
+        inputs: inputs_hash,
         // The same content address that names the compile in an artifact
         // store — journals and stores stay correlatable, and a resume
         // refuses a journal whose compile inputs differ even if the
@@ -568,16 +631,10 @@ pub fn plan_fingerprint(
         threads: opts.threads,
         layout: opts.effective_layout(),
         precision: opts.effective_precision(),
-        num_batches: batches.len(),
+        num_batches: inputs.len(),
         batch_size,
         amps,
     }
-}
-
-pub(crate) fn batch_dims(batches: &[Vec<Vec<Complex>>]) -> (usize, usize) {
-    let batch_size = batches.first().map_or(0, Vec::len);
-    let amps = batches.first().and_then(|b| b.first()).map_or(0, Vec::len);
-    (batch_size, amps)
 }
 
 /// Output states of every batch of a campaign, `None` where a batch has
@@ -604,20 +661,32 @@ pub struct BatchRun {
 /// from an artifact store), then creates the journal or verifies and
 /// resumes it: fingerprint, state mode, index range, duplicate
 /// completions and every committed sidecar slot's checksum.
-/// [`run_batch`](Self::run_batch) executes, integrity-checks and
-/// checksums one batch, retrying a drifted narrow-precision batch once at
-/// `f64`. [`commit`](Self::commit) hands its record to the journal.
+/// [`run_batch`](Self::run_batch) pulls one batch from the inputs,
+/// executes it on the campaign's one [`BatchExecutor`] (built by the
+/// first batch, kept for the rest), integrity-checks and checksums it,
+/// retrying a drifted narrow-precision batch once at `f64` on a second
+/// kept executor. [`commit`](Self::commit) hands its record to the
+/// journal.
 ///
 /// A freshly opened campaign commits synchronously, on the calling
 /// thread; [`run_campaign`] switches to group commit. The campaign keeps
 /// checksums and outcomes, never output amplitudes.
 pub struct Campaign<'a> {
     sim: BqSimulator,
-    /// Built lazily on the first narrow-precision quarantine; shares the
-    /// compiled gates with `sim` (Arc), so the retry pays execution only.
-    f64_retry: Option<BqSimulator>,
+    /// One-batch executor on `sim`, built by the first batch that runs —
+    /// on the thread that runs it, so the service's device workers build
+    /// their campaigns' executors in parallel instead of its admission
+    /// building every one in turn.
+    executor: Option<BatchExecutor>,
+    /// Built on the first narrow-precision quarantine: an `f64` sibling
+    /// sharing the compiled gates (Arc), and its own executor, so the
+    /// retry pays execution only.
+    f64_retry: Option<(BqSimulator, BatchExecutor)>,
     precision: Precision,
-    inputs: Cow<'a, [Vec<Vec<Complex>>]>,
+    /// A generated batch 0, made for the fingerprint and kept until it
+    /// runs.
+    first: Option<Vec<Vec<Complex>>>,
+    inputs: CampaignInputs<'a>,
     copts: CampaignOptions,
     committer: Option<Committer>,
     compile_source: Option<CompileSource>,
@@ -631,9 +700,8 @@ pub struct Campaign<'a> {
 impl<'a> Campaign<'a> {
     /// Opens (or, with [`CampaignOptions::resume`], resumes) the campaign
     /// of `circuit` over `inputs`, compiling through `store` when one is
-    /// given. Returns the campaign and the outputs a full-state journal
-    /// rematerialized (`None` for every batch still to run, and for
-    /// every batch of a checksum-only journal).
+    /// given. A resume verifies every committed sidecar slot against its
+    /// record but keeps none of their amplitudes.
     ///
     /// # Errors
     ///
@@ -649,17 +717,32 @@ impl<'a> Campaign<'a> {
     pub fn open(
         circuit: &Circuit,
         opts: BqSimOptions,
-        inputs: impl Into<Cow<'a, [Vec<Vec<Complex>>]>>,
+        inputs: impl Into<CampaignInputs<'a>>,
         copts: &CampaignOptions,
         store: Option<&ArtifactStore>,
+    ) -> Result<Campaign<'a>, CampaignError> {
+        Self::open_keeping(circuit, opts, inputs.into(), copts, store, false).map(|(c, _)| c)
+    }
+
+    /// [`open`](Self::open), also returning the outputs a full-state
+    /// journal rematerialized when `keep_states` is set (`None` for every
+    /// batch still to run, for every batch of a checksum-only journal,
+    /// and for every batch without `keep_states`).
+    fn open_keeping(
+        circuit: &Circuit,
+        opts: BqSimOptions,
+        inputs: CampaignInputs<'a>,
+        copts: &CampaignOptions,
+        store: Option<&ArtifactStore>,
+        keep_states: bool,
     ) -> Result<(Campaign<'a>, CampaignOutputs), CampaignError> {
         assert!(
             matches!(opts.exec_mode, ExecMode::Functional),
             "campaigns require ExecMode::Functional (timing-only runs have no \
              outputs to journal or integrity-check)"
         );
-        let inputs = inputs.into();
-        let fingerprint = plan_fingerprint(circuit, &opts, &inputs, copts.fault_seed);
+        let (inputs_hash, first) = hash_inputs(&inputs);
+        let fingerprint = fingerprint_with(circuit, &opts, &inputs, inputs_hash, copts.fault_seed);
         let precision = opts.effective_precision();
         let (sim, compile_source) = match store {
             Some(store) => {
@@ -695,7 +778,7 @@ impl<'a> Campaign<'a> {
                     }
                     .into());
                 }
-                let state = load_journal_state(path, &contents)?;
+                let state = load_journal_state(path, &contents, keep_states)?;
                 for (b, (done, quarantine)) in state
                     .completed
                     .into_iter()
@@ -719,8 +802,10 @@ impl<'a> Campaign<'a> {
         };
         let campaign = Campaign {
             sim,
+            executor: None,
             f64_retry: None,
             precision,
+            first: first.filter(|_| matches!(outcomes.first(), Some(BatchOutcome::Pending))),
             inputs,
             copts: copts.clone(),
             committer: writer.map(|w| Committer::Inline(CommitGroup::new(w, Duration::ZERO))),
@@ -744,24 +829,40 @@ impl<'a> Campaign<'a> {
     /// [`BqsimError::Cancelled`] when `cancel` fires first (the batch
     /// stays pending); any other [`BqsimError`] is an unrecoverable
     /// simulation failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the campaign has no batch `b`.
     pub fn run_batch(&mut self, b: usize, cancel: &CancelToken) -> Result<BatchRun, BqsimError> {
-        let batch_in = &self.inputs[b];
-        let exec = execute_campaign_batch(&self.sim, batch_in, b, &self.copts, cancel)?;
+        assert!(b < self.inputs.len(), "campaign has no batch {b}");
+        let batch_in = match self.first.take() {
+            Some(first) if b == 0 => Cow::Owned(first),
+            _ => self.inputs.batch(b),
+        };
+        let executor = match &mut self.executor {
+            Some(executor) => executor,
+            slot @ None => slot.insert(BatchExecutor::new(&self.sim, 1, batch_in.len())?),
+        };
+        let exec = run_on(&self.sim, executor, &batch_in, b, &self.copts, cancel)?;
         let (mut out, mut health) = (exec.outputs, exec.health);
-        let mut verdict = check_batch(batch_in, &out, &self.copts.integrity);
+        let mut verdict = check_batch(&batch_in, &out, &self.copts.integrity);
         // A narrow-precision run that drifted past the budget is not
         // evidence of a broken batch — the budget may simply be tighter
         // than f32 can hold for this circuit. Retry once at the f64
         // reference before condemning the batch; f64 campaigns quarantine
         // directly.
         if verdict != IntegrityVerdict::Ok && self.precision != Precision::F64 {
-            let sim = &self.sim;
-            let retry_sim = self
-                .f64_retry
-                .get_or_insert_with(|| sim.with_precision(Precision::F64));
-            let retry = execute_campaign_batch(retry_sim, batch_in, b, &self.copts, cancel)?;
+            let (retry_sim, retry_executor) = match &mut self.f64_retry {
+                Some(retry) => retry,
+                retry @ None => {
+                    let sim = self.sim.with_precision(Precision::F64);
+                    let executor = BatchExecutor::new(&sim, 1, batch_in.len())?;
+                    retry.insert((sim, executor))
+                }
+            };
+            let retry = run_on(retry_sim, retry_executor, &batch_in, b, &self.copts, cancel)?;
             health.merge(retry.health);
-            if check_batch(batch_in, &retry.outputs, &self.copts.integrity) == IntegrityVerdict::Ok
+            if check_batch(&batch_in, &retry.outputs, &self.copts.integrity) == IntegrityVerdict::Ok
             {
                 self.precision_retries += 1;
                 out = retry.outputs;
@@ -859,15 +960,23 @@ impl<'a> Campaign<'a> {
     pub fn compile_source(&self) -> Option<&CompileSource> {
         self.compile_source.as_ref()
     }
+
+    /// The compiled simulator the campaign runs.
+    pub fn simulator(&self) -> &BqSimulator {
+        &self.sim
+    }
 }
 
-/// Runs (or resumes) a durable campaign over explicit input batches.
+/// Runs (or resumes) a durable campaign and returns every batch's
+/// outputs.
 ///
-/// See the module docs for the execution model. Cancellation — via the
-/// deadline, `stop_after`, or an external fire of the token this function
-/// creates — is **graceful**: the in-flight batch's partial work is
-/// discarded, every journaled record is already fsync'd, and the returned
-/// result is marked [`cancelled`](CampaignResult::cancelled) with
+/// `inputs` are explicit batches (`&[batch]`, `Vec`) or a
+/// [`GeneratedInputs`](crate::GeneratedInputs) source. See the module
+/// docs for the execution model. Cancellation — via the deadline,
+/// `stop_after`, or an external fire of the token this function creates —
+/// is **graceful**: the in-flight batch's partial work is discarded,
+/// every journaled record is already fsync'd, and the returned result is
+/// marked [`cancelled`](CampaignResult::cancelled) with
 /// [`next_pending`](CampaignResult::next_pending) as the resume handle.
 ///
 /// # Errors
@@ -879,11 +988,43 @@ impl<'a> Campaign<'a> {
 ///
 /// Panics when `opts.exec_mode` is not [`ExecMode::Functional`] (see
 /// [`Campaign::open`]).
-pub fn run_campaign(
+pub fn run_campaign<'a>(
     circuit: &Circuit,
     opts: BqSimOptions,
-    batches: &[Vec<Vec<Complex>>],
+    inputs: impl Into<CampaignInputs<'a>>,
     copts: &CampaignOptions,
+) -> Result<CampaignResult, CampaignError> {
+    drive(circuit, opts, inputs.into(), copts, true)
+}
+
+/// [`run_campaign`] that keeps no output amplitudes: each batch's outputs
+/// are dropped once it commits, so memory is one batch's worth however
+/// long the campaign. [`CampaignResult::outputs`] is all `None`; the
+/// checksums, and so the digest, are the same. `bqsim run` uses this.
+///
+/// # Errors
+///
+/// As [`run_campaign`].
+///
+/// # Panics
+///
+/// As [`run_campaign`].
+pub fn stream_campaign<'a>(
+    circuit: &Circuit,
+    opts: BqSimOptions,
+    inputs: impl Into<CampaignInputs<'a>>,
+    copts: &CampaignOptions,
+) -> Result<CampaignResult, CampaignError> {
+    drive(circuit, opts, inputs.into(), copts, false)
+}
+
+/// The one campaign loop behind [`run_campaign`] and [`stream_campaign`].
+fn drive(
+    circuit: &Circuit,
+    opts: BqSimOptions,
+    inputs: CampaignInputs<'_>,
+    copts: &CampaignOptions,
+    keep_outputs: bool,
 ) -> Result<CampaignResult, CampaignError> {
     // Store-open failure is durability-infrastructure I/O, same class as
     // a journal that cannot be created.
@@ -891,7 +1032,8 @@ pub fn run_campaign(
         Some(dir) => Some(ArtifactStore::open(dir).map_err(JournalError::from)?),
         None => None,
     };
-    let (mut campaign, resumed) = Campaign::open(circuit, opts, batches, copts, store.as_ref())?;
+    let (mut campaign, resumed) =
+        Campaign::open_keeping(circuit, opts, inputs, copts, store.as_ref(), keep_outputs)?;
     campaign.group_commit(copts.commit_interval);
     let mut outputs: Vec<Option<Arc<Vec<Vec<Complex>>>>> =
         resumed.into_iter().map(|o| o.map(Arc::new)).collect();
@@ -923,7 +1065,9 @@ pub fn run_campaign(
         };
         let alive = campaign.commit(&run)?;
         health.merge(run.health);
-        *output = run.outputs;
+        if keep_outputs {
+            *output = run.outputs;
+        }
         if !alive {
             // The persister exited early; stop computing and surface its
             // error from the drain below.
@@ -1257,5 +1401,158 @@ mod tests {
         assert_eq!(cold.outputs, warm.outputs);
         assert_eq!(cold.cache_stats, warm.cache_stats);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn generated_source_journal_refuses_to_resume_naming_the_field() {
+        use crate::{GeneratedInputs, Generator};
+        let circuit = generators::ghz(3);
+        let source = GeneratedInputs {
+            generator: Generator::Random { seed: 5 },
+            qubits: 3,
+            batch_size: 2,
+            num_batches: 3,
+        };
+        let path = tmp("generated");
+        let copts = CampaignOptions {
+            journal_path: Some(path.clone()),
+            ..CampaignOptions::default()
+        };
+        let first = run_campaign(
+            &circuit,
+            BqSimOptions::default(),
+            source,
+            &CampaignOptions {
+                stop_after: Some(1),
+                ..copts.clone()
+            },
+        )
+        .unwrap();
+        assert!(first.cancelled);
+        let resume = CampaignOptions {
+            resume: true,
+            ..copts.clone()
+        };
+        let refused = |circuit: &Circuit, inputs: GeneratedInputs| match run_campaign(
+            circuit,
+            BqSimOptions::default(),
+            inputs,
+            &resume,
+        ) {
+            Err(CampaignError::Journal(JournalError::FingerprintMismatch { field })) => field,
+            other => panic!("expected a fingerprint mismatch, got {other:?}"),
+        };
+        let seed = GeneratedInputs {
+            generator: Generator::Random { seed: 6 },
+            ..source
+        };
+        assert_eq!(refused(&circuit, seed), "seed");
+        let zero = GeneratedInputs {
+            generator: Generator::Zero,
+            ..source
+        };
+        assert_eq!(refused(&circuit, zero), "source");
+        let batch_size = GeneratedInputs {
+            batch_size: 3,
+            ..source
+        };
+        assert_eq!(refused(&circuit, batch_size), "batch_size");
+        let num_batches = GeneratedInputs {
+            num_batches: 4,
+            ..source
+        };
+        assert_eq!(refused(&circuit, num_batches), "num_batches");
+        // A wider source comes with a wider circuit, which is named first;
+        // the source on its own names its amplitude count.
+        let wider = GeneratedInputs {
+            qubits: 4,
+            ..source
+        };
+        assert_eq!(refused(&generators::ghz(4), wider), "circuit");
+        let opts = BqSimOptions::default();
+        let journaled = read_journal(&path).unwrap().fingerprint;
+        assert_eq!(
+            plan_fingerprint(&circuit, &opts, wider, None).mismatch(&journaled),
+            Some("amps")
+        );
+        // The header names the generator, and batch 0's bytes still
+        // count: the same values making other amplitudes are a mismatch.
+        assert_eq!(journaled.source, Some(Generator::Random { seed: 5 }));
+        let other_bytes = Fingerprint {
+            inputs: journaled.inputs ^ 1,
+            ..journaled
+        };
+        assert_eq!(other_bytes.mismatch(&journaled), Some("inputs"));
+
+        let finished = run_campaign(&circuit, opts, source, &resume).unwrap();
+        assert!(finished.is_complete());
+        assert_eq!(finished.resumed, 1);
+        let explicit = run_campaign(
+            &circuit,
+            BqSimOptions::default(),
+            (0..3).map(|b| source.batch(b)).collect::<Vec<_>>(),
+            &CampaignOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(finished.checksums, explicit.checksums);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(crate::journal::state_path(&path)).ok();
+    }
+
+    #[test]
+    fn explicit_inputs_hash_every_amplitude() {
+        let circuit = generators::ghz(3);
+        let opts = BqSimOptions::default();
+        let inputs = batches(3);
+        let mut last_flipped = inputs.clone();
+        let z = &mut last_flipped[2][1][7];
+        z.im = f64::from_bits(z.im.to_bits() ^ 1);
+        let a = plan_fingerprint(&circuit, &opts, &inputs, None);
+        let b = plan_fingerprint(&circuit, &opts, &last_flipped, None);
+        assert_eq!(a.source, None, "explicit batches name no generator");
+        assert_eq!(b.mismatch(&a), Some("inputs"));
+
+        let path = tmp("explicit-hash");
+        run_campaign(
+            &circuit,
+            opts.clone(),
+            &inputs,
+            &CampaignOptions {
+                journal_path: Some(path.clone()),
+                stop_after: Some(1),
+                ..CampaignOptions::default()
+            },
+        )
+        .unwrap();
+        let err = run_campaign(
+            &circuit,
+            opts,
+            &last_flipped,
+            &CampaignOptions {
+                journal_path: Some(path.clone()),
+                resume: true,
+                ..CampaignOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            CampaignError::Journal(JournalError::FingerprintMismatch { field: "inputs" })
+        ));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(crate::journal::state_path(&path)).ok();
+    }
+
+    #[test]
+    fn streamed_campaign_keeps_no_outputs_and_the_same_checksums() {
+        let circuit = generators::qft(3);
+        let inputs = batches(3);
+        let copts = CampaignOptions::default();
+        let kept = run_campaign(&circuit, BqSimOptions::default(), &inputs, &copts).unwrap();
+        let streamed = stream_campaign(&circuit, BqSimOptions::default(), &inputs, &copts).unwrap();
+        assert!(kept.outputs.iter().all(Option::is_some));
+        assert!(streamed.outputs.iter().all(Option::is_none));
+        assert_eq!(kept.checksums, streamed.checksums);
+        assert!(streamed.is_complete());
     }
 }

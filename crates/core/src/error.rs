@@ -75,6 +75,26 @@ pub enum BqsimError {
     /// partial outputs were discarded; completed work journaled before the
     /// token fired remains valid and resumable.
     Cancelled,
+    /// A run's batch graph would exceed
+    /// [`MAX_GRAPH_TASKS`](crate::executor::MAX_GRAPH_TASKS) tasks; it is
+    /// refused before anything is sized by its batch count.
+    GraphTooLarge {
+        /// Batches requested.
+        num_batches: usize,
+        /// Tasks each batch adds (its kernels plus two copies).
+        tasks_per_batch: usize,
+        /// The bound.
+        max_tasks: usize,
+    },
+    /// A request handed to a [`BatchExecutor`](crate::BatchExecutor) has
+    /// another shape than the one it was built for.
+    ExecutorShapeMismatch {
+        /// `(batches, batch size)` the executor was built for.
+        expected: (usize, usize),
+        /// `(batches, batch size)` of the request (a timing-only request
+        /// to an amplitude executor, or the reverse, differs too).
+        got: (usize, usize),
+    },
 }
 
 impl fmt::Display for BqsimError {
@@ -131,6 +151,21 @@ impl fmt::Display for BqsimError {
             BqsimError::Cancelled => {
                 write!(f, "run cancelled (token fired or deadline elapsed)")
             }
+            BqsimError::GraphTooLarge {
+                num_batches,
+                tasks_per_batch,
+                max_tasks,
+            } => write!(
+                f,
+                "run too large: {num_batches} batch(es) × {tasks_per_batch} tasks exceed \
+                 the {max_tasks}-task graph bound"
+            ),
+            BqsimError::ExecutorShapeMismatch { expected, got } => write!(
+                f,
+                "executor built for {} batch(es) × {} state vector(s) was handed a run of \
+                 {} × {}",
+                expected.0, expected.1, got.0, got.1
+            ),
         }
     }
 }

@@ -44,6 +44,7 @@ pub mod ablation;
 pub mod analysis;
 pub mod artifact;
 pub mod convert;
+pub mod executor;
 pub mod fusion;
 pub mod kernels;
 pub mod multi_gpu;
@@ -60,6 +61,7 @@ pub use convert::{
     DEFAULT_ELL_CACHE_CAPACITY,
 };
 pub use error::BqsimError;
+pub use executor::{host_parallelism, BatchExecutor, MAX_GRAPH_TASKS};
 pub use fusion::{bqcs_aware_fusion, greedy_fusion, FusedGate};
 pub use multi_gpu::{MultiGpuRun, MultiGpuRunner};
 pub use simulator::{

@@ -2,19 +2,13 @@
 
 use crate::convert::{ConversionMethod, ConvertedGate, EllCache, EllCacheStats, HybridConverter};
 use crate::error::BqsimError;
+use crate::executor::{BatchExecutor, RUN_ALLOC_SITES};
 use crate::fusion::{self, FusedGate};
-use crate::kernels::{DdSpmvKernel, EllSpmmKernel};
 use crate::schedule;
 use bqsim_ell::{Layout, Precision};
-use bqsim_faults::{
-    CancelToken, FaultBudget, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy,
-    Resolution, RunHealth,
-};
-use bqsim_gpu::power::{cpu_average_power_w, gpu_average_power_w, PowerReport};
-use bqsim_gpu::{
-    BufferPool, CpuSpec, DeviceMemory, DeviceSpec, Engine, ExecMode, FaultedRun, HostMemory,
-    Kernel, LaunchMode, PoolStats, Timeline,
-};
+use bqsim_faults::{CancelToken, FaultBudget, FaultPlan, RecoveryPolicy, RunHealth};
+use bqsim_gpu::power::PowerReport;
+use bqsim_gpu::{BufferPool, CpuSpec, DeviceSpec, ExecMode, LaunchMode, PoolStats, Timeline};
 use bqsim_num::Complex;
 use bqsim_qcir::{dense, Circuit};
 use bqsim_qdd::gates::lower_circuit;
@@ -162,11 +156,10 @@ pub fn validate_env() -> Result<(), String> {
 /// Default spMM lane count: `BQSIM_THREADS` if set to a positive
 /// integer, else the host's available parallelism, else 1.
 pub fn default_threads() -> usize {
-    env_threads().ok().flatten().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    env_threads()
+        .ok()
+        .flatten()
+        .unwrap_or_else(crate::executor::host_parallelism)
 }
 
 /// Default amplitude layout: `BQSIM_LAYOUT` if set to a recognised token
@@ -663,8 +656,10 @@ impl BqSimulator {
         self.execute(&RunRequest::synthetic(num_batches, batch_size))
     }
 
-    /// Runs one request through the simulation task graph — the single
-    /// engine path behind every run.
+    /// Runs one request through the simulation task graph on a
+    /// [`BatchExecutor`] built for it — the single engine path behind
+    /// every run. Callers that run many requests of one shape keep an
+    /// executor instead (a campaign does).
     ///
     /// Injected faults are recovered per the request's policy. Transient
     /// faults (kernel faults, copy corruption, hangs) are absorbed by
@@ -682,6 +677,8 @@ impl BqSimulator {
     /// - [`BqsimError::MismatchedBatchSize`], [`BqsimError::BadInputLength`]
     ///   and [`BqsimError::EmptyBatchRun`] when the batches are not a
     ///   non-empty rectangle of `2^n`-amplitude states;
+    /// - [`BqsimError::GraphTooLarge`] when the batch graph would exceed
+    ///   [`MAX_GRAPH_TASKS`](crate::MAX_GRAPH_TASKS) tasks;
     /// - [`BqsimError::Cancelled`] when the token fires mid-run (partial
     ///   outputs are discarded; the campaign runner journals completed
     ///   batches, so it never re-runs finished work);
@@ -692,26 +689,7 @@ impl BqSimulator {
     ///   outputs are not materialised).
     pub fn execute(&self, req: &RunRequest) -> Result<RunResult, BqsimError> {
         req.source.validate(self.num_qubits)?;
-        let run = self.execute_on(0, req)?;
-        if let Some(&batch) = run.health.failed_batches.first() {
-            if let Some(&device) = run.health.lost_devices.first() {
-                return Err(BqsimError::DeviceLost { device });
-            }
-            if let Some(e) = run
-                .health
-                .events
-                .iter()
-                .find(|e| e.resolution == Resolution::Exhausted)
-            {
-                return Err(BqsimError::RetriesExhausted {
-                    device: e.device,
-                    batch,
-                    task_label: e.label.clone(),
-                    attempts: e.attempt + 1,
-                });
-            }
-        }
-        Ok(run)
+        BatchExecutor::for_source(self, 0, &req.source)?.run(self, req)
     }
 
     /// Crate-internal: [`execute`](Self::execute) of an already validated
@@ -724,118 +702,7 @@ impl BqSimulator {
         device: usize,
         req: &RunRequest,
     ) -> Result<RunResult, BqsimError> {
-        let fault_free = (FaultPlan::new(), RecoveryPolicy::no_recovery());
-        let (plan, policy) = req.faults.unwrap_or((&fault_free.0, &fault_free.1));
-        let never = CancelToken::new();
-        let cancel = req.cancel.unwrap_or(&never);
-        let batches: &[&[Vec<Complex>]] = match &req.source {
-            BatchSource::Batches(b) => b,
-            BatchSource::Synthetic { .. } => &[],
-        };
-        let injector = FaultInjector::for_device(plan, device);
-        let mut traps = plan.oom_allocs(device);
-        let mut health = RunHealth::new();
-        let mut degraded_gates: Option<Vec<ConvertedGate>> = None;
-
-        let (mut run, faulted, kernels) = loop {
-            let gates = degraded_gates.as_deref().unwrap_or(&self.gates);
-            match self.run_gates_faulted(
-                gates,
-                &req.source,
-                device,
-                &injector,
-                &traps,
-                policy,
-                cancel,
-            ) {
-                Ok((run, faulted, high_water)) => {
-                    if faulted.cancelled_at.is_some() {
-                        return Err(BqsimError::Cancelled);
-                    }
-                    health.high_water_bytes.push((device, high_water));
-                    break (run, faulted, gates.len());
-                }
-                Err(BqsimError::DeviceOom { source, .. }) => {
-                    // Allocation order is deterministic, so the lowest armed
-                    // trap is the one that fired; disarm it so the next rung
-                    // can only be knocked down by a *different* injected OOM
-                    // (exactly-once accounting).
-                    let fired = traps.iter().copied().min();
-                    if let Some(alloc) = fired {
-                        traps.retain(|&a| a != alloc);
-                    }
-                    let can_resplit = policy.degrade && degraded_gates.is_none();
-                    if !can_resplit && !policy.host_fallback {
-                        return Err(BqsimError::DeviceOom {
-                            device,
-                            batch: None,
-                            source,
-                        });
-                    }
-                    if let Some(alloc) = fired {
-                        health.events.push(FaultEvent {
-                            device,
-                            kind: FaultKind::Oom { alloc },
-                            label: String::new(),
-                            attempt: 0,
-                            at_ns: 0,
-                            resolution: Resolution::Degraded,
-                        });
-                    }
-                    if can_resplit {
-                        health
-                            .degradations
-                            .push("re-split fused gates + CPU conversion".to_string());
-                        degraded_gates = Some(self.resplit_gates()?);
-                    } else {
-                        // Bottom rung: dense reference on the host.
-                        health.degradations.push("dense host fallback".to_string());
-                        health.degraded_batches.extend(0..req.source.counts().0);
-                        let mut run = self.idle_result();
-                        if self.opts.exec_mode == ExecMode::Functional {
-                            run.outputs = batches.iter().map(|b| self.dense_reference(b)).collect();
-                        }
-                        run.power.cpu_w = cpu_average_power_w(&self.opts.cpu, 1, 1.0);
-                        run.health = health;
-                        return Ok(run);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-
-        health.events.extend(faulted.events.iter().cloned());
-        health.retries += faulted.retries;
-        health.backoff_ns += faulted.backoff_ns;
-        health.abandoned_tasks += faulted.abandoned.len() as u64;
-        if faulted.device_lost_at.is_some() {
-            health.lost_devices.push(device);
-        }
-
-        let mut failed: Vec<usize> = faulted
-            .exhausted
-            .iter()
-            .chain(faulted.abandoned.iter())
-            .map(|t| schedule::batch_of_task(t.index(), kernels))
-            .collect();
-        failed.sort_unstable();
-        failed.dedup();
-
-        if !failed.is_empty() {
-            if policy.host_fallback && !run.outputs.is_empty() {
-                health
-                    .degradations
-                    .push("per-batch dense fallback".to_string());
-                for &b in &failed {
-                    run.outputs[b] = self.dense_reference(batches[b]);
-                }
-                health.degraded_batches.extend(failed.iter().copied());
-            } else {
-                health.failed_batches = failed;
-            }
-        }
-        run.health = health;
-        Ok(run)
+        BatchExecutor::for_source(self, device, &req.source)?.run_reporting(self, req)
     }
 
     /// Crate-internal: the result of a run that put no work on the device
@@ -867,199 +734,12 @@ impl BqSimulator {
         budget: &FaultBudget,
     ) -> FaultPlan {
         let tasks = num_batches * schedule::tasks_per_batch(self.gates.len());
-        FaultPlan::seeded(seed, 1, tasks, Self::RUN_ALLOC_SITES, budget)
-    }
-
-    /// Device allocations one [`run_gates_faulted`](Self::run_gates_faulted)
-    /// makes, in order: four state buffers, then the gate-table
-    /// reservation. Injected OOMs index into this sequence.
-    const RUN_ALLOC_SITES: usize = 5;
-
-    /// One engine pass over `gates` with fault hooks armed. Returns the
-    /// run, the engine's fault account, and the device memory high-water
-    /// mark. `source` must already be validated.
-    #[allow(clippy::too_many_arguments)]
-    fn run_gates_faulted(
-        &self,
-        gates: &[ConvertedGate],
-        source: &BatchSource,
-        device: usize,
-        injector: &FaultInjector,
-        oom_allocs: &[usize],
-        policy: &RecoveryPolicy,
-        cancel: &CancelToken,
-    ) -> Result<(RunResult, FaultedRun, u64), BqsimError> {
-        let (num_batches, batch_size) = source.counts();
-        let dim = 1usize << self.num_qubits;
-        let elems = dim * batch_size;
-        let precision = self.opts.effective_precision();
-        let width = precision.storage_bytes();
-        let bytes_per_batch = (elems * width) as u64;
-        let batches: &[&[Vec<Complex>]] = match source {
-            BatchSource::Batches(b) if self.opts.exec_mode == ExecMode::Functional => b,
-            _ => &[],
-        };
-        let functional = !batches.is_empty();
-
-        let layout = self.opts.effective_layout();
-        let engine = Engine::new(self.opts.device.clone());
-        let mut mem = DeviceMemory::with_pool(&self.opts.device, Arc::clone(&self.pool));
-        mem.inject_oom_at(oom_allocs);
-        let mut host = HostMemory::with_pool(Arc::clone(&self.pool));
-
-        let oom = |source| BqsimError::DeviceOom {
-            device,
-            batch: None,
-            source,
-        };
-        // Device residency: four state buffers plus the gate tables — the
-        // `RUN_ALLOC_SITES` sequence. The narrow precisions genuinely halve
-        // the state-buffer residency (and the H2D/D2H traffic
-        // `bytes_per_batch` models above); the allocation *sequence* is
-        // width-independent so injected OOM traps fire at the same indices
-        // in every precision.
-        let buffers = [
-            mem.alloc_amp(elems, layout, width).map_err(oom)?,
-            mem.alloc_amp(elems, layout, width).map_err(oom)?,
-            mem.alloc_amp(elems, layout, width).map_err(oom)?,
-            mem.alloc_amp(elems, layout, width).map_err(oom)?,
-        ];
-        let gate_bytes: u64 = gates
-            .iter()
-            .map(|g| g.device_bytes(self.opts.skip_ell))
-            .sum();
-        mem.reserve_bytes(gate_bytes).map_err(oom)?;
-
-        let inputs: Vec<_> = (0..num_batches)
-            .map(|b| {
-                if functional {
-                    // Transpose-pack each batch straight into a pooled host
-                    // buffer in the device layout and width: no intermediate
-                    // packed Vec, the H2D copy becomes a plane memcpy, and
-                    // in the narrow precisions each amplitude rounds exactly
-                    // once, here.
-                    host.alloc_staged_amp(batches[b], layout, width)
-                } else {
-                    host.alloc_zeroed(0)
-                }
-            })
-            .collect();
-        let outputs: Vec<_> = (0..num_batches)
-            .map(|_| {
-                if functional {
-                    host.alloc_zeroed_amp(elems, layout, width)
-                } else {
-                    host.alloc_zeroed(0)
-                }
-            })
-            .collect();
-
-        let graph = schedule::build_batch_graph(
-            &buffers,
-            &inputs,
-            &outputs,
-            gates.len(),
-            bytes_per_batch,
-            &|k, src, dst| -> Arc<dyn Kernel> {
-                let g = &gates[k];
-                if self.opts.skip_ell {
-                    Arc::new(DdSpmvKernel::new(
-                        Arc::clone(&g.gpu_dd),
-                        g.cost,
-                        g.work,
-                        src,
-                        dst,
-                        batch_size,
-                    ))
-                } else {
-                    Arc::new(EllSpmmKernel::with_tuning(
-                        Arc::clone(&g.ell),
-                        src,
-                        dst,
-                        batch_size,
-                        // Lane-splitting a launch past the host's hardware
-                        // threads cannot make it faster — the spawned lanes
-                        // just time-slice one core — so the pipeline clamps
-                        // here while `with_lanes` keeps honouring explicit
-                        // oversubscription for tests.
-                        self.opts
-                            .threads
-                            .min(std::thread::available_parallelism().map_or(1, |p| p.get())),
-                        self.opts.generic_spmm,
-                        precision,
-                        self.opts.use_pattern,
-                    ))
-                }
-            },
-        );
-
-        let exec = if functional {
-            ExecMode::Functional
-        } else {
-            ExecMode::TimingOnly
-        };
-        let faulted = engine.run_faulted_cancellable(
-            &graph,
-            &mut mem,
-            &mut host,
-            self.opts.launch_mode,
-            exec,
-            injector,
-            policy,
-            cancel,
-        );
-        let timeline = faulted.timeline.clone();
-
-        let outputs_data: Vec<Vec<Vec<Complex>>> = if functional {
-            outputs
-                .iter()
-                .map(|&h| host.buffer(h).store().unpack_states(batch_size))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let breakdown = RunBreakdown {
-            fusion_ns: self.fusion_ns,
-            conversion_ns: self.conversion_ns,
-            simulation_ns: timeline.total_ns(),
-        };
-        let power = PowerReport {
-            // BQSim's host CPU only orchestrates during simulation: one
-            // submission thread, mostly waiting.
-            cpu_w: cpu_average_power_w(&self.opts.cpu, 1, 0.3),
-            gpu_w: gpu_average_power_w(&self.opts.device, &timeline),
-            duration_ns: timeline.total_ns(),
-        };
-        let high_water = mem.high_water_bytes();
-        Ok((
-            RunResult {
-                outputs: outputs_data,
-                timeline,
-                breakdown,
-                power,
-                health: RunHealth::new(),
-            },
-            faulted,
-            high_water,
-        ))
-    }
-
-    /// Rung two of the degradation ladder: recompile the stored circuit
-    /// with fusion disabled (each source gate keeps its small NZR
-    /// footprint) and force the CPU conversion path, shrinking the
-    /// device-resident gate tables an injected OOM said we cannot afford.
-    fn resplit_gates(&self) -> Result<Vec<ConvertedGate>, BqsimError> {
-        let opts = BqSimOptions {
-            skip_fusion: true,
-            force_conversion: Some(ConversionMethod::Cpu),
-            ..self.opts.clone()
-        };
-        Ok(BqSimulator::compile(&self.circuit, opts)?.gates)
+        FaultPlan::seeded(seed, 1, tasks, RUN_ALLOC_SITES, budget)
     }
 
     /// The dense host reference for one batch — the bottom of the
     /// degradation ladder.
-    fn dense_reference(&self, batch: &[Vec<Complex>]) -> Vec<Vec<Complex>> {
+    pub(crate) fn dense_reference(&self, batch: &[Vec<Complex>]) -> Vec<Vec<Complex>> {
         batch
             .iter()
             .map(|input| {

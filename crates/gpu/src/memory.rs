@@ -57,6 +57,43 @@ fn stage_planes<T: Lane>(planes: &mut AmpPlanes<T>, vectors: &[Vec<Complex>]) {
     }
 }
 
+/// Amplitudes a batch of state vectors stages into.
+///
+/// # Panics
+///
+/// Panics on an empty batch or vectors of differing lengths.
+fn staged_len(vectors: &[Vec<Complex>]) -> usize {
+    assert!(!vectors.is_empty(), "empty batch");
+    let dim = vectors[0].len();
+    assert!(
+        vectors.iter().all(|v| v.len() == dim),
+        "ragged batch vectors"
+    );
+    dim * vectors.len()
+}
+
+/// Transposes `vectors` into `store` in its own layout and width,
+/// overwriting all `dim × batch` elements.
+fn stage_store(store: &mut AmpStore, vectors: &[Vec<Complex>]) {
+    let batch = vectors.len();
+    match store {
+        AmpStore::Aos(out) => {
+            let dim = out.len() / batch;
+            for (block, chunk) in vectors.chunks(STAGE_TILE).enumerate() {
+                let s0 = block * STAGE_TILE;
+                for r in 0..dim {
+                    let row = &mut out[r * batch + s0..r * batch + s0 + chunk.len()];
+                    for (o, v) in row.iter_mut().zip(chunk) {
+                        *o = v[r];
+                    }
+                }
+            }
+        }
+        AmpStore::Planar(b) => stage_planes(b, vectors),
+        AmpStore::PlanarF32(b) => stage_planes(b, vectors),
+    }
+}
+
 /// Gathers amplitude-major planes back into one (pre-reserved, empty)
 /// state vector per batch member, widening exactly. See
 /// [`AmpStore::unpack_states`] for the blocking.
@@ -853,35 +890,29 @@ impl HostMemory {
         layout: Layout,
         width: usize,
     ) -> HostBufId {
-        let batch = vectors.len();
-        assert!(batch > 0, "empty batch");
-        let dim = vectors[0].len();
-        assert!(
-            vectors.iter().all(|v| v.len() == dim),
-            "ragged batch vectors"
-        );
-        let len = dim * batch;
+        let len = staged_len(vectors);
         let mut store = match &self.pool {
             Some(pool) => pool.checkout(len, layout, width),
             None => AmpStore::zeroed_width(len, layout, width),
         };
-        match &mut store {
-            AmpStore::Aos(out) => {
-                for (block, chunk) in vectors.chunks(STAGE_TILE).enumerate() {
-                    let s0 = block * STAGE_TILE;
-                    for r in 0..dim {
-                        let row = &mut out[r * batch + s0..r * batch + s0 + chunk.len()];
-                        for (o, v) in row.iter_mut().zip(chunk) {
-                            *o = v[r];
-                        }
-                    }
-                }
-            }
-            AmpStore::Planar(b) => stage_planes(b, vectors),
-            AmpStore::PlanarF32(b) => stage_planes(b, vectors),
-        }
+        stage_store(&mut store, vectors);
         self.buffers.push(RwLock::new(store));
         HostBufId(self.buffers.len() - 1)
+    }
+
+    /// Stages a batch into an existing host buffer, overwriting every
+    /// element in the buffer's own layout and width — the allocation-free
+    /// per-batch path of an executor that keeps its staging buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty or ragged batch, or when the batch's amplitude
+    /// count differs from the buffer's length.
+    pub fn restage(&self, id: HostBufId, vectors: &[Vec<Complex>]) {
+        let len = staged_len(vectors);
+        let mut buf = self.buffer_mut(id);
+        assert_eq!(buf.store().len(), len, "restaged batch size mismatch");
+        stage_store(buf.store_mut(), vectors);
     }
 
     /// Allocates a host buffer initialised with `data` (takes ownership;

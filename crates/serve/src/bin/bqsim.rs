@@ -33,8 +33,8 @@
 
 use bqsim_analyze::{check_service_schedule, parse_schedule_trace};
 use bqsim_campaign::{
-    audit_journal, campaign_digest, run_campaign, BatchOutcome, CampaignError, CampaignOptions,
-    IntegrityBudget, JournalError, StateMode,
+    audit_journal, campaign_digest, stream_campaign, BatchOutcome, CampaignError, CampaignOptions,
+    GeneratedInputs, Generator, IntegrityBudget, JournalError, StateMode,
 };
 use bqsim_core::{
     artifact_key, audit_store, random_input_batch, tune_or_stored, AnalysisReport, ArtifactStore,
@@ -43,7 +43,7 @@ use bqsim_core::{
 };
 use bqsim_gpu::LaunchMode;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
-use bqsim_qcir::{dense, generators::Family, qasm, Circuit};
+use bqsim_qcir::{generators::Family, qasm, Circuit};
 use bqsim_serve::{
     check_campaign_shape, read_status, run_service, DeviceLossSpec, ServeError, ServiceConfig,
     StatusState, SubmissionOutcome, SubmitSpec, TenantQuota,
@@ -907,6 +907,21 @@ fn run_journal_audit(path: &Path, format: OutputFormat) -> Result<ExitCode, CliE
     })
 }
 
+/// The input batches `--seed` / `--zero-input` name for an `n`-qubit
+/// circuit: batch `b` from `seed ^ b`, or every state `|0…0⟩`.
+fn input_source(args: &Args, n: usize) -> GeneratedInputs {
+    GeneratedInputs {
+        generator: if args.zero_input {
+            Generator::Zero
+        } else {
+            Generator::Random { seed: args.seed }
+        },
+        qubits: n,
+        batch_size: args.batch_size,
+        num_batches: args.batches,
+    }
+}
+
 /// `bqsim run`: the durable campaign runner.
 fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
     let n = circuit.num_qubits();
@@ -928,15 +943,8 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         },
         ..BqSimOptions::default()
     };
-    let batches: Vec<_> = (0..args.batches)
-        .map(|b| {
-            if args.zero_input {
-                vec![dense::zero_state(n); args.batch_size]
-            } else {
-                random_input_batch(n, args.batch_size, args.seed ^ b as u64)
-            }
-        })
-        .collect();
+    // Pulled one batch at a time as the campaign runs it.
+    let inputs = input_source(args, n);
 
     let mut copts = CampaignOptions {
         journal_path: args.journal.clone(),
@@ -993,7 +1001,7 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         },
     );
 
-    let result = run_campaign(circuit, opts, &batches, &copts).map_err(CliError::from)?;
+    let result = stream_campaign(circuit, opts, inputs, &copts).map_err(CliError::from)?;
     println!(
         "campaign: {} batches x {} inputs — {} resumed from journal, {} executed, \
          {} quarantined, {} retried at f64",
@@ -1515,15 +1523,8 @@ fn run() -> Result<ExitCode, CliError> {
         },
     );
 
-    let batches: Vec<_> = (0..args.batches)
-        .map(|b| {
-            if args.zero_input {
-                vec![dense::zero_state(n); args.batch_size]
-            } else {
-                random_input_batch(n, args.batch_size, args.seed ^ b as u64)
-            }
-        })
-        .collect();
+    let source = input_source(&args, n);
+    let batches: Vec<_> = (0..args.batches).map(|b| source.batch(b)).collect();
     let faults = args
         .fault_plan
         .as_ref()

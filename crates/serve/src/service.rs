@@ -883,10 +883,10 @@ fn admit(
         persist_state: matches!(mode, StateMode::Full),
         ..copts
     };
-    // Rematerialized outputs are dropped at once: the service keeps
-    // checksums, never amplitudes.
-    let campaign = match Campaign::open(&circuit, opts, spec.build_inputs(), &copts, store) {
-        Ok((campaign, _)) => campaign,
+    // The service keeps checksums, never amplitudes: a resume verifies
+    // the journal's sidecar slots without rematerializing them.
+    let campaign = match Campaign::open(&circuit, opts, spec.input_source(), &copts, store) {
+        Ok(campaign) => campaign,
         Err(e) => {
             let reason = e.to_string();
             core.manifest_line(&format!(

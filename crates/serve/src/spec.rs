@@ -12,7 +12,7 @@
 //! digests are bit-identical to a serial `bqsim run` of the same spec.
 
 use crate::error::ServeError;
-use bqsim_campaign::CampaignOptions;
+use bqsim_campaign::{CampaignOptions, GeneratedInputs, Generator};
 use bqsim_core::{BqSimOptions, Precision};
 use bqsim_faults::FaultBudget;
 use bqsim_num::Complex;
@@ -216,15 +216,22 @@ impl SubmitSpec {
             .map_err(ServeError::InvalidSpec)
     }
 
-    /// The input batches the spec's campaign runs over — identical to
-    /// `bqsim run --seed` (batch `b` from `seed ^ b`), which is what
-    /// makes service digests comparable to serial ones.
+    /// The generated source the spec's campaign pulls its batches from —
+    /// identical to `bqsim run --seed` (batch `b` from `seed ^ b`), which
+    /// is what makes service digests comparable to serial ones.
+    pub fn input_source(&self) -> GeneratedInputs {
+        GeneratedInputs {
+            generator: Generator::Random { seed: self.seed },
+            qubits: self.qubits,
+            batch_size: self.batch_size,
+            num_batches: self.batches,
+        }
+    }
+
+    /// Every batch of [`input_source`](Self::input_source), materialised.
     pub fn build_inputs(&self) -> Vec<Vec<Vec<Complex>>> {
-        (0..self.batches)
-            .map(|b| {
-                bqsim_core::random_input_batch(self.qubits, self.batch_size, self.seed ^ b as u64)
-            })
-            .collect()
+        let source = self.input_source();
+        (0..self.batches).map(|b| source.batch(b)).collect()
     }
 
     /// The fault budget a seeded spec injects per batch: the CLI's

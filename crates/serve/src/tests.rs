@@ -45,8 +45,7 @@ fn test_config(dir: PathBuf) -> ServiceConfig {
 /// same circuit, options, inputs, and fault plan.
 fn serial_digest(s: &SubmitSpec) -> u64 {
     let (opts, copts) = s.run_options();
-    let result =
-        run_campaign(&s.build_circuit().unwrap(), opts, &s.build_inputs(), &copts).unwrap();
+    let result = run_campaign(&s.build_circuit().unwrap(), opts, s.build_inputs(), &copts).unwrap();
     assert!(result.is_complete(), "serial reference must complete");
     campaign_digest(&result.checksums)
 }
@@ -64,7 +63,7 @@ fn interrupted_submission(dir: &Path, s: &SubmitSpec) -> PathBuf {
         ..copts
     };
     let partial =
-        run_campaign(&s.build_circuit().unwrap(), opts, &s.build_inputs(), &copts).unwrap();
+        run_campaign(&s.build_circuit().unwrap(), opts, s.input_source(), &copts).unwrap();
     assert!(partial.cancelled && partial.executed == 1);
     std::fs::write(
         manifest_path(dir),

@@ -44,7 +44,19 @@ if [ "$report_rc" -ne 2 ]; then
     echo "FAIL: report table2 --batches 0 exited $report_rc, want 2 (usage error)" >&2
     exit 1
 fi
-echo "    report table1 rendered; report table2 --batches 0 rejected (exit 2)"
+# A batch count that would size an ~800 GB schedule is a simulator error
+# (the graph-size bound), not an allocation abort.
+set +e
+cargo run -q -p bqsim-bench --release --bin report -- fig10 --batches 100000000000 \
+    >/dev/null 2>&1
+report_rc=$?
+set -e
+if [ "$report_rc" -ne 5 ]; then
+    echo "FAIL: report fig10 --batches 100000000000 exited $report_rc, want 5 (sim error)" >&2
+    exit 1
+fi
+echo "    report table1 rendered; table2 --batches 0 rejected (exit 2);" \
+    "fig10 --batches 1e11 refused (exit 5)"
 
 echo "==> fault-recovery seed matrix"
 for seed in 1 7 42 1234; do
@@ -104,23 +116,46 @@ run_bqsim analyze --journal "$journal"
 run_bqsim analyze --journal "$journal.ref"
 
 echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bit-for-bit)"
+# qft-6 x 32 is 2,048 output elements per launch, below the 4,096 a lane
+# needs, so it never splits; qft-10 x 32 (32,768) splits every launch
+# across the host's lanes.
 matrix_digest=""
-for layout in aos planar; do
-    for threads in 1 4; do
-        mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
-        d="$(BQSIM_LAYOUT=$layout BQSIM_THREADS=$threads \
-            run_bqsim run --family qft --qubits 6 --batches 4 --batch-size 32 \
-            --journal "$mj" | grep 'campaign digest:')"
-        rm -f "$mj" "$mj.state"
-        echo "    layout=$layout threads=$threads $d"
-        if [ -z "$matrix_digest" ]; then
-            matrix_digest="$d"
-        elif [ "$matrix_digest" != "$d" ]; then
-            echo "FAIL: layout=$layout threads=$threads digest ($d) != reference ($matrix_digest)" >&2
-            exit 1
-        fi
+for qubits in 6 10; do
+    row_digest=""
+    for layout in aos planar; do
+        for threads in 1 4; do
+            mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
+            d="$(BQSIM_LAYOUT=$layout BQSIM_THREADS=$threads \
+                run_bqsim run --family qft --qubits "$qubits" --batches 4 --batch-size 32 \
+                --journal "$mj" | grep 'campaign digest:')"
+            rm -f "$mj" "$mj.state"
+            echo "    qft-$qubits layout=$layout threads=$threads $d"
+            if [ -z "$row_digest" ]; then
+                row_digest="$d"
+            elif [ "$row_digest" != "$d" ]; then
+                echo "FAIL: qft-$qubits layout=$layout threads=$threads digest ($d) != reference ($row_digest)" >&2
+                exit 1
+            fi
+        done
     done
+    if [ "$qubits" = 6 ]; then
+        matrix_digest="$row_digest"
+    fi
 done
+# Interrupt the splitting row at one lane, resume at two: the resumed
+# batches run split launches and must land on the same digest.
+mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
+interrupted_out="$(BQSIM_THREADS=1 run_bqsim run --family qft --qubits 10 --batches 4 \
+    --batch-size 32 --journal "$mj" --stop-after 2)"
+echo "$interrupted_out" | grep -q 'journal is resumable'
+d="$(BQSIM_THREADS=2 run_bqsim run --family qft --qubits 10 --batches 4 --batch-size 32 \
+    --journal "$mj" --resume | grep 'campaign digest:')"
+rm -f "$mj" "$mj.state"
+if [ "$d" != "$row_digest" ]; then
+    echo "FAIL: qft-10 interrupted at 1 lane, resumed at 2: $d != uninterrupted ($row_digest)" >&2
+    exit 1
+fi
+echo "    qft-10 interrupted at threads=1, resumed at threads=2: $d"
 
 echo "==> precision matrix gate ({f64,f32} x threads {1,4}; thread-stable, no quarantine at 1e-4)"
 declare -A prec_digest=()
