@@ -11,7 +11,7 @@
 //!   per-gate ELL matrices (pattern annotation included), flattened GPU
 //!   DDs, conversion provenance, compile-time cache stats, and the
 //!   source QASM for self-contained auditing.
-//! * [`format`] — the flat little-endian serialization: a 32-byte
+//! * [`format`](mod@format) — the flat little-endian serialization: a 32-byte
 //!   validated header (magic, version, content key, payload CRC) then
 //!   bulk arrays decoded with `chunks_exact` sweeps — the safe-Rust
 //!   equivalent of an mmap-and-go loader (the workspace forbids

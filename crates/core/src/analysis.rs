@@ -46,15 +46,11 @@ fn build_analysis_schedule(
     let elems = dim * batch_size;
     let mut mem = DeviceMemory::new(&opts.device);
     let mut host = HostMemory::new();
-    // Analysis builds its schedule for a single simulated device; OOMs are
-    // attributed to it explicitly (there is no blanket allocator-error
-    // conversion precisely so multi-device paths cannot misattribute).
-    let oom = |e| BqsimError::oom_on(0, e);
     let buffers = [
-        mem.alloc(elems).map_err(oom)?,
-        mem.alloc(elems).map_err(oom)?,
-        mem.alloc(elems).map_err(oom)?,
-        mem.alloc(elems).map_err(oom)?,
+        mem.alloc(elems).map_err(BqsimError::oom)?,
+        mem.alloc(elems).map_err(BqsimError::oom)?,
+        mem.alloc(elems).map_err(BqsimError::oom)?,
+        mem.alloc(elems).map_err(BqsimError::oom)?,
     ];
     let inputs: Vec<_> = (0..num_batches).map(|_| host.alloc_zeroed(0)).collect();
     let outputs: Vec<_> = (0..num_batches).map(|_| host.alloc_zeroed(0)).collect();
@@ -269,7 +265,7 @@ pub fn analyze_recovery(
         build_analysis_schedule(sim.gates(), opts, sim.num_qubits(), num_batches, batch_size)?;
 
     let engine = Engine::new(opts.device.clone());
-    let injector = FaultInjector::for_device(plan, 0);
+    let injector = FaultInjector::new(plan);
     let faulted = engine.run_faulted(
         &sched.graph,
         &mut sched.mem,

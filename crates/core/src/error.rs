@@ -35,8 +35,6 @@ pub enum BqsimError {
         /// State vectors per batch requested.
         batch_size: usize,
     },
-    /// A multi-GPU runner was given no devices to compile for.
-    NoDevices,
     /// The simulated device ran out of memory (the failure mode behind the
     /// paper's Table 4 "-" entries), and recovery was disabled or also
     /// exhausted the degradation ladder.
@@ -67,9 +65,6 @@ pub enum BqsimError {
         /// The lost device.
         device: usize,
     },
-    /// Every device in a multi-GPU run was lost; there is no survivor to
-    /// requeue the outstanding batches onto.
-    AllDevicesLost,
     /// A [`CancelToken`](bqsim_faults::CancelToken) fired (explicit cancel
     /// or elapsed deadline) and the run drained instead of completing. Any
     /// partial outputs were discarded; completed work journaled before the
@@ -120,7 +115,6 @@ impl fmt::Display for BqsimError {
                 f,
                 "empty batch run: {num_batches} batch(es) of {batch_size} state vector(s)"
             ),
-            BqsimError::NoDevices => write!(f, "multi-GPU run needs at least one device"),
             BqsimError::DeviceOom {
                 device,
                 batch,
@@ -144,9 +138,6 @@ impl fmt::Display for BqsimError {
             ),
             BqsimError::DeviceLost { device } => {
                 write!(f, "device {device} was lost mid-run")
-            }
-            BqsimError::AllDevicesLost => {
-                write!(f, "all devices were lost; no survivor to requeue onto")
             }
             BqsimError::Cancelled => {
                 write!(f, "run cancelled (token fired or deadline elapsed)")
@@ -180,26 +171,12 @@ impl Error for BqsimError {
 }
 
 impl BqsimError {
-    /// Attributes an allocator failure to the device it actually struck.
-    ///
-    /// There is deliberately **no** blanket `From<AllocDeviceError>`: a
-    /// `?`-conversion cannot know which device's allocator failed and used
-    /// to hardcode device 0, misattributing OOMs on every other device of
-    /// a multi-GPU run. Conversion sites name the device explicitly.
-    pub fn oom_on(device: usize, source: AllocDeviceError) -> Self {
+    /// An allocator failure on the run's device, before any batch is
+    /// provisioned.
+    pub fn oom(source: AllocDeviceError) -> Self {
         BqsimError::DeviceOom {
-            device,
+            device: bqsim_faults::DEVICE,
             batch: None,
-            source,
-        }
-    }
-
-    /// [`BqsimError::oom_on`] with the batch being provisioned when the
-    /// allocation failed.
-    pub fn oom_on_batch(device: usize, batch: usize, source: AllocDeviceError) -> Self {
-        BqsimError::DeviceOom {
-            device,
-            batch: Some(batch),
             source,
         }
     }
@@ -234,20 +211,14 @@ mod tests {
         assert!(msg.contains("device 2"), "{msg}");
         assert!(msg.contains("batch 7"), "{msg}");
         assert!(msg.contains("4096"), "{msg}");
-        let e = BqsimError::oom_on(3, AllocDeviceError::new(10, 0));
+        let e = BqsimError::oom(AllocDeviceError::new(10, 0));
         assert!(!e.to_string().contains("batch"), "no batch by default");
-        assert!(
-            e.to_string().contains("device 3"),
-            "oom_on must carry the real device id"
-        );
-        let e = BqsimError::oom_on_batch(1, 4, AllocDeviceError::new(10, 0));
-        assert!(e.to_string().contains("device 1"));
-        assert!(e.to_string().contains("batch 4"));
+        assert!(e.to_string().contains("device 0"), "{e}");
     }
 
     #[test]
     fn oom_source_chain_reaches_the_allocator_error() {
-        let e = BqsimError::oom_on(0, AllocDeviceError::new(4096, 1024));
+        let e = BqsimError::oom(AllocDeviceError::new(4096, 1024));
         let src = e.source().expect("DeviceOom must expose its source");
         assert!(src.downcast_ref::<AllocDeviceError>().is_some());
     }

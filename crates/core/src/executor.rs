@@ -35,7 +35,7 @@ use crate::simulator::{
 };
 use bqsim_faults::{
     CancelToken, FaultEvent, FaultInjector, FaultKind, FaultPlan, RecoveryPolicy, Resolution,
-    RunHealth,
+    RunHealth, DEVICE,
 };
 use bqsim_gpu::power::{cpu_average_power_w, gpu_average_power_w, PowerReport};
 use bqsim_gpu::{
@@ -146,7 +146,6 @@ impl Launch {
         sim: &BqSimulator,
         gates: &[ConvertedGate],
         shape: Shape,
-        device: usize,
     ) -> Result<Launch, BqsimError> {
         check_graph_size(shape.num_batches, gates.len())?;
         let opts = &sim.opts;
@@ -158,7 +157,7 @@ impl Launch {
 
         let mut mem = DeviceMemory::with_pool(&opts.device, Arc::clone(&sim.pool));
         let mut host = HostMemory::with_pool(Arc::clone(&sim.pool));
-        let oom = |source| BqsimError::oom_on(device, source);
+        let oom = BqsimError::oom;
         // The `RUN_ALLOC_SITES` sequence. The narrow precisions genuinely
         // halve the state-buffer residency (and the H2D/D2H traffic
         // modelled below); the sequence itself is width-independent, so
@@ -301,7 +300,6 @@ pub struct BatchExecutor {
     /// simulator this executor was built from.
     pool: Arc<BufferPool>,
     shape: Shape,
-    device: usize,
     /// The compiled gates' launch; `None` when its allocations do not fit
     /// the device, so every run walks the OOM ladder.
     launch: Option<Launch>,
@@ -326,24 +324,18 @@ impl BatchExecutor {
             batch_size,
             functional: sim.opts.exec_mode == ExecMode::Functional,
         };
-        BatchExecutor::with_shape(sim, 0, shape)
+        BatchExecutor::with_shape(sim, shape)
     }
 
-    /// Crate-internal: the executor for `source`'s shape as device
-    /// `device` of a multi-device plan.
+    /// Crate-internal: the executor for `source`'s shape.
     pub(crate) fn for_source(
         sim: &BqSimulator,
-        device: usize,
         source: &BatchSource,
     ) -> Result<BatchExecutor, BqsimError> {
-        BatchExecutor::with_shape(sim, device, Shape::of(&sim.opts, source))
+        BatchExecutor::with_shape(sim, Shape::of(&sim.opts, source))
     }
 
-    fn with_shape(
-        sim: &BqSimulator,
-        device: usize,
-        shape: Shape,
-    ) -> Result<BatchExecutor, BqsimError> {
+    fn with_shape(sim: &BqSimulator, shape: Shape) -> Result<BatchExecutor, BqsimError> {
         if shape.num_batches == 0 || shape.batch_size == 0 {
             return Err(BqsimError::EmptyBatchRun {
                 num_batches: shape.num_batches,
@@ -353,13 +345,12 @@ impl BatchExecutor {
         check_graph_size(shape.num_batches, sim.gates.len())?;
         let sites = alloc_sites(sim, &sim.gates, shape);
         let launch = match probe_allocs(&sim.opts.device, &sites, &[]) {
-            Ok(()) => Some(Launch::build(sim, &sim.gates, shape, device)?),
+            Ok(()) => Some(Launch::build(sim, &sim.gates, shape)?),
             Err(_) => None,
         };
         Ok(BatchExecutor {
             pool: Arc::clone(&sim.pool),
             shape,
-            device,
             launch,
         })
     }
@@ -378,37 +369,6 @@ impl BatchExecutor {
     ///
     /// Panics when `sim` is not the simulator the executor was built from.
     pub fn run(&mut self, sim: &BqSimulator, req: &RunRequest) -> Result<RunResult, BqsimError> {
-        let run = self.run_reporting(sim, req)?;
-        if let Some(&batch) = run.health.failed_batches.first() {
-            if let Some(&device) = run.health.lost_devices.first() {
-                return Err(BqsimError::DeviceLost { device });
-            }
-            if let Some(e) = run
-                .health
-                .events
-                .iter()
-                .find(|e| e.resolution == Resolution::Exhausted)
-            {
-                return Err(BqsimError::RetriesExhausted {
-                    device: e.device,
-                    batch,
-                    task_label: e.label.clone(),
-                    attempts: e.attempt + 1,
-                });
-            }
-        }
-        Ok(run)
-    }
-
-    /// Crate-internal: [`run`](Self::run), except that batches which
-    /// cannot be absorbed locally are *reported* in
-    /// `health.failed_batches` instead of raised — the multi-GPU runner
-    /// drains that list by requeueing onto surviving devices.
-    pub(crate) fn run_reporting(
-        &mut self,
-        sim: &BqSimulator,
-        req: &RunRequest,
-    ) -> Result<RunResult, BqsimError> {
         assert!(
             Arc::ptr_eq(&self.pool, &sim.pool),
             "a BatchExecutor runs only with the simulator it was built from"
@@ -421,7 +381,7 @@ impl BatchExecutor {
                 got: (got.num_batches, got.batch_size),
             });
         }
-        let (shape, device) = (self.shape, self.device);
+        let shape = self.shape;
         let fault_free = (FaultPlan::new(), RecoveryPolicy::no_recovery());
         let (plan, policy) = req.faults.unwrap_or((&fault_free.0, &fault_free.1));
         let never = CancelToken::new();
@@ -430,8 +390,8 @@ impl BatchExecutor {
             BatchSource::Batches(b) => b,
             BatchSource::Synthetic { .. } => &[],
         };
-        let injector = FaultInjector::for_device(plan, device);
-        let mut traps = plan.oom_allocs(device);
+        let injector = FaultInjector::new(plan);
+        let mut traps = plan.oom_allocs();
         let mut health = RunHealth::new();
         let mut degraded: Option<Vec<ConvertedGate>> = None;
 
@@ -444,7 +404,7 @@ impl BatchExecutor {
                     let launch = match (&degraded, self.launch.as_mut()) {
                         (None, Some(kept)) => kept,
                         _ => {
-                            rebuilt = Launch::build(sim, gates, shape, device)?;
+                            rebuilt = Launch::build(sim, gates, shape)?;
                             &mut rebuilt
                         }
                     };
@@ -455,7 +415,7 @@ impl BatchExecutor {
                     }
                     health
                         .high_water_bytes
-                        .push((device, launch.mem.high_water_bytes()));
+                        .push((DEVICE, launch.mem.high_water_bytes()));
                     break (run, faulted, launch.kernels);
                 }
                 Err(source) => source,
@@ -470,11 +430,11 @@ impl BatchExecutor {
             }
             let can_resplit = policy.degrade && degraded.is_none();
             if !can_resplit && !policy.host_fallback {
-                return Err(BqsimError::oom_on(device, source));
+                return Err(BqsimError::oom(source));
             }
             if let Some(alloc) = fired {
                 health.events.push(FaultEvent {
-                    device,
+                    device: DEVICE,
                     kind: FaultKind::Oom { alloc },
                     label: String::new(),
                     attempt: 0,
@@ -506,7 +466,7 @@ impl BatchExecutor {
         health.backoff_ns += faulted.backoff_ns;
         health.abandoned_tasks += faulted.abandoned.len() as u64;
         if faulted.device_lost_at.is_some() {
-            health.lost_devices.push(device);
+            health.lost_devices.push(DEVICE);
         }
 
         let mut failed: Vec<usize> = faulted
@@ -518,18 +478,31 @@ impl BatchExecutor {
         failed.sort_unstable();
         failed.dedup();
 
-        if !failed.is_empty() {
-            if policy.host_fallback && !run.outputs.is_empty() {
-                health
-                    .degradations
-                    .push("per-batch dense fallback".to_string());
-                for &b in &failed {
-                    run.outputs[b] = sim.dense_reference(batches[b]);
-                }
-                health.degraded_batches.extend(failed.iter().copied());
-            } else {
-                health.failed_batches = failed;
+        if let Some(&batch) = failed.first() {
+            if !policy.host_fallback || run.outputs.is_empty() {
+                let exhausted = health
+                    .events
+                    .iter()
+                    .find(|e| e.resolution == Resolution::Exhausted);
+                return Err(match exhausted {
+                    Some(e) if faulted.device_lost_at.is_none() => BqsimError::RetriesExhausted {
+                        device: e.device,
+                        batch,
+                        task_label: e.label.clone(),
+                        attempts: e.attempt + 1,
+                    },
+                    // Tasks are abandoned only behind an exhausted task or
+                    // a lost device (a cancelled sweep returned above).
+                    _ => BqsimError::DeviceLost { device: DEVICE },
+                });
             }
+            health
+                .degradations
+                .push("per-batch dense fallback".to_string());
+            for &b in &failed {
+                run.outputs[b] = sim.dense_reference(batches[b]);
+            }
+            health.degraded_batches.extend(failed.iter().copied());
         }
         run.health = health;
         Ok(run)
@@ -654,7 +627,7 @@ mod tests {
         let mut executor = BatchExecutor::new(&sim, 1, 2).unwrap();
         for seed in 0..16 {
             let plan = sim.seeded_fault_plan(seed, 1, &budget);
-            let site = plan.oom_allocs(0)[0];
+            let site = plan.oom_allocs()[0];
             assert!(site < RUN_ALLOC_SITES, "seed {seed}: {plan:?}");
             let req = RunRequest::batches(std::slice::from_ref(&batch)).with_faults(&plan, &policy);
             let run = executor.run(&sim, &req).unwrap();

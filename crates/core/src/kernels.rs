@@ -45,7 +45,7 @@ impl EllSpmmKernel {
     /// [`EllSpmmKernel::new`] with up to `lanes` host workers
     /// row-partitioning the launch (mirroring the GPU's block-per-row
     /// decomposition). The split only engages when each lane would get at
-    /// least [`MIN_ELEMS_PER_LANE`] output elements, so small launches stay
+    /// least `MIN_ELEMS_PER_LANE` output elements, so small launches stay
     /// serial.
     pub fn with_lanes(
         gate: Arc<EllMatrix>,
@@ -118,7 +118,7 @@ impl EllSpmmKernel {
 
     /// Lanes this launch will actually split into after the work-size
     /// gate: bounded by the configured lanes, the row count, and
-    /// [`MIN_ELEMS_PER_LANE`].
+    /// `MIN_ELEMS_PER_LANE`.
     pub fn effective_lanes(&self) -> usize {
         if self.lanes <= 1 || self.generic {
             return 1;

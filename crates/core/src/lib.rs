@@ -47,7 +47,6 @@ pub mod convert;
 pub mod executor;
 pub mod fusion;
 pub mod kernels;
-pub mod multi_gpu;
 pub mod schedule;
 pub mod simulator;
 pub mod tune;
@@ -63,7 +62,6 @@ pub use convert::{
 pub use error::BqsimError;
 pub use executor::{host_parallelism, BatchExecutor, MAX_GRAPH_TASKS};
 pub use fusion::{bqcs_aware_fusion, greedy_fusion, FusedGate};
-pub use multi_gpu::{MultiGpuRun, MultiGpuRunner};
 pub use simulator::{
     default_layout, default_precision, default_threads, random_input_batch, validate_env,
     BatchSource, BqSimOptions, BqSimulator, CompileWall, ResolvedExec, RunBreakdown, RunRequest,
@@ -89,5 +87,5 @@ pub use bqsim_analyze::AnalysisReport;
 // Re-exported so downstream users (CLI, tests) can build fault plans and
 // policies without depending on `bqsim-faults` directly.
 pub use bqsim_faults::{
-    FaultBudget, FaultEvent, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy, Resolution, RunHealth,
+    FaultBudget, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy, Resolution, RunHealth,
 };

@@ -309,24 +309,11 @@ impl<'a> BatchSource<'a> {
         }
         Ok(())
     }
-
-    /// The batches at `indices`, borrowed (a multi-GPU device's share).
-    pub(crate) fn select(&self, indices: &[usize]) -> BatchSource<'a> {
-        match self {
-            BatchSource::Batches(b) => {
-                BatchSource::Batches(indices.iter().map(|&i| b[i]).collect())
-            }
-            BatchSource::Synthetic { batch_size, .. } => BatchSource::Synthetic {
-                batches: indices.len(),
-                batch_size: *batch_size,
-            },
-        }
-    }
 }
 
 /// One run of a compiled circuit: what to run, whether it may be
 /// cancelled, and which faults to inject. Every run — fault-free,
-/// cancellable, recovering, single- or multi-device — is one request.
+/// cancellable or recovering — is one request.
 #[derive(Debug, Clone)]
 pub struct RunRequest<'a> {
     /// The input batches.
@@ -391,7 +378,7 @@ pub struct CompileWall {
 #[derive(Debug)]
 pub struct BqSimulator {
     // Crate-visible: `artifact.rs` continues this type's impl (load and
-    // publish) and `multi_gpu.rs` builds device siblings from `opts`.
+    // publish) and the executor builds launches from `opts`.
     pub(crate) num_qubits: usize,
     pub(crate) gates: Vec<ConvertedGate>,
     // Kept for the recovery paths: the degradation ladder recompiles the
@@ -501,9 +488,9 @@ impl BqSimulator {
 
     /// Crate-internal: a sibling sharing this simulator's compiled gates
     /// (cheap: the ELL matrices and GPU DDs sit behind `Arc`s) but
-    /// executing under `opts`, which may differ only in execution options
-    /// and the device. The sibling gets its own buffer pool, so its pool
-    /// statistics are its own.
+    /// executing under `opts`, which may differ only in execution options.
+    /// The sibling gets its own buffer pool, so its pool statistics are
+    /// its own.
     pub(crate) fn sibling(&self, opts: BqSimOptions) -> BqSimulator {
         BqSimulator {
             num_qubits: self.num_qubits,
@@ -689,25 +676,12 @@ impl BqSimulator {
     ///   outputs are not materialised).
     pub fn execute(&self, req: &RunRequest) -> Result<RunResult, BqsimError> {
         req.source.validate(self.num_qubits)?;
-        BatchExecutor::for_source(self, 0, &req.source)?.run(self, req)
-    }
-
-    /// Crate-internal: [`execute`](Self::execute) of an already validated
-    /// request as device `device` of a multi-device plan, except that
-    /// batches which cannot be absorbed locally are *reported* in
-    /// `health.failed_batches` instead of raised — the multi-GPU runner
-    /// drains that list by requeueing onto surviving devices.
-    pub(crate) fn execute_on(
-        &self,
-        device: usize,
-        req: &RunRequest,
-    ) -> Result<RunResult, BqsimError> {
-        BatchExecutor::for_source(self, device, &req.source)?.run_reporting(self, req)
+        BatchExecutor::for_source(self, &req.source)?.run(self, req)
     }
 
     /// Crate-internal: the result of a run that put no work on the device
-    /// — a multi-GPU device dealt no batch, or the dense host fallback
-    /// before it fills in outputs and host power.
+    /// — the dense host fallback, before it fills in outputs and host
+    /// power.
     pub(crate) fn idle_result(&self) -> RunResult {
         RunResult {
             outputs: Vec::new(),
@@ -722,7 +696,7 @@ impl BqSimulator {
         }
     }
 
-    /// A seeded single-device fault plan sized to this simulator's run of
+    /// A seeded fault plan sized to this simulator's run of
     /// `num_batches` batches: task faults land among the schedule's tasks
     /// and OOMs among the device allocations one run makes. The CLI,
     /// campaigns and tests draw every seeded plan here, so the run's fault
@@ -734,7 +708,7 @@ impl BqSimulator {
         budget: &FaultBudget,
     ) -> FaultPlan {
         let tasks = num_batches * schedule::tasks_per_batch(self.gates.len());
-        FaultPlan::seeded(seed, 1, tasks, RUN_ALLOC_SITES, budget)
+        FaultPlan::seeded(seed, tasks, RUN_ALLOC_SITES, budget)
     }
 
     /// The dense host reference for one batch — the bottom of the
@@ -792,11 +766,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    fn two_gpus(circuit: &Circuit) -> crate::MultiGpuRunner {
-        let devices = vec![DeviceSpec::rtx_a6000(); 2];
-        crate::MultiGpuRunner::compile(circuit, &BqSimOptions::default(), devices).unwrap()
     }
 
     fn assert_outputs_match(circuit: &Circuit, opts: BqSimOptions) {
@@ -1015,26 +984,6 @@ mod tests {
                 got: 3
             })
         ));
-        // Across devices the error names the *global* batch index, even
-        // when each device's share is rectangular on its own.
-        let runner = two_gpus(&circuit);
-        assert!(matches!(
-            runner.execute(&RunRequest::batches(&ragged)),
-            Err(BqsimError::MismatchedBatchSize {
-                batch_index: 2,
-                expected: 2,
-                got: 3
-            })
-        ));
-        let pair = vec![random_input_batch(3, 3, 0), random_input_batch(3, 4, 1)];
-        assert!(matches!(
-            runner.execute(&RunRequest::batches(&pair)),
-            Err(BqsimError::MismatchedBatchSize {
-                batch_index: 1,
-                expected: 3,
-                got: 4
-            })
-        ));
     }
 
     #[test]
@@ -1042,13 +991,6 @@ mod tests {
         let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
         assert!(matches!(
             sim.run_batches(&[]),
-            Err(BqsimError::EmptyBatchRun {
-                num_batches: 0,
-                batch_size: 0
-            })
-        ));
-        assert!(matches!(
-            two_gpus(&generators::ghz(3)).execute(&RunRequest::batches(&[])),
             Err(BqsimError::EmptyBatchRun {
                 num_batches: 0,
                 batch_size: 0
@@ -1066,13 +1008,6 @@ mod tests {
                 batch_size: 0
             })
         ));
-        assert!(matches!(
-            two_gpus(&generators::ghz(3)).execute(&RunRequest::batches(&[vec![]])),
-            Err(BqsimError::EmptyBatchRun {
-                num_batches: 1,
-                batch_size: 0
-            })
-        ));
     }
 
     #[test]
@@ -1080,13 +1015,6 @@ mod tests {
         let sim = BqSimulator::compile(&generators::ghz(3), BqSimOptions::default()).unwrap();
         assert!(matches!(
             sim.run_synthetic(0, 8),
-            Err(BqsimError::EmptyBatchRun {
-                num_batches: 0,
-                batch_size: 8
-            })
-        ));
-        assert!(matches!(
-            two_gpus(&generators::ghz(3)).execute(&RunRequest::synthetic(0, 8)),
             Err(BqsimError::EmptyBatchRun {
                 num_batches: 0,
                 batch_size: 8
@@ -1143,7 +1071,6 @@ mod tests {
             "every injected fault appears exactly once:\n{}",
             rec.health
         );
-        assert!(rec.health.failed_batches.is_empty());
         assert!(rec.health.degraded_batches.is_empty());
         assert!(!rec.health.high_water_bytes.is_empty());
     }
@@ -1165,7 +1092,7 @@ mod tests {
 
         // One OOM: rung two (re-split + CPU conversion) absorbs it.
         let mut plan = FaultPlan::new();
-        plan.push(0, FaultKind::Oom { alloc: 4 });
+        plan.push(FaultKind::Oom { alloc: 4 });
         let rec = sim
             .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
@@ -1180,8 +1107,8 @@ mod tests {
         // Two OOMs: the second knocks the re-split run down to the dense
         // host reference.
         let mut plan = FaultPlan::new();
-        plan.push(0, FaultKind::Oom { alloc: 0 })
-            .push(0, FaultKind::Oom { alloc: 1 });
+        plan.push(FaultKind::Oom { alloc: 0 })
+            .push(FaultKind::Oom { alloc: 1 });
         let rec = sim
             .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
             .unwrap();
@@ -1222,8 +1149,8 @@ mod tests {
         let batches: Vec<_> = (0..3).map(|b| random_input_batch(3, 2, b as u64)).collect();
         // Two faults on the same kernel exhaust a single-retry policy.
         let mut plan = FaultPlan::new();
-        plan.push(0, FaultKind::KernelFault { task: 1 })
-            .push(0, FaultKind::KernelFault { task: 1 });
+        plan.push(FaultKind::KernelFault { task: 1 })
+            .push(FaultKind::KernelFault { task: 1 });
         let policy = RecoveryPolicy {
             max_retries: 1,
             ..RecoveryPolicy::default()
@@ -1236,7 +1163,6 @@ mod tests {
             "the faulted batch must fall back to the host:\n{}",
             rec.health
         );
-        assert!(rec.health.failed_batches.is_empty());
         assert_eq!(rec.health.count_of("kernel-fault"), 2);
         assert!(rec.health.abandoned_tasks > 0);
         let want = reference_outputs(&circuit, &batches);
@@ -1267,6 +1193,32 @@ mod tests {
                 assert_eq!(attempts, 2);
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn device_loss_falls_back_per_batch_or_is_raised() {
+        use bqsim_faults::{FaultKind, FaultPlan, RecoveryPolicy};
+        let circuit = generators::ghz(3);
+        let sim = BqSimulator::compile(&circuit, BqSimOptions::default()).unwrap();
+        let batches: Vec<_> = (0..3).map(|b| random_input_batch(3, 2, b as u64)).collect();
+        let mut plan = FaultPlan::new();
+        plan.push(FaultKind::DeviceLoss { at_task: 1 });
+        let rec = sim
+            .execute(&RunRequest::batches(&batches).with_faults(&plan, &RecoveryPolicy::default()))
+            .unwrap();
+        assert_eq!(rec.health.count_of("device-loss"), 1);
+        assert_eq!(rec.health.lost_devices, vec![0]);
+        assert_eq!(rec.health.degraded_batches, vec![0, 1, 2]);
+        assert_eq!(rec.outputs, reference_outputs(&circuit, &batches));
+
+        let strict = RecoveryPolicy {
+            host_fallback: false,
+            ..RecoveryPolicy::default()
+        };
+        match sim.execute(&RunRequest::batches(&batches).with_faults(&plan, &strict)) {
+            Err(BqsimError::DeviceLost { device: 0 }) => {}
+            other => panic!("expected DeviceLost, got {other:?}"),
         }
     }
 

@@ -18,7 +18,7 @@
 //!   budget is tighter than its precision can meet.
 //! * **Empirical**: the probe's observed L2-norm drift must stay within
 //!   its own tolerance estimate, **and** its outputs must agree
-//!   elementwise with the `f64` reference ([`candidate_valid`]'s
+//!   elementwise with the `f64` reference (`candidate_valid`'s
 //!   relative-error bound) — norm drift alone would wave through a
 //!   norm-preserving wrong kernel (sign, conjugation, and permutation
 //!   bugs all preserve norms), so a broken narrow kernel can never win.

@@ -17,8 +17,6 @@ pub enum Resolution {
     /// Recovery degraded the pipeline (re-split / CPU conversion / dense
     /// host fallback) to absorb the fault.
     Degraded,
-    /// The affected batches were requeued to a surviving device.
-    Requeued,
     /// The device was lost outright.
     DeviceLost,
 }
@@ -31,7 +29,6 @@ impl fmt::Display for Resolution {
             Resolution::TimedOut => "timed-out",
             Resolution::Exhausted => "exhausted",
             Resolution::Degraded => "degraded",
-            Resolution::Requeued => "requeued",
             Resolution::DeviceLost => "device-lost",
         };
         f.write_str(s)
@@ -70,17 +67,11 @@ pub struct RunHealth {
     /// Ladder rungs taken, in order (e.g. "re-split fused gates + CPU
     /// conversion", "dense host fallback").
     pub degradations: Vec<String>,
-    /// Batch indices requeued to another device.
-    pub requeued_batches: Vec<usize>,
-    /// Batch indices that completed neither on-device nor via a fallback.
-    /// Empty after successful recovery; the multi-GPU runner drains this
-    /// list by requeueing onto survivors.
-    pub failed_batches: Vec<usize>,
     /// Devices lost during the run.
     pub lost_devices: Vec<usize>,
     /// Tasks abandoned (never completed on the faulted device).
     pub abandoned_tasks: u64,
-    /// Per-device memory high-water marks, as `(device, bytes)`.
+    /// Device memory high-water marks, as `(device, bytes)`.
     pub high_water_bytes: Vec<(usize, u64)>,
 }
 
@@ -101,8 +92,6 @@ impl RunHealth {
             && self.retries == 0
             && self.degraded_batches.is_empty()
             && self.degradations.is_empty()
-            && self.requeued_batches.is_empty()
-            && self.failed_batches.is_empty()
             && self.lost_devices.is_empty()
     }
 
@@ -111,15 +100,13 @@ impl RunHealth {
         self.events.iter().filter(|e| e.kind.name() == name).count()
     }
 
-    /// Folds another device's (or wave's) health into this report.
+    /// Folds another run's health into this report.
     pub fn merge(&mut self, other: RunHealth) {
         self.events.extend(other.events);
         self.retries += other.retries;
         self.backoff_ns += other.backoff_ns;
         self.degraded_batches.extend(other.degraded_batches);
         self.degradations.extend(other.degradations);
-        self.requeued_batches.extend(other.requeued_batches);
-        self.failed_batches.extend(other.failed_batches);
         self.lost_devices.extend(other.lost_devices);
         self.abandoned_tasks += other.abandoned_tasks;
         self.high_water_bytes.extend(other.high_water_bytes);
@@ -155,12 +142,6 @@ impl fmt::Display for RunHealth {
         }
         if !self.degraded_batches.is_empty() {
             writeln!(f, "  degraded batches: {:?}", self.degraded_batches)?;
-        }
-        if !self.requeued_batches.is_empty() {
-            writeln!(f, "  requeued batches: {:?}", self.requeued_batches)?;
-        }
-        if !self.failed_batches.is_empty() {
-            writeln!(f, "  FAILED batches: {:?}", self.failed_batches)?;
         }
         if !self.lost_devices.is_empty() {
             writeln!(f, "  lost devices: {:?}", self.lost_devices)?;
@@ -215,7 +196,7 @@ mod tests {
             events: vec![event(1, FaultKind::Oom { alloc: 2 })],
             retries: 2,
             backoff_ns: 10_000,
-            requeued_batches: vec![1, 3],
+            degraded_batches: vec![1, 3],
             lost_devices: vec![1],
             abandoned_tasks: 4,
             high_water_bytes: vec![(1, 1 << 20)],
@@ -225,7 +206,7 @@ mod tests {
         assert_eq!(a.fault_count(), 2);
         assert_eq!(a.retries, 3);
         assert_eq!(a.backoff_ns, 15_000);
-        assert_eq!(a.requeued_batches, vec![1, 3]);
+        assert_eq!(a.degraded_batches, vec![0, 1, 3]);
         assert_eq!(a.lost_devices, vec![1]);
         assert_eq!(a.abandoned_tasks, 4);
         assert_eq!(a.count_of("kernel-fault"), 1);

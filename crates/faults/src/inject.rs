@@ -1,17 +1,16 @@
-//! The per-device runtime view of a fault plan.
+//! The runtime view of a fault plan.
 
 use crate::plan::{FaultKind, FaultPlan};
 
-/// Pure, per-device lookup of which faults strike which task executions.
+/// Pure lookup of which faults strike which task executions.
 ///
-/// Built once per device from a [`FaultPlan`]; the engine queries it by
+/// Built once per run from a [`FaultPlan`]; the engine queries it by
 /// first-attempt task-execution index, which makes exactly-once injection
 /// structural (the engine visits each index exactly once). Allocation
 /// (OOM) faults are *not* served by the injector — they are armed on the
 /// device allocator directly, where the allocation sequence lives.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
-    device: usize,
     /// `(task_index, kind)` for transient task-site faults, plan order.
     task_faults: Vec<(usize, FaultKind)>,
     device_loss_at: Option<usize>,
@@ -23,24 +22,16 @@ impl FaultInjector {
         FaultInjector::default()
     }
 
-    /// The slice of `plan` that strikes `device`.
-    pub fn for_device(plan: &FaultPlan, device: usize) -> Self {
-        let mut task_faults = Vec::new();
-        for spec in plan.specs().iter().filter(|s| s.device == device) {
-            if let Some(task) = spec.kind.task_index() {
-                task_faults.push((task, spec.kind));
-            }
-        }
+    /// The task-site faults and device loss of `plan`.
+    pub fn new(plan: &FaultPlan) -> Self {
         FaultInjector {
-            device,
-            task_faults,
-            device_loss_at: plan.device_loss_at(device),
+            task_faults: plan
+                .faults()
+                .iter()
+                .filter_map(|&kind| Some((kind.task_index()?, kind)))
+                .collect(),
+            device_loss_at: plan.device_loss_at(),
         }
-    }
-
-    /// Device this injector belongs to.
-    pub fn device(&self) -> usize {
-        self.device
     }
 
     /// Whether this injector can fire at all (task faults or device loss;
@@ -72,30 +63,26 @@ mod tests {
     use crate::plan::FaultPlan;
 
     #[test]
-    fn injector_filters_by_device_and_preserves_plan_order() {
+    fn injector_preserves_plan_order() {
         let mut plan = FaultPlan::new();
-        plan.push(0, FaultKind::KernelFault { task: 2 })
-            .push(1, FaultKind::CopyCorruption { task: 2 })
-            .push(0, FaultKind::CopyCorruption { task: 2 })
-            .push(0, FaultKind::Oom { alloc: 1 })
-            .push(1, FaultKind::DeviceLoss { at_task: 5 });
+        plan.push(FaultKind::KernelFault { task: 2 })
+            .push(FaultKind::CopyCorruption { task: 4 })
+            .push(FaultKind::CopyCorruption { task: 2 })
+            .push(FaultKind::Oom { alloc: 1 })
+            .push(FaultKind::DeviceLoss { at_task: 5 });
 
-        let inj0 = FaultInjector::for_device(&plan, 0);
-        assert_eq!(inj0.device(), 0);
-        assert!(inj0.has_faults());
+        let inj = FaultInjector::new(&plan);
+        assert!(inj.has_faults());
         assert_eq!(
-            inj0.faults_for_task(2),
+            inj.faults_for_task(2),
             vec![
                 FaultKind::KernelFault { task: 2 },
                 FaultKind::CopyCorruption { task: 2 }
             ]
         );
-        assert!(inj0.faults_for_task(3).is_empty());
-        assert_eq!(inj0.device_loss_at(), None);
-
-        let inj1 = FaultInjector::for_device(&plan, 1);
-        assert_eq!(inj1.faults_for_task(2).len(), 1);
-        assert_eq!(inj1.device_loss_at(), Some(5));
+        assert_eq!(inj.faults_for_task(4).len(), 1);
+        assert!(inj.faults_for_task(3).is_empty());
+        assert_eq!(inj.device_loss_at(), Some(5));
     }
 
     #[test]

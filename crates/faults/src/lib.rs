@@ -8,16 +8,16 @@
 //!
 //! * [`FaultPlan`] — a seeded, deterministic list of faults to inject into
 //!   a run. Every fault names its site (the n-th task execution or the
-//!   n-th allocation on a device), so a plan replays bit-identically.
+//!   n-th allocation on the device), so a plan replays bit-identically.
 //! * [`RecoveryPolicy`] — bounded retry with exponential backoff (modeled
 //!   as *engine time*, so timelines stay truthful), a per-task watchdog
 //!   deadline, and switches for the degradation ladder.
-//! * [`FaultInjector`] — the per-device runtime view of a plan consumed by
-//!   `bqsim_gpu::Engine::run_faulted`.
+//! * [`FaultInjector`] — the runtime view of a plan consumed by
+//!   `bqsim_gpu::Engine::run_faulted_cancellable`.
 //! * [`RunHealth`] — the account of everything that went wrong and how it
 //!   was absorbed: one [`FaultEvent`] per injected fault, retry/backoff
-//!   totals, requeued and degraded batches, lost devices, and per-device
-//!   memory high-water marks.
+//!   totals, degraded batches, a lost device, and the device memory
+//!   high-water mark.
 //! * [`CancelToken`] — cooperative cancellation (a shared flag plus an
 //!   optional wall-clock deadline) polled at task boundaries by the
 //!   engine's sweep and at batch boundaries by the campaign runner.
@@ -45,5 +45,10 @@ pub use cancel::CancelToken;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use health::{FaultEvent, Resolution, RunHealth};
 pub use inject::FaultInjector;
-pub use plan::{FaultBudget, FaultKind, FaultPlan, FaultSpec};
+pub use plan::{FaultBudget, FaultKind, FaultPlan};
 pub use policy::RecoveryPolicy;
+
+/// The index of the one device a run has. Fault events, health reports
+/// and device errors carry it, so what they print keeps naming `dev0` and
+/// `device 0`.
+pub const DEVICE: usize = 0;

@@ -39,8 +39,7 @@ pub enum FaultKind {
         alloc: usize,
     },
     /// Whole-device loss: from the `at_task`-th task execution onward the
-    /// device answers nothing. In a multi-GPU run its batches are requeued
-    /// to surviving devices.
+    /// device answers nothing.
     DeviceLoss {
         /// Index of the task execution at which the device disappears.
         at_task: usize,
@@ -76,15 +75,6 @@ impl FaultKind {
     }
 }
 
-/// A fault bound to the device it strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Device index (0 for single-GPU runs).
-    pub device: usize,
-    /// What happens, and where.
-    pub kind: FaultKind,
-}
-
 /// How many faults of each kind [`FaultPlan::seeded`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultBudget {
@@ -96,7 +86,7 @@ pub struct FaultBudget {
     pub hangs: usize,
     /// Injected allocation failures.
     pub ooms: usize,
-    /// Whole-device losses (at most one per device is generated).
+    /// Device losses (at most one is generated).
     pub device_losses: usize,
 }
 
@@ -117,13 +107,13 @@ impl FaultBudget {
     }
 }
 
-/// A deterministic list of faults to inject into a run.
+/// A deterministic list of faults to inject into a run on its one device.
 ///
 /// Plans are plain data: the same plan against the same compiled pipeline
 /// injects the same faults at the same virtual times, every time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    specs: Vec<FaultSpec>,
+    faults: Vec<FaultKind>,
 }
 
 /// A hang injected by [`FaultPlan::seeded`] stalls by one of these two
@@ -139,48 +129,44 @@ impl FaultPlan {
     }
 
     /// Adds one fault.
-    pub fn push(&mut self, device: usize, kind: FaultKind) -> &mut Self {
-        self.specs.push(FaultSpec { device, kind });
+    pub fn push(&mut self, kind: FaultKind) -> &mut Self {
+        self.faults.push(kind);
         self
     }
 
     /// All faults, in injection-priority order.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
+    pub fn faults(&self) -> &[FaultKind] {
+        &self.faults
     }
 
     /// Number of faults in the plan.
     pub fn len(&self) -> usize {
-        self.specs.len()
+        self.faults.len()
     }
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.faults.is_empty()
     }
 
     /// Whether every fault in the plan is transient (absorbed by retries).
     pub fn is_transient(&self) -> bool {
-        self.specs.iter().all(|s| s.kind.is_transient())
+        self.faults.iter().all(FaultKind::is_transient)
     }
 
-    /// The task index at which `device` is lost, if the plan loses it.
-    pub fn device_loss_at(&self, device: usize) -> Option<usize> {
-        self.specs
-            .iter()
-            .filter(|s| s.device == device)
-            .find_map(|s| match s.kind {
-                FaultKind::DeviceLoss { at_task } => Some(at_task),
-                _ => None,
-            })
+    /// The task index at which the device is lost, if the plan loses it.
+    pub fn device_loss_at(&self) -> Option<usize> {
+        self.faults.iter().find_map(|s| match *s {
+            FaultKind::DeviceLoss { at_task } => Some(at_task),
+            _ => None,
+        })
     }
 
-    /// Allocation indices on `device` that must fail with OOM.
-    pub fn oom_allocs(&self, device: usize) -> Vec<usize> {
-        self.specs
+    /// Allocation indices that must fail with OOM.
+    pub fn oom_allocs(&self) -> Vec<usize> {
+        self.faults
             .iter()
-            .filter(|s| s.device == device)
-            .filter_map(|s| match s.kind {
+            .filter_map(|s| match *s {
                 FaultKind::Oom { alloc } => Some(alloc),
                 _ => None,
             })
@@ -189,80 +175,52 @@ impl FaultPlan {
 
     /// Generates a deterministic plan from a seed.
     ///
-    /// Task-site faults target *distinct* task indices in
-    /// `0..tasks_per_device` (so a policy with `max_retries >= 1` absorbs
-    /// every transient fault), allocation faults target indices in
-    /// `0..allocs_per_device`, and at most one device loss is generated
-    /// per device, never on device 0 when more than one device exists (so
-    /// multi-GPU runs always keep a survivor). Budgets that exceed the
-    /// available distinct sites are clamped.
-    pub fn seeded(
-        seed: u64,
-        devices: usize,
-        tasks_per_device: usize,
-        allocs_per_device: usize,
-        budget: &FaultBudget,
-    ) -> Self {
+    /// Task-site faults target *distinct* task indices in `0..tasks` (so a
+    /// policy with `max_retries >= 1` absorbs every transient fault),
+    /// allocation faults target indices in `0..allocs`, and at most one
+    /// device loss is generated. Budgets that exceed the available
+    /// distinct sites are clamped.
+    pub fn seeded(seed: u64, tasks: usize, allocs: usize, budget: &FaultBudget) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x000F_A017_5EED);
         let mut plan = FaultPlan::new();
-        if devices == 0 {
-            return plan;
-        }
-        for device in 0..devices {
-            // Deal each device its share of the budget (device 0 first).
-            let share = |total: usize| total / devices + usize::from(device < total % devices);
-            let kernels = share(budget.kernel_faults);
-            let copies = share(budget.copy_corruptions);
-            let hangs = share(budget.hangs);
-            let wanted = kernels + copies + hangs;
-            let mut targets: Vec<usize> = Vec::with_capacity(wanted.min(tasks_per_device));
-            while targets.len() < wanted.min(tasks_per_device) {
-                let t = rng.gen_range(0..tasks_per_device.max(1));
-                if !targets.contains(&t) {
-                    targets.push(t);
-                }
-            }
-            let mut targets = targets.into_iter();
-            for _ in 0..kernels {
-                if let Some(task) = targets.next() {
-                    plan.push(device, FaultKind::KernelFault { task });
-                }
-            }
-            for _ in 0..copies {
-                if let Some(task) = targets.next() {
-                    plan.push(device, FaultKind::CopyCorruption { task });
-                }
-            }
-            for _ in 0..hangs {
-                if let Some(task) = targets.next() {
-                    let stall_ns = if rng.gen_range(0u8..2) == 0 {
-                        SEEDED_SHORT_STALL_NS
-                    } else {
-                        SEEDED_LONG_STALL_NS
-                    };
-                    plan.push(device, FaultKind::Hang { task, stall_ns });
-                }
-            }
-            for _ in 0..share(budget.ooms) {
-                if allocs_per_device > 0 {
-                    let alloc = rng.gen_range(0..allocs_per_device);
-                    plan.push(device, FaultKind::Oom { alloc });
-                }
+        let wanted = budget.kernel_faults + budget.copy_corruptions + budget.hangs;
+        let mut targets: Vec<usize> = Vec::with_capacity(wanted.min(tasks));
+        while targets.len() < wanted.min(tasks) {
+            let t = rng.gen_range(0..tasks.max(1));
+            if !targets.contains(&t) {
+                targets.push(t);
             }
         }
-        // Device losses: at most one per device, never device 0 unless it
-        // is the only one.
-        let loss_candidates: Vec<usize> = if devices > 1 {
-            (1..devices).collect()
-        } else {
-            vec![0]
-        };
-        for device in loss_candidates
-            .iter()
-            .take(budget.device_losses.min(loss_candidates.len()))
-        {
-            let at_task = rng.gen_range(0..tasks_per_device.max(1));
-            plan.push(*device, FaultKind::DeviceLoss { at_task });
+        let mut targets = targets.into_iter();
+        for _ in 0..budget.kernel_faults {
+            if let Some(task) = targets.next() {
+                plan.push(FaultKind::KernelFault { task });
+            }
+        }
+        for _ in 0..budget.copy_corruptions {
+            if let Some(task) = targets.next() {
+                plan.push(FaultKind::CopyCorruption { task });
+            }
+        }
+        for _ in 0..budget.hangs {
+            if let Some(task) = targets.next() {
+                let stall_ns = if rng.gen_range(0u8..2) == 0 {
+                    SEEDED_SHORT_STALL_NS
+                } else {
+                    SEEDED_LONG_STALL_NS
+                };
+                plan.push(FaultKind::Hang { task, stall_ns });
+            }
+        }
+        for _ in 0..budget.ooms {
+            if allocs > 0 {
+                let alloc = rng.gen_range(0..allocs);
+                plan.push(FaultKind::Oom { alloc });
+            }
+        }
+        if budget.device_losses > 0 {
+            let at_task = rng.gen_range(0..tasks.max(1));
+            plan.push(FaultKind::DeviceLoss { at_task });
         }
         plan
     }
@@ -275,9 +233,9 @@ mod tests {
     #[test]
     fn seeded_plans_are_deterministic_and_distinct_per_seed() {
         let budget = FaultBudget::transient(2, 2, 1);
-        let a = FaultPlan::seeded(7, 1, 40, 6, &budget);
-        let b = FaultPlan::seeded(7, 1, 40, 6, &budget);
-        let c = FaultPlan::seeded(8, 1, 40, 6, &budget);
+        let a = FaultPlan::seeded(7, 40, 6, &budget);
+        let b = FaultPlan::seeded(7, 40, 6, &budget);
+        let c = FaultPlan::seeded(8, 40, 6, &budget);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 5);
@@ -285,53 +243,88 @@ mod tests {
     }
 
     #[test]
+    fn seeded_plans_do_not_move() {
+        let transient = FaultPlan::seeded(7, 40, 5, &FaultBudget::transient(2, 1, 2));
+        assert_eq!(
+            transient.faults(),
+            vec![
+                FaultKind::KernelFault { task: 30 },
+                FaultKind::KernelFault { task: 14 },
+                FaultKind::CopyCorruption { task: 13 },
+                FaultKind::Hang {
+                    task: 23,
+                    stall_ns: SEEDED_SHORT_STALL_NS
+                },
+                FaultKind::Hang {
+                    task: 12,
+                    stall_ns: SEEDED_SHORT_STALL_NS
+                },
+            ]
+        );
+        let budget = FaultBudget {
+            ooms: 1,
+            device_losses: 1,
+            ..FaultBudget::transient(1, 1, 1)
+        };
+        assert_eq!(
+            FaultPlan::seeded(12, 28, 5, &budget).faults(),
+            vec![
+                FaultKind::KernelFault { task: 6 },
+                FaultKind::CopyCorruption { task: 26 },
+                FaultKind::Hang {
+                    task: 25,
+                    stall_ns: SEEDED_SHORT_STALL_NS
+                },
+                FaultKind::Oom { alloc: 0 },
+                FaultKind::DeviceLoss { at_task: 15 },
+            ]
+        );
+    }
+
+    #[test]
     fn seeded_transient_targets_are_distinct_tasks() {
         for seed in 0..32 {
-            let plan = FaultPlan::seeded(seed, 2, 20, 4, &FaultBudget::transient(3, 3, 2));
-            for device in 0..2 {
-                let mut tasks: Vec<usize> = plan
-                    .specs()
-                    .iter()
-                    .filter(|s| s.device == device)
-                    .filter_map(|s| s.kind.task_index())
-                    .collect();
-                let before = tasks.len();
-                tasks.sort_unstable();
-                tasks.dedup();
-                assert_eq!(tasks.len(), before, "seed {seed}: duplicate task targets");
-                assert!(tasks.iter().all(|&t| t < 20));
-            }
+            let plan = FaultPlan::seeded(seed, 20, 4, &FaultBudget::transient(3, 3, 2));
+            let mut tasks: Vec<usize> = plan
+                .faults()
+                .iter()
+                .filter_map(FaultKind::task_index)
+                .collect();
+            let before = tasks.len();
+            tasks.sort_unstable();
+            tasks.dedup();
+            assert_eq!(tasks.len(), before, "seed {seed}: duplicate task targets");
+            assert!(tasks.iter().all(|&t| t < 20));
         }
     }
 
     #[test]
-    fn device_loss_spares_device_zero_in_multi_gpu_plans() {
+    fn seeded_device_loss_is_generated_at_most_once() {
         let budget = FaultBudget {
             device_losses: 3,
             ..FaultBudget::default()
         };
-        let plan = FaultPlan::seeded(3, 3, 10, 4, &budget);
-        assert!(plan.device_loss_at(0).is_none());
-        assert!(plan.device_loss_at(1).is_some());
-        assert!(plan.device_loss_at(2).is_some());
+        let plan = FaultPlan::seeded(3, 10, 4, &budget);
+        assert_eq!(plan.len(), 1);
+        assert!(plan.device_loss_at().is_some_and(|t| t < 10));
         assert!(!plan.is_transient());
     }
 
     #[test]
-    fn site_accessors_filter_by_device() {
+    fn site_accessors_read_their_kind() {
         let mut plan = FaultPlan::new();
-        plan.push(0, FaultKind::Oom { alloc: 2 })
-            .push(1, FaultKind::Oom { alloc: 5 })
-            .push(1, FaultKind::DeviceLoss { at_task: 3 });
-        assert_eq!(plan.oom_allocs(0), vec![2]);
-        assert_eq!(plan.oom_allocs(1), vec![5]);
-        assert_eq!(plan.device_loss_at(1), Some(3));
-        assert_eq!(plan.device_loss_at(0), None);
+        plan.push(FaultKind::Oom { alloc: 2 })
+            .push(FaultKind::KernelFault { task: 1 })
+            .push(FaultKind::Oom { alloc: 5 });
+        assert_eq!(plan.oom_allocs(), vec![2, 5]);
+        assert_eq!(plan.device_loss_at(), None);
+        plan.push(FaultKind::DeviceLoss { at_task: 3 });
+        assert_eq!(plan.device_loss_at(), Some(3));
     }
 
     #[test]
     fn budget_clamps_to_available_sites() {
-        let plan = FaultPlan::seeded(1, 1, 3, 2, &FaultBudget::transient(5, 5, 5));
+        let plan = FaultPlan::seeded(1, 3, 2, &FaultBudget::transient(5, 5, 5));
         // Only 3 distinct task sites exist.
         assert_eq!(plan.len(), 3);
     }

@@ -30,8 +30,7 @@ pub struct RecoveryPolicy {
     pub degrade: bool,
     /// On exhausted retries (or failed degradation), fall back to the
     /// dense host reference backend for the affected batches instead of
-    /// erroring. Multi-GPU runs disable this per-device so failures
-    /// requeue to a surviving device instead.
+    /// erroring.
     pub host_fallback: bool,
 }
 

@@ -219,25 +219,6 @@ impl Timeline {
         }
         out
     }
-
-    /// Appends another timeline after this one (used to chain repeated
-    /// graph launches) shifting its records by the current total.
-    pub fn extend_after(&mut self, other: &Timeline) {
-        let shift = self.total_ns;
-        for r in &other.records {
-            self.records.push(TaskRecord {
-                start_ns: r.start_ns + shift,
-                end_ns: r.end_ns + shift,
-                ..r.clone()
-            });
-        }
-        for i in 0..3 {
-            self.busy_ns[i] += other.busy_ns[i];
-        }
-        self.kernel_flops += other.kernel_flops;
-        self.kernel_bytes += other.kernel_bytes;
-        self.total_ns += other.total_ns;
-    }
 }
 
 /// The simulated device's execution engine.
@@ -390,7 +371,7 @@ impl Engine {
         let mut dead = vec![false; n];
         let mut timeline = Timeline::default();
         let mut run = FaultedRun::default();
-        let device = injector.device();
+        let device = bqsim_faults::DEVICE;
         let mut lost_ns: Option<u64> = None;
 
         for (i, task) in graph.tasks.iter().enumerate() {
@@ -628,7 +609,7 @@ fn poison_destination(task: &Task, mem: &DeviceMemory, host: &HostMemory) {
     }
 }
 
-/// Result of [`Engine::run_faulted`]: the timeline plus the per-device
+/// Result of [`Engine::run_faulted`]: the timeline plus the
 /// fault ledger the caller folds into a `RunHealth` report.
 #[derive(Debug, Clone, Default)]
 pub struct FaultedRun {
@@ -998,9 +979,9 @@ mod tests {
         let baseline = faulted_pipeline(&FaultInjector::none(), &RecoveryPolicy::no_recovery()).1;
 
         let mut plan = bqsim_faults::FaultPlan::new();
-        plan.push(0, FaultKind::KernelFault { task: 1 })
-            .push(0, FaultKind::CopyCorruption { task: 0 });
-        let injector = FaultInjector::for_device(&plan, 0);
+        plan.push(FaultKind::KernelFault { task: 1 })
+            .push(FaultKind::CopyCorruption { task: 0 });
+        let injector = FaultInjector::new(&plan);
         let (run, out) = faulted_pipeline(&injector, &RecoveryPolicy::default());
 
         assert!(run.fully_recovered());
@@ -1032,14 +1013,11 @@ mod tests {
     #[test]
     fn hang_under_watchdog_slack_is_a_straggler() {
         let mut plan = bqsim_faults::FaultPlan::new();
-        plan.push(
-            0,
-            FaultKind::Hang {
-                task: 1,
-                stall_ns: 1_000,
-            },
-        );
-        let injector = FaultInjector::for_device(&plan, 0);
+        plan.push(FaultKind::Hang {
+            task: 1,
+            stall_ns: 1_000,
+        });
+        let injector = FaultInjector::new(&plan);
         let (run, out) = faulted_pipeline(&injector, &RecoveryPolicy::default());
         assert!(run.fully_recovered());
         assert_eq!(run.retries, 0);
@@ -1051,14 +1029,11 @@ mod tests {
     #[test]
     fn hang_past_watchdog_is_killed_and_retried() {
         let mut plan = bqsim_faults::FaultPlan::new();
-        plan.push(
-            0,
-            FaultKind::Hang {
-                task: 1,
-                stall_ns: 50_000_000,
-            },
-        );
-        let injector = FaultInjector::for_device(&plan, 0);
+        plan.push(FaultKind::Hang {
+            task: 1,
+            stall_ns: 50_000_000,
+        });
+        let injector = FaultInjector::new(&plan);
         let policy = RecoveryPolicy::default();
         let (run, out) = faulted_pipeline(&injector, &policy);
         assert!(run.fully_recovered());
@@ -1082,9 +1057,9 @@ mod tests {
     fn exhausted_retries_abandon_dependents() {
         let mut plan = bqsim_faults::FaultPlan::new();
         for _ in 0..3 {
-            plan.push(0, FaultKind::KernelFault { task: 1 });
+            plan.push(FaultKind::KernelFault { task: 1 });
         }
-        let injector = FaultInjector::for_device(&plan, 0);
+        let injector = FaultInjector::new(&plan);
         let policy = RecoveryPolicy {
             max_retries: 1,
             ..RecoveryPolicy::default()
@@ -1105,8 +1080,8 @@ mod tests {
     #[test]
     fn device_loss_abandons_everything_from_the_loss_point() {
         let mut plan = bqsim_faults::FaultPlan::new();
-        plan.push(0, FaultKind::DeviceLoss { at_task: 1 });
-        let injector = FaultInjector::for_device(&plan, 0);
+        plan.push(FaultKind::DeviceLoss { at_task: 1 });
+        let injector = FaultInjector::new(&plan);
         let (run, _) = faulted_pipeline(&injector, &RecoveryPolicy::default());
         assert!(!run.fully_recovered());
         assert_eq!(run.abandoned, vec![TaskId(1), TaskId(2)]);
@@ -1193,32 +1168,13 @@ mod tests {
     #[test]
     fn gantt_marks_failed_attempts() {
         let mut plan = bqsim_faults::FaultPlan::new();
-        plan.push(0, FaultKind::KernelFault { task: 1 });
-        let injector = FaultInjector::for_device(&plan, 0);
+        plan.push(FaultKind::KernelFault { task: 1 });
+        let injector = FaultInjector::new(&plan);
         let (run, _) = faulted_pipeline(&injector, &RecoveryPolicy::default());
         let gantt = run.timeline.render_gantt(60);
         assert!(
             gantt.contains('x'),
             "failed attempt must be visible:\n{gantt}"
         );
-    }
-
-    #[test]
-    fn extend_after_shifts_records() {
-        let (engine, mut mem, mut host) = setup();
-        let mut g = TaskGraph::new();
-        g.add_kernel("k", Arc::new(FlopKernel { flops: 100 }), &[]);
-        let t1 = engine.run(
-            &g,
-            &mut mem,
-            &mut host,
-            LaunchMode::Graph,
-            ExecMode::TimingOnly,
-        );
-        let mut total = t1.clone();
-        total.extend_after(&t1);
-        assert_eq!(total.total_ns(), 2 * t1.total_ns());
-        assert_eq!(total.records().len(), 2);
-        assert!(total.records()[1].start_ns >= t1.total_ns());
     }
 }

@@ -248,7 +248,7 @@ impl AmpStore {
     /// the component planes, so no interleaved intermediate is built.
     ///
     /// The transpose runs amplitude-outer over blocks of
-    /// [`STAGE_TILE`] states: batch strides are powers of two, so a
+    /// `STAGE_TILE` states: batch strides are powers of two, so a
     /// naive state-outer gather walks the arrays at a page-aligned
     /// stride that lands every access in the same cache set. Blocking
     /// keeps one write line per in-flight state hot while the source
@@ -862,7 +862,7 @@ impl HostMemory {
     /// (which built a fresh interleaved `Vec` per batch only to copy it
     /// once more into pooled storage).
     ///
-    /// The transpose runs amplitude-outer over blocks of [`STAGE_TILE`]
+    /// The transpose runs amplitude-outer over blocks of `STAGE_TILE`
     /// state vectors (see [`AmpStore::unpack_states`] for why the
     /// power-of-two batch stride makes the naive order pathological):
     /// each block's output row segment is written contiguously while the

@@ -579,17 +579,56 @@ struct Job {
     downgraded: bool,
     charged: u64,
     cancel: CancelToken,
-    /// The submission's campaign: its shards' outcomes and checksums, and
-    /// the journal they commit to. Taken out of the scheduler lock by the
-    /// claiming worker (one shard in flight per submission makes this
-    /// exclusive by construction) and put back when the shard settles.
-    campaign: Option<Box<Campaign<'static>>>,
+    work: Work,
     fail_reason: Option<String>,
+}
+
+/// A submission's campaign while it has shards to run, and what the
+/// report reads of it once the submission is terminal.
+enum Work {
+    /// The campaign: its shards' outcomes and checksums, and the journal
+    /// they commit to. Taken out of the scheduler lock by the claiming
+    /// worker (one shard in flight per submission makes this exclusive by
+    /// construction) and put back when the shard settles.
+    Open(Option<Box<Campaign<'static>>>),
+    /// The campaign's tally; the campaign itself — compiled simulator,
+    /// buffer pool, kept executor — is dropped when the job leaves.
+    Finished(Tally),
+}
+
+/// What a terminal submission's report and digest read of its campaign.
+#[derive(Default)]
+struct Tally {
+    checksums: Vec<Option<u64>>,
+    executed: usize,
+    resumed: usize,
+    quarantined: usize,
+}
+
+impl Tally {
+    fn of(campaign: Option<&Campaign<'_>>) -> Tally {
+        campaign.map_or_else(Tally::default, |c| Tally {
+            checksums: c.checksums().to_vec(),
+            executed: c.executed(),
+            resumed: c.resumed(),
+            quarantined: c.quarantined().count(),
+        })
+    }
 }
 
 impl Job {
     fn checksums(&self) -> &[Option<u64>] {
-        self.campaign.as_ref().map_or(&[], |c| c.checksums())
+        match &self.work {
+            Work::Open(c) => c.as_deref().map_or(&[], Campaign::checksums),
+            Work::Finished(t) => &t.checksums,
+        }
+    }
+
+    fn take_campaign(&mut self) -> Option<Box<Campaign<'static>>> {
+        match &mut self.work {
+            Work::Open(c) => c.take(),
+            Work::Finished(_) => None,
+        }
     }
 }
 
@@ -666,11 +705,14 @@ impl Core {
         });
     }
 
-    /// Moves a job to a terminal `phase`; a job that never started
-    /// leaves the bounded queue.
+    /// Moves a job to a terminal `phase`, dropping its campaign for its
+    /// tally; a job that never started leaves the bounded queue.
     fn leave(&mut self, idx: usize, phase: Phase) -> (String, String) {
         let j = &mut self.jobs[idx];
         j.phase = phase;
+        if let Work::Open(campaign) = &mut j.work {
+            j.work = Work::Finished(Tally::of(campaign.take().as_deref()));
+        }
         if !j.started_any {
             j.started_any = true;
             self.queued = self.queued.saturating_sub(1);
@@ -964,7 +1006,7 @@ fn admit(
         downgraded,
         charged,
         cancel,
-        campaign: Some(Box::new(campaign)),
+        work: Work::Open(Some(Box::new(campaign))),
         fail_reason: None,
         spec,
     };
@@ -1024,13 +1066,13 @@ fn worker(device: usize, sh: &Shared<'_>) {
                 .map(|(i, _)| i);
             if let Some(i) = pick {
                 let min_vt = g.jobs[i].vt;
-                let Some(campaign) = g.jobs[i].campaign.take() else {
+                let Some(campaign) = g.jobs[i].take_campaign() else {
                     g.finalize_failed(i, "campaign missing".to_string());
                     continue;
                 };
                 let Some(shard) = campaign.next_pending() else {
                     // Defensive: a runnable job always has pending work.
-                    g.jobs[i].campaign = Some(campaign);
+                    g.jobs[i].work = Work::Open(Some(campaign));
                     g.finalize_done(i);
                     continue;
                 };
@@ -1060,7 +1102,7 @@ fn worker(device: usize, sh: &Shared<'_>) {
                     dl.device == device && g.starts_on_device[device] == dl.after_starts
                 });
                 if dies {
-                    g.jobs[i].campaign = Some(campaign);
+                    g.jobs[i].work = Work::Open(Some(campaign));
                     g.lost[device] = true;
                     g.emit(&ScheduleEvent::DeviceLost { device });
                     g.jobs[i].attempts += 1;
@@ -1137,7 +1179,7 @@ fn worker(device: usize, sh: &Shared<'_>) {
         let done = campaign.next_pending().is_none();
         let (tenant, id) = {
             let j = &mut g.jobs[idx];
-            j.campaign = Some(campaign);
+            j.work = Work::Open(Some(campaign));
             j.attempts = 0;
             (j.spec.tenant.clone(), j.spec.id.clone())
         };
@@ -1190,6 +1232,12 @@ fn worker(device: usize, sh: &Shared<'_>) {
 pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceReport, ServeError> {
     if cfg.devices == 0 {
         return Err(ServeError::InvalidSpec("devices must be >= 1".to_string()));
+    }
+    if let Some(dl) = cfg.device_loss.filter(|dl| dl.device >= cfg.devices) {
+        return Err(ServeError::InvalidSpec(format!(
+            "device-loss dev={} names no device of {}",
+            dl.device, cfg.devices
+        )));
     }
     if cfg.queue_capacity == 0 {
         return Err(ServeError::InvalidSpec(
@@ -1362,13 +1410,16 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
             Slot::Immediate(r) => r,
             Slot::Job(idx) => {
                 let j = &core.jobs[idx];
-                let c = j.campaign.as_deref();
+                let tally = match &j.work {
+                    Work::Finished(t) => Some(t),
+                    Work::Open(_) => None,
+                };
                 let outcome = match &j.phase {
                     Phase::Done { digest } => SubmissionOutcome::Completed {
                         digest: *digest,
-                        executed: c.map_or(0, Campaign::executed),
-                        resumed: c.map_or(0, Campaign::resumed),
-                        quarantined: c.map_or(0, |c| c.quarantined().count()),
+                        executed: tally.map_or(0, |t| t.executed),
+                        resumed: tally.map_or(0, |t| t.resumed),
+                        quarantined: tally.map_or(0, |t| t.quarantined),
                         downgraded: j.downgraded,
                     },
                     Phase::Cancelled => SubmissionOutcome::Cancelled {

@@ -352,6 +352,39 @@ fn device_loss_requeues_to_survivors_and_digests_hold() {
 }
 
 #[test]
+fn losing_the_only_device_fails_every_submission() {
+    let dir = state_dir("nosurvivor");
+    let mut cfg = test_config(dir);
+    cfg.devices = 1;
+    cfg.device_loss = Some(DeviceLossSpec {
+        device: 0,
+        after_starts: 1,
+    });
+    let specs = vec![
+        spec("a", "j1", 2, Priority::Normal),
+        spec("b", "j2", 2, Priority::Normal),
+    ];
+    let report = run_service(&cfg, &specs).unwrap();
+    assert_eq!(report.devices_lost, 1);
+    assert_eq!(report.submissions.len(), specs.len());
+    for sub in &report.submissions {
+        assert!(
+            matches!(&sub.outcome, SubmissionOutcome::Failed { reason } if reason == "no surviving devices"),
+            "{sub:?}"
+        );
+    }
+    // The trace replays without an error; the analyzer only warns that
+    // the whole fleet is gone.
+    let text = std::fs::read_to_string(report.trace_path).unwrap();
+    let diags = check_service_schedule(&parse_schedule_trace(&text).unwrap());
+    assert_eq!(diags.error_count(), 0, "schedule diagnostics: {diags:?}");
+    assert!(
+        diags.mentions("every fleet device is lost"),
+        "schedule diagnostics: {diags:?}"
+    );
+}
+
+#[test]
 fn device_loss_parse_round_trips() {
     let dl = DeviceLossSpec::parse("dev=1,after=3").unwrap();
     assert_eq!(
@@ -465,8 +498,19 @@ fn unusable_configs_are_rejected() {
         run_service(&cfg, &[]),
         Err(ServeError::InvalidSpec(_))
     ));
-    let mut cfg = test_config(dir);
+    let mut cfg = test_config(dir.clone());
     cfg.queue_capacity = 0;
+    assert!(matches!(
+        run_service(&cfg, &[]),
+        Err(ServeError::InvalidSpec(_))
+    ));
+    // A device loss on a device the fleet does not have.
+    let mut cfg = test_config(dir);
+    cfg.devices = 2;
+    cfg.device_loss = Some(DeviceLossSpec {
+        device: 2,
+        after_starts: 1,
+    });
     assert!(matches!(
         run_service(&cfg, &[]),
         Err(ServeError::InvalidSpec(_))

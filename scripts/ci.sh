@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> precision lint wall (no bare 'as f32' narrowing outside the conversion helpers)"
 narrowing="$(grep -rn 'as f32' crates/ell/src crates/num/src --include='*.rs' \
     | grep -v '^crates/num/src/narrow\.rs:' || true)"

@@ -1,9 +1,7 @@
 //! End-to-end application workloads: the BQCS use cases the paper's
 //! introduction motivates, composed from the public APIs.
 
-use bqsim_core::multi_gpu::MultiGpuRunner;
-use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator, RunRequest};
-use bqsim_gpu::DeviceSpec;
+use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator};
 use bqsim_num::approx::vectors_eq;
 use bqsim_qcir::observable::{expectation, sample_counts, PauliString};
 use bqsim_qcir::{dense, generators};
@@ -71,32 +69,6 @@ fn sampling_from_batched_outputs() {
     assert_eq!(extremes, 4000);
     let frac = counts[0] as f64 / 4000.0;
     assert!((frac - 0.5).abs() < 0.06, "frac = {frac}");
-}
-
-/// Multi-GPU scaling (paper §4.2): outputs stay identical and the
-/// makespan shrinks when batches spread over more devices.
-#[test]
-fn multi_gpu_scaling_workload() {
-    let n = 5;
-    let circuit = generators::tsp(n, 13);
-    let batches: Vec<_> = (0..8).map(|b| random_input_batch(n, 4, b)).collect();
-    let single = MultiGpuRunner::compile(
-        &circuit,
-        &BqSimOptions::default(),
-        vec![DeviceSpec::rtx_a6000()],
-    )
-    .unwrap();
-    let quad = MultiGpuRunner::compile(
-        &circuit,
-        &BqSimOptions::default(),
-        vec![DeviceSpec::rtx_a6000(); 4],
-    )
-    .unwrap();
-    let run1 = single.execute(&RunRequest::batches(&batches)).unwrap();
-    let run4 = quad.execute(&RunRequest::batches(&batches)).unwrap();
-    assert!(run4.makespan_ns < run1.makespan_ns);
-    assert_eq!(run1.outputs.len(), batches.len());
-    assert_eq!(run1.outputs, run4.outputs, "devices must not change a bit");
 }
 
 /// A QASM program from text to sampled measurement outcomes — the full
