@@ -86,9 +86,10 @@ pub struct Fingerprint {
     pub artifact: u64,
     /// Fault-injection seed, or `None` for a fault-free campaign.
     pub fault_seed: Option<u64>,
-    /// spMM lanes per launch (`BqSimOptions::threads`) of the session
-    /// that wrote the header. Informational only: lanes split each
-    /// launch over disjoint output rows, so outputs are bit-identical at
+    /// State lanes per batch (`BqSimOptions::threads`) of the session
+    /// that wrote the header; a `bqsim serve` session records its
+    /// per-worker lanes. Informational only: lanes split each batch over
+    /// disjoint ranges of its states, so outputs are bit-identical at
     /// every count and a resume may use a different one. Kept in the
     /// header so every existing journal still parses.
     pub threads: usize,

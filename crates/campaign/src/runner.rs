@@ -227,6 +227,10 @@ pub struct CampaignResult {
     /// completing cleanly instead of quarantining. Always `0` for `f64`
     /// campaigns (there is nothing wider to retry at).
     pub precision_retries: usize,
+    /// States per lane of each batch, in state order
+    /// ([`BqSimulator::state_shares`]): one entry when batches run on one
+    /// lane.
+    pub state_shares: Vec<usize>,
 }
 
 impl CampaignResult {
@@ -553,7 +557,7 @@ fn run_on(
 /// deliberately excluded from the options hash and carried as their own
 /// fields so a mismatch report can name them — the most common way to
 /// accidentally change a plan between sessions is `BQSIM_LAYOUT` or
-/// `BQSIM_PRECISION`. `threads` (spMM lanes) is recorded too but never
+/// `BQSIM_PRECISION`. `threads` (state lanes) is recorded too but never
 /// refuses a resume: it cannot change an output bit.
 pub fn plan_fingerprint<'a>(
     circuit: &Circuit,
@@ -1095,6 +1099,7 @@ fn drive(
         cache_stats: campaign.sim.conversion_cache_stats(),
         compile_wall: campaign.sim.compile_wall(),
         precision_retries: campaign.precision_retries,
+        state_shares: campaign.sim.state_shares(campaign.inputs.dims().0),
     })
 }
 

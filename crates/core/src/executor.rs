@@ -2,15 +2,19 @@
 //! reuse, resolved once.
 //!
 //! A [`BatchExecutor`] is built for `num_batches × batch_size` runs of one
-//! [`BqSimulator`]. Construction resolves the spMM lane count, checks the
-//! four device state buffers, the gate-table reservation and the host
-//! staging buffers out of the simulator's pool, and builds the kernel
-//! chain and the §3.3.2 batch graph. Each [`BatchExecutor::run`] then
-//! only stages its inputs into the kept host buffers, sweeps the kept
-//! graph through the engine under the run's own fault plan, and unpacks
-//! the outputs. `BqSimulator::execute` builds one executor per request;
-//! a campaign builds one for its first batch and runs every batch
-//! through it.
+//! [`BqSimulator`]. Construction splits the batch's states into state
+//! lanes (contiguous shares, see [`MIN_MACS_PER_LANE`]) and, per share,
+//! checks the four device state buffers, the gate-table reservation and
+//! the host staging buffers out of the simulator's pool and builds the
+//! kernel chain and the §3.3.2 batch graph. Each [`BatchExecutor::run`]
+//! then forks once: every share stages its states into its kept host
+//! buffers, sweeps its kept graph through the engine under the run's own
+//! fault plan, and unpacks its outputs, and the calling thread joins the
+//! shares in state order. States never interact, and every share runs
+//! the same one-lane sweep, so the joined outputs are the one-lane run's
+//! bits. `BqSimulator::execute` builds one executor per request; a
+//! campaign builds one for its first batch and runs every batch through
+//! it.
 //!
 //! Reuse is invisible to results: every staging, copy and kernel task
 //! overwrites all of its destination, so a run never reads what the
@@ -40,9 +44,10 @@ use bqsim_faults::{
 use bqsim_gpu::power::{cpu_average_power_w, gpu_average_power_w, PowerReport};
 use bqsim_gpu::{
     AllocDeviceError, BufferPool, DeviceMemory, DeviceSpec, Engine, ExecMode, FaultedRun,
-    HostBufId, HostMemory, Kernel, TaskGraph,
+    HostBufId, HostMemory, Kernel, LaunchMode, TaskGraph,
 };
 use bqsim_num::Complex;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Device allocations one launch makes, in order: four state buffers,
@@ -127,29 +132,89 @@ fn probe_allocs(spec: &DeviceSpec, sites: &[u64], traps: &[usize]) -> Result<(),
         .try_for_each(|&bytes| probe.reserve_bytes(bytes))
 }
 
-/// One gate chain's launch: the device arena with its four state buffers
-/// and gate-table reservation, the host staging buffers, and the batch
-/// graph whose kernels read and write them.
+/// MACs (fused-gate `rows × maxNZR` × states, summed over the gate
+/// chain) each state lane must receive before a batch splits its states:
+/// below it the fork/join and the share's own engine sweep cost more than
+/// the lane saves. Measured per batch, one lane against two, on a 2-core
+/// x86-64 host: routing-6 × 64 (196,608 MACs) 0.61–0.86×, qft-9 × 32
+/// (294,912) 0.73–1.33×, routing-8 × 32 (524,288) 0.84–1.08×, qft-10 × 32
+/// (655,360) 1.23–1.34×, qft-12 × 32 (3,145,728) 1.62×.
+pub const MIN_MACS_PER_LANE: u64 = 300_000;
+
+/// The contiguous state ranges a batch of `shape` on `gates` splits into,
+/// one per state lane, longest first (the first `batch_size % lanes`
+/// shares hold one state more). One range unless the run moves amplitudes
+/// through the ELL kernels and every lane gets [`MIN_MACS_PER_LANE`].
+/// Lanes are capped at the host's hardware threads: a lane past them only
+/// time-slices a core.
+fn state_shares(opts: &BqSimOptions, gates: &[ConvertedGate], shape: Shape) -> Vec<Range<usize>> {
+    let macs = gates.iter().map(|g| g.ell.mac_per_input()).sum::<u64>() * shape.batch_size as u64;
+    let lanes = if shape.functional && !opts.skip_ell {
+        let by_work = usize::try_from(macs / MIN_MACS_PER_LANE).unwrap_or(usize::MAX);
+        opts.threads
+            .min(host_parallelism())
+            .min(shape.batch_size)
+            .min(by_work)
+            .max(1)
+    } else {
+        1
+    };
+    let (base, longer) = (shape.batch_size / lanes, shape.batch_size % lanes);
+    let mut first = 0;
+    (0..lanes)
+        .map(|lane| {
+            let len = base + usize::from(lane < longer);
+            first += len;
+            first - len..first
+        })
+        .collect()
+}
+
+impl BqSimulator {
+    /// States per lane of this simulator's batches of `batch_size`
+    /// states, in state order — the split its executors use: one entry
+    /// when a batch runs on one lane (see [`MIN_MACS_PER_LANE`]).
+    pub fn state_shares(&self, batch_size: usize) -> Vec<usize> {
+        let shape = Shape {
+            num_batches: 1,
+            batch_size,
+            functional: self.opts.exec_mode == ExecMode::Functional,
+        };
+        state_shares(&self.opts, &self.gates, shape)
+            .iter()
+            .map(Range::len)
+            .collect()
+    }
+}
+
+/// One state lane's share of a launch: the device arena with its four
+/// state buffers and gate-table reservation, the host staging buffers,
+/// and the batch graph whose kernels read and write them. Storage holds
+/// the share's states; the graph's kernel and copy profiles charge the
+/// whole batch, so every share schedules the one-lane run's timeline.
 #[derive(Debug)]
-struct Launch {
-    engine: Engine,
+struct Share {
+    states: Range<usize>,
     mem: DeviceMemory,
     host: HostMemory,
     graph: TaskGraph,
     inputs: Vec<HostBufId>,
     outputs: Vec<HostBufId>,
-    kernels: usize,
 }
 
-impl Launch {
+/// What one share's sweep hands back: its states of every batch's outputs
+/// (none when timing-only or cancelled) and the engine's fault account.
+type ShareRun = (Vec<Vec<Vec<Complex>>>, FaultedRun);
+
+impl Share {
     fn build(
         sim: &BqSimulator,
         gates: &[ConvertedGate],
         shape: Shape,
-    ) -> Result<Launch, BqsimError> {
-        check_graph_size(shape.num_batches, gates.len())?;
+        states: Range<usize>,
+    ) -> Result<Share, BqsimError> {
         let opts = &sim.opts;
-        let elems = shape.batch_size << sim.num_qubits;
+        let elems = states.len() << sim.num_qubits;
         let layout = opts.effective_layout();
         let precision = opts.effective_precision();
         let width = precision.storage_bytes();
@@ -178,11 +243,10 @@ impl Launch {
         let inputs: Vec<_> = (0..shape.num_batches).map(|_| staging()).collect();
         let outputs: Vec<_> = (0..shape.num_batches).map(|_| staging()).collect();
 
-        // Lane-splitting a launch past the host's hardware threads cannot
-        // make it faster — the spawned lanes just time-slice one core — so
-        // the pipeline clamps here while `with_lanes` keeps honouring
-        // explicit oversubscription for tests.
-        let lanes = opts.threads.min(host_parallelism());
+        // Copies move the whole batch's `sites[0]` bytes and each kernel
+        // charges all `batch_size` states: the share's timeline is the
+        // whole launch's.
+        let share_len = states.len();
         let graph = schedule::build_batch_graph(
             &buffers,
             &inputs,
@@ -201,34 +265,115 @@ impl Launch {
                         shape.batch_size,
                     ))
                 } else {
-                    Arc::new(EllSpmmKernel::with_tuning(
-                        Arc::clone(&g.ell),
-                        src,
-                        dst,
-                        shape.batch_size,
-                        lanes,
-                        opts.generic_spmm,
-                        precision,
-                        opts.use_pattern,
-                    ))
+                    Arc::new(
+                        EllSpmmKernel::with_tuning(
+                            Arc::clone(&g.ell),
+                            src,
+                            dst,
+                            share_len,
+                            1,
+                            opts.generic_spmm,
+                            precision,
+                            opts.use_pattern,
+                        )
+                        .charging(shape.batch_size),
+                    )
                 }
             },
         );
-        Ok(Launch {
-            engine: Engine::new(opts.device.clone()),
+        Ok(Share {
+            states,
             mem,
             host,
             graph,
             inputs,
             outputs,
-            kernels: gates.len(),
         })
     }
 
-    /// One engine sweep of the graph with fault hooks armed: stages
-    /// `batches` (empty when timing-only), runs, and unpacks the outputs
-    /// unless the token fired. Returns the run and the engine's fault
-    /// account.
+    /// One engine sweep of the share's graph with fault hooks armed:
+    /// stages its states of `batches` (empty when timing-only), runs, and
+    /// unpacks them unless the token fired.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &mut self,
+        engine: &Engine,
+        launch_mode: LaunchMode,
+        functional: bool,
+        batches: &[&[Vec<Complex>]],
+        injector: &FaultInjector,
+        policy: &RecoveryPolicy,
+        cancel: &CancelToken,
+    ) -> ShareRun {
+        if functional {
+            for (&h, batch) in self.inputs.iter().zip(batches) {
+                self.host.restage(h, &batch[self.states.clone()]);
+            }
+        }
+        let exec = if functional {
+            ExecMode::Functional
+        } else {
+            ExecMode::TimingOnly
+        };
+        let faulted = engine.run_faulted_cancellable(
+            &self.graph,
+            &mut self.mem,
+            &mut self.host,
+            launch_mode,
+            exec,
+            injector,
+            policy,
+            cancel,
+        );
+        let outputs = if functional && faulted.cancelled_at.is_none() {
+            self.outputs
+                .iter()
+                .map(|&h| self.host.buffer(h).store().unpack_states(self.states.len()))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        (outputs, faulted)
+    }
+}
+
+/// One gate chain's launch: one [`Share`] per state lane, and the device
+/// footprint of the whole-batch launch they stand for.
+#[derive(Debug)]
+struct Launch {
+    engine: Engine,
+    shares: Vec<Share>,
+    kernels: usize,
+    /// The whole-batch launch's device high-water mark (the sum of its
+    /// allocation sites: nothing is freed during a launch), whatever the
+    /// shares hold between them.
+    high_water_bytes: u64,
+}
+
+impl Launch {
+    fn build(
+        sim: &BqSimulator,
+        gates: &[ConvertedGate],
+        shape: Shape,
+    ) -> Result<Launch, BqsimError> {
+        check_graph_size(shape.num_batches, gates.len())?;
+        let shares = state_shares(&sim.opts, gates, shape)
+            .into_iter()
+            .map(|states| Share::build(sim, gates, shape, states))
+            .collect::<Result<_, _>>()?;
+        Ok(Launch {
+            engine: Engine::new(sim.opts.device.clone()),
+            shares,
+            kernels: gates.len(),
+            high_water_bytes: alloc_sites(sim, gates, shape).iter().sum(),
+        })
+    }
+
+    /// Sweeps every share, share 0 on the calling thread and each other
+    /// one on its own scoped thread, and joins their outputs in state
+    /// order. The timeline and fault account are share 0's: every share
+    /// runs the same graph under the same plan. A token that fired in any
+    /// share cancels the run.
     fn sweep(
         &mut self,
         sim: &BqSimulator,
@@ -238,35 +383,58 @@ impl Launch {
         policy: &RecoveryPolicy,
         cancel: &CancelToken,
     ) -> (RunResult, FaultedRun) {
-        if shape.functional {
-            for (&h, batch) in self.inputs.iter().zip(batches) {
-                self.host.restage(h, batch);
+        let engine = &self.engine;
+        let launch_mode = sim.opts.launch_mode;
+        let sweep = |share: &mut Share| {
+            share.sweep(
+                engine,
+                launch_mode,
+                shape.functional,
+                batches,
+                injector,
+                policy,
+                cancel,
+            )
+        };
+        let (lead, rest) = self
+            .shares
+            .split_first_mut()
+            .expect("a launch has at least one share");
+        let ((mut outputs, mut faulted), others) = if rest.is_empty() {
+            (sweep(lead), Vec::new())
+        } else {
+            std::thread::scope(|scope| {
+                let lanes: Vec<_> = rest
+                    .iter_mut()
+                    .map(|share| scope.spawn(|| sweep(share)))
+                    .collect();
+                let lead = sweep(lead);
+                let others: Vec<ShareRun> = lanes
+                    .into_iter()
+                    .map(|lane| lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect();
+                (lead, others)
+            })
+        };
+        for (share_outputs, share_faulted) in others {
+            if faulted.cancelled_at.is_none() {
+                faulted.cancelled_at = share_faulted.cancelled_at;
+            }
+            if share_faulted.cancelled_at.is_none() {
+                debug_assert_eq!(
+                    (share_faulted.timeline.total_ns(), &share_faulted.events),
+                    (faulted.timeline.total_ns(), &faulted.events),
+                    "state lanes scheduled different timelines"
+                );
+            }
+            for (batch, states) in outputs.iter_mut().zip(share_outputs) {
+                batch.extend(states);
             }
         }
-        let exec = if shape.functional {
-            ExecMode::Functional
-        } else {
-            ExecMode::TimingOnly
-        };
-        let mut faulted = self.engine.run_faulted_cancellable(
-            &self.graph,
-            &mut self.mem,
-            &mut self.host,
-            sim.opts.launch_mode,
-            exec,
-            injector,
-            policy,
-            cancel,
-        );
+        if faulted.cancelled_at.is_some() {
+            outputs.clear();
+        }
         let timeline = std::mem::take(&mut faulted.timeline);
-        let outputs = if shape.functional && faulted.cancelled_at.is_none() {
-            self.outputs
-                .iter()
-                .map(|&h| self.host.buffer(h).store().unpack_states(shape.batch_size))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let run = RunResult {
             outputs,
             breakdown: RunBreakdown {
@@ -415,7 +583,7 @@ impl BatchExecutor {
                     }
                     health
                         .high_water_bytes
-                        .push((DEVICE, launch.mem.high_water_bytes()));
+                        .push((DEVICE, launch.high_water_bytes));
                     break (run, faulted, launch.kernels);
                 }
                 Err(source) => source,
@@ -525,7 +693,6 @@ fn resplit_gates(sim: &BqSimulator) -> Result<Vec<ConvertedGate>, BqsimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::EllSpmmKernel;
     use crate::simulator::random_input_batch;
     use bqsim_ell::{Layout, Precision};
     use bqsim_faults::FaultBudget;
@@ -570,9 +737,9 @@ mod tests {
 
     #[test]
     fn executor_reuse_is_bit_identical_to_fresh_runs() {
-        // qft-8 × 32 gives 8192 output elements per launch: two lanes of
-        // MIN_ELEMS_PER_LANE, so at two threads every launch splits.
-        let (n, batch_size, k) = (8, 32, 3);
+        // qft-10 × 33 is 675,840 MACs a batch: at two threads its states
+        // split 17 + 16 across two lanes.
+        let (n, batch_size, k) = (10, 33, 3);
         let circuit = generators::qft(n);
         let inputs: Vec<_> = (0..k)
             .map(|b| random_input_batch(n, batch_size, 40 + b as u64))
@@ -589,30 +756,67 @@ mod tests {
                 },
             )),
         ];
-        for layout in [Layout::Aos, Layout::Planar] {
-            for precision in [Precision::F64, Precision::F32] {
-                for threads in [1, 2] {
-                    let opts = BqSimOptions {
-                        layout,
-                        precision,
-                        threads,
-                        ..BqSimOptions::default()
-                    };
-                    let sim = BqSimulator::compile(&circuit, opts).unwrap();
-                    if threads == 2 && host_parallelism() >= 2 {
-                        let g = &sim.gates()[0];
-                        let mut mem = DeviceMemory::new(&DeviceSpec::tiny_test_gpu());
-                        let (a, b) = (mem.alloc(1).unwrap(), mem.alloc(1).unwrap());
-                        let probe =
-                            EllSpmmKernel::with_lanes(Arc::clone(&g.ell), a, b, batch_size, 2);
-                        assert_eq!(probe.effective_lanes(), 2, "the shape must split lanes");
-                    }
-                    for faults in &plans {
-                        reuse_matches_fresh(&sim, &inputs, *faults);
-                    }
+        // AoS runs the f64 reference whatever precision it is asked for,
+        // so these are all three executed kinds.
+        let kinds = [
+            (Layout::Aos, Precision::F64),
+            (Layout::Planar, Precision::F64),
+            (Layout::Planar, Precision::F32),
+        ];
+        for (layout, precision) in kinds {
+            for threads in [1, 2] {
+                let opts = BqSimOptions {
+                    layout,
+                    precision,
+                    threads,
+                    ..BqSimOptions::default()
+                };
+                let sim = BqSimulator::compile(&circuit, opts).unwrap();
+                if threads == 2 && host_parallelism() >= 2 {
+                    assert_eq!(
+                        sim.state_shares(batch_size),
+                        [17, 16],
+                        "the shape must split states"
+                    );
+                }
+                for faults in &plans {
+                    reuse_matches_fresh(&sim, &inputs, *faults);
                 }
             }
         }
+    }
+
+    #[test]
+    fn states_split_into_contiguous_shares_above_the_floor() {
+        let cores = host_parallelism();
+        let compile = |circuit: &bqsim_qcir::Circuit, threads, exec_mode| {
+            let opts = BqSimOptions {
+                threads,
+                exec_mode,
+                ..BqSimOptions::default()
+            };
+            BqSimulator::compile(circuit, opts).unwrap()
+        };
+        // routing-6 × 64 is 196,608 MACs a batch: one lane at any count.
+        let routing = compile(&generators::routing(6, 7), 7, ExecMode::Functional);
+        assert_eq!(routing.state_shares(64), [64]);
+        let qft = generators::qft(12);
+        for threads in [1, 2, 7] {
+            let sim = compile(&qft, threads, ExecMode::Functional);
+            for batch_size in [1, 3, 32, 33, 65] {
+                let got = sim.state_shares(batch_size);
+                assert_eq!(got.iter().sum::<usize>(), batch_size);
+                assert!(got.len() <= threads.min(cores), "{got:?}");
+                assert!(got.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1));
+                let per_lane = sim.mac_per_input() * batch_size as u64 / got.len() as u64;
+                assert!(got.len() == 1 || per_lane >= MIN_MACS_PER_LANE, "{got:?}");
+            }
+            // qft-12 × 32 is 3,145,728 MACs: it takes every lane offered.
+            assert_eq!(sim.state_shares(32).len(), threads.min(cores));
+        }
+        // Timing-only runs move no states and stay on one lane.
+        let timing = compile(&qft, 2, ExecMode::TimingOnly);
+        assert_eq!(timing.state_shares(32), [32]);
     }
 
     #[test]

@@ -24,6 +24,10 @@ pub struct EllSpmmKernel {
     input: BufferId,
     output: BufferId,
     batch: usize,
+    /// States the cost profile charges: `batch`, unless this launch is
+    /// one state lane's share of a larger one (see
+    /// [`charging`](Self::charging)).
+    charged_batch: usize,
     lanes: usize,
     generic: bool,
     precision: Precision,
@@ -46,7 +50,9 @@ impl EllSpmmKernel {
     /// row-partitioning the launch (mirroring the GPU's block-per-row
     /// decomposition). The split only engages when each lane would get at
     /// least `MIN_ELEMS_PER_LANE` output elements, so small launches stay
-    /// serial.
+    /// serial. The executor never splits a launch (its host parallelism
+    /// is state lanes, [`crate::executor::MIN_MACS_PER_LANE`]); the row
+    /// split serves direct kernel calls such as the benchmark's probe.
     pub fn with_lanes(
         gate: Arc<EllMatrix>,
         input: BufferId,
@@ -104,6 +110,7 @@ impl EllSpmmKernel {
             input,
             output,
             batch,
+            charged_batch: batch,
             lanes: lanes.max(1),
             generic,
             precision,
@@ -111,9 +118,19 @@ impl EllSpmmKernel {
         }
     }
 
-    /// #MAC of one launch: `rows × maxNZR × batch`.
+    /// This launch as one state lane's share of a `batch`-state launch:
+    /// it computes its own states but charges the cost profile for all
+    /// `batch`, so every share of a batch schedules the whole launch's
+    /// virtual time.
+    pub(crate) fn charging(mut self, batch: usize) -> Self {
+        self.charged_batch = batch;
+        self
+    }
+
+    /// #MAC of one launch: `rows × maxNZR × batch`, over the batch the
+    /// profile charges.
     pub fn macs(&self) -> u64 {
-        self.gate.mac_per_input() * self.batch as u64
+        self.gate.mac_per_input() * self.charged_batch as u64
     }
 
     /// Lanes this launch will actually split into after the work-size
@@ -199,9 +216,9 @@ impl Kernel for EllSpmmKernel {
             // once. Model input reads at half rate for cache reuse across
             // rows sharing columns.
             bytes_read: self.gate.byte_size() + macs * amp_width / 2,
-            bytes_written: rows * self.batch as u64 * amp_width,
+            bytes_written: rows * self.charged_batch as u64 * amp_width,
             blocks: rows,
-            threads_per_block: self.batch.min(256) as u32,
+            threads_per_block: self.charged_batch.min(256) as u32,
             divergence: 1.0,
         }
     }

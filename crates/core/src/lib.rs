@@ -60,7 +60,7 @@ pub use convert::{
     DEFAULT_ELL_CACHE_CAPACITY,
 };
 pub use error::BqsimError;
-pub use executor::{host_parallelism, BatchExecutor, MAX_GRAPH_TASKS};
+pub use executor::{host_parallelism, BatchExecutor, MAX_GRAPH_TASKS, MIN_MACS_PER_LANE};
 pub use fusion::{bqcs_aware_fusion, greedy_fusion, FusedGate};
 pub use simulator::{
     default_layout, default_precision, default_threads, random_input_batch, validate_env,

@@ -43,11 +43,15 @@ pub struct BqSimOptions {
     pub skip_fusion: bool,
     /// Simulate straight from DDs, skipping ELL (ablation).
     pub skip_ell: bool,
-    /// Row-partitioned spMM lanes per kernel launch — the only host
-    /// parallelism of functional execution (the engine applies tasks
-    /// inline). Outputs are bit-identical at every value; `1` runs every
-    /// launch on the calling thread. The default honours `BQSIM_THREADS`
-    /// and falls back to the host's available parallelism.
+    /// State lanes per batch — the only host parallelism of functional
+    /// execution (the engine applies tasks inline). A batch splits its
+    /// states into up to this many contiguous shares, capped at the
+    /// host's cores and at one lane per
+    /// [`MIN_MACS_PER_LANE`](crate::executor::MIN_MACS_PER_LANE), and
+    /// sweeps each on its own thread. Outputs are bit-identical at every
+    /// value; `1` runs every batch on the calling thread. The default
+    /// honours `BQSIM_THREADS` and falls back to the host's available
+    /// parallelism.
     pub threads: usize,
     /// Force the generic (pre-fast-path) spMM inner loop — the ablation
     /// baseline for the shape-specialised kernels.
@@ -407,7 +411,7 @@ pub struct ResolvedExec {
     pub precision: Precision,
     /// Effective amplitude layout.
     pub layout: Layout,
-    /// Row-partitioned spMM lanes per launch.
+    /// State lanes per batch.
     pub threads: usize,
     /// Pattern-compression toggle of the planar kernels.
     pub use_pattern: bool,
@@ -541,7 +545,7 @@ impl BqSimulator {
     }
 
     /// Applies an auto-tuner decision to the execution-only options:
-    /// precision, layout, spMM lanes, and the pattern-compression
+    /// precision, layout, state lanes, and the pattern-compression
     /// toggle. The compiled gates are untouched — none of these axes
     /// affect compilation — so applying a tuning can never fork the
     /// artifact key. The tuner never selects `generic_spmm` (probed for

@@ -406,10 +406,10 @@ impl EllMatrix {
 
     /// [`EllMatrix::spmm`] restricted to the consecutive row window
     /// `first_row ..` covered by `out`: `out` receives the output rows and
-    /// must be a multiple of `batch` long. This is the unit the parallel
-    /// executor hands to each worker when row-partitioning one launch
-    /// (mirroring the GPU's block-per-row decomposition); calling it once
-    /// with the full output is exactly `spmm`.
+    /// must be a multiple of `batch` long. This is the unit each worker
+    /// computes when a kernel launch is row-partitioned (mirroring the
+    /// GPU's block-per-row decomposition); calling it once with the full
+    /// output is exactly `spmm`.
     ///
     /// # Panics
     ///

@@ -225,7 +225,8 @@ impl Timeline {
 ///
 /// Copy/compute overlap is a property of the virtual-time schedule the
 /// sweep computes; on the host, functional effects are applied inline in
-/// sweep order. Host parallelism, where it pays, lives inside kernels.
+/// sweep order. Host parallelism, where it pays, lives above the engine:
+/// the executor's state lanes each sweep their own graph.
 #[derive(Debug, Clone)]
 pub struct Engine {
     spec: DeviceSpec,

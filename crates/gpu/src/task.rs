@@ -58,9 +58,9 @@ pub trait Kernel: Send + Sync {
     /// Takes the arena by shared reference: buffers are acquired through
     /// [`DeviceMemory::buffer`] / [`DeviceMemory::buffer_mut`] guards, so a
     /// kernel can hold its input and output at once. The engine calls
-    /// kernels one at a time, in the order of its scheduling sweep; any
-    /// host parallelism lives inside a kernel (e.g. row-partitioned spMM
-    /// lanes over disjoint output windows).
+    /// kernels one at a time, in the order of its scheduling sweep; host
+    /// parallelism lives above the engine (the executor's state lanes each
+    /// sweep their own graph) or inside a kernel.
     fn execute(&self, mem: &DeviceMemory);
 
     /// Device buffers [`Kernel::execute`] reads. The default (empty)

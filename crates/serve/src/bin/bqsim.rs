@@ -14,9 +14,11 @@
 //! ```
 //!
 //! `--threads` (default `BQSIM_THREADS`, else the core count) sets the
-//! spMM lanes per launch: each kernel launch splits its output rows over
-//! that many host threads. It is the only host parallelism, and digests
-//! are bit-identical at every value.
+//! state lanes per batch: a batch large enough splits its states over up
+//! to that many host threads, each running the whole gate chain on its
+//! share. It is the only host parallelism, and digests are bit-identical
+//! at every value. `serve` shares `BQSIM_THREADS` (else the cores) among
+//! its device workers instead.
 //!
 //! # Exit codes
 //!
@@ -571,9 +573,11 @@ OPTIONS:
     --batch-size <B>     inputs per batch                   [default: 32]
     --tau <edges>        hybrid conversion threshold        [default: 2000]
     --seed <s>           RNG seed for inputs/parameters     [default: 42]
-    --threads <n>        spMM lanes per launch: each kernel launch splits
-                         its output rows across up to n host threads
-                         (bit-identical at every n; 1 = one thread)
+    --threads <n>        state lanes per batch: a batch with at least
+                         300,000 MACs per lane splits its states across
+                         up to n host threads (bit-identical at every n;
+                         1 = one thread; serve gives each of its devices
+                         max(1, min(n, cores) / devices) lanes)
                          [default: $BQSIM_THREADS or available cores]
     --layout <l>         amplitude memory layout: `planar` (batch-major
                          planes, SIMD-tiled microkernels) or `aos`
@@ -626,7 +630,7 @@ OPTIONS:
     );
 }
 
-/// spMM lanes per launch for this invocation: `--threads` wins, else the
+/// State lanes per batch for this invocation: `--threads` wins, else the
 /// `BQSIM_THREADS` / available-parallelism default.
 fn effective_threads(args: &Args) -> usize {
     args.threads.unwrap_or_else(bqsim_core::default_threads)
@@ -990,18 +994,19 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         opts.threads = outcome.record.threads.max(1);
         opts.use_pattern = outcome.record.use_pattern;
     }
+    let threads = opts.threads.max(1);
+    let (precision, layout) = (opts.effective_precision(), opts.effective_layout());
+    let result = stream_campaign(circuit, opts, inputs, &copts).map_err(CliError::from)?;
     println!(
-        "execution: precision={} layout={} threads={} ({})",
-        opts.effective_precision().token(),
-        opts.effective_layout().token(),
-        opts.threads.max(1),
+        "execution: precision={} layout={} threads={threads} {} ({})",
+        precision.token(),
+        layout.token(),
+        render_lanes(&result.state_shares),
         match precision_arg {
             PrecisionArg::Auto => "auto-tuned",
             PrecisionArg::Fixed(_) => "requested",
         },
     );
-
-    let result = stream_campaign(circuit, opts, inputs, &copts).map_err(CliError::from)?;
     println!(
         "campaign: {} batches x {} inputs — {} resumed from journal, {} executed, \
          {} quarantined, {} retried at f64",
@@ -1049,6 +1054,12 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The state lanes a batch ran on: `lanes=2 (16+16 states)`.
+fn render_lanes(shares: &[usize]) -> String {
+    let states: Vec<String> = shares.iter().map(usize::to_string).collect();
+    format!("lanes={} ({} states)", shares.len(), states.join("+"))
 }
 
 /// Where a cold start's host time went (a warm start compiled nothing,
@@ -1135,6 +1146,10 @@ fn run_serve(args: &Args) -> Result<ExitCode, CliError> {
     }
 
     let report = run_service(&cfg, &specs).map_err(CliError::from)?;
+    println!(
+        "workers: {} device(s) x {} state lane(s)",
+        cfg.devices, report.lanes_per_worker
+    );
 
     let mut overloaded = 0usize;
     let mut quota_rejected = 0usize;
@@ -1512,10 +1527,11 @@ fn run() -> Result<ExitCode, CliError> {
     );
     let resolved = sim.resolved_options();
     println!(
-        "execution: precision={} layout={} threads={} pattern={} ({})",
+        "execution: precision={} layout={} threads={} {} pattern={} ({})",
         resolved.precision.token(),
         resolved.layout.token(),
         resolved.threads,
+        render_lanes(&sim.state_shares(args.batch_size)),
         if resolved.use_pattern { "on" } else { "off" },
         match precision_arg {
             PrecisionArg::Auto => "auto-tuned",

@@ -36,9 +36,9 @@ mod spec;
 
 pub use error::ServeError;
 pub use service::{
-    journal_path, manifest_path, read_status, run_service, trace_path, DeviceLossSpec,
-    ServiceConfig, ServiceReport, StatusEntry, StatusState, SubmissionOutcome, SubmissionReport,
-    TenantHealth,
+    journal_path, lanes_per_worker, manifest_path, read_status, run_service, trace_path,
+    DeviceLossSpec, ServiceConfig, ServiceReport, StatusEntry, StatusState, SubmissionOutcome,
+    SubmissionReport, TenantHealth,
 };
 pub use spec::{check_campaign_shape, Priority, SubmitSpec, TenantQuota};
 

@@ -13,6 +13,10 @@
 //! service journal is also a valid `bqsim run --resume` journal and
 //! passes the journal-DFA audit).
 //!
+//! The workers share the host's threads: each runs its shard's states on
+//! [`lanes_per_worker`] state lanes, so `devices` workers together fork
+//! across at most `min(threads, cores)` of them.
+//!
 //! Every shard runs through `bqsim-campaign`'s [`Campaign`], the code
 //! `bqsim run` uses: admission is [`Campaign::open`] and a worker's shard
 //! is [`Campaign::run_batch`] plus [`Campaign::commit`], so the `f64`
@@ -69,7 +73,10 @@ use crate::error::ServeError;
 use crate::spec::{SubmitSpec, TenantQuota};
 use bqsim_analyze::{ScheduleEvent, ShardOutcome, VT_SCALE};
 use bqsim_campaign::{campaign_digest, Campaign, CampaignOptions, Record, StateMode};
-use bqsim_core::{ArtifactStore, BqsimError, RecoveryPolicy, RunHealth, StoreStats};
+use bqsim_core::{
+    default_threads, host_parallelism, ArtifactStore, BqsimError, RecoveryPolicy, RunHealth,
+    StoreStats,
+};
 use bqsim_faults::{CancelToken, Clock, WallClock};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -287,6 +294,10 @@ pub struct ServiceReport {
     /// Admissions that compiled from scratch (including corrupt-artifact
     /// recompiles).
     pub cold_compiles: usize,
+    /// State lanes each device worker ran a shard on
+    /// ([`lanes_per_worker`]); every submission's journal header records
+    /// it as `threads`.
+    pub lanes_per_worker: usize,
 }
 
 impl ServiceReport {
@@ -653,6 +664,8 @@ struct Core {
     fatal: Option<String>,
     warm_compiles: usize,
     cold_compiles: usize,
+    /// State lanes each device worker runs a shard on.
+    lanes: usize,
 }
 
 impl Core {
@@ -917,7 +930,8 @@ fn admit(
         Ok(c) => c,
         Err(e) => return Admission::Rejected(e),
     };
-    let (opts, copts) = spec.run_options();
+    let (mut opts, copts) = spec.run_options();
+    opts.threads = core.lanes;
     let copts = CampaignOptions {
         journal_path: Some(journal_path(&cfg.state_dir, &spec.tenant, &spec.id)),
         resume: is_resume,
@@ -1309,6 +1323,7 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
         fatal: None,
         warm_compiles: 0,
         cold_compiles: 0,
+        lanes: lanes_per_worker(default_threads(), host_parallelism(), cfg.devices),
     };
     core.emit(&ScheduleEvent::Config {
         devices: cfg.devices,
@@ -1454,5 +1469,15 @@ pub fn run_service(cfg: &ServiceConfig, specs: &[SubmitSpec]) -> Result<ServiceR
         store_stats: store.as_ref().map(ArtifactStore::stats),
         warm_compiles: core.warm_compiles,
         cold_compiles: core.cold_compiles,
+        lanes_per_worker: core.lanes,
     })
+}
+
+/// State lanes each of `devices` workers runs a shard on, when the
+/// session's `threads` (`BQSIM_THREADS`, else the host's cores) and the
+/// host's `cores` are shared among the workers: `max(1, min(threads,
+/// cores) / devices)`. Workers that each forked across every core would
+/// only time-slice them.
+pub fn lanes_per_worker(threads: usize, cores: usize, devices: usize) -> usize {
+    (threads.min(cores) / devices.max(1)).max(1)
 }

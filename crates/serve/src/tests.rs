@@ -704,3 +704,43 @@ fn artifact_store_is_shared_across_tenants_and_sessions() {
         );
     }
 }
+
+/// The device workers share the host's threads: `--devices 2` on two
+/// threads runs each shard on one state lane, `--devices 1` on two. A
+/// session's journal headers record its per-worker lanes as `threads`, and
+/// its digests are `bqsim run`'s at any lane count.
+#[test]
+fn device_workers_share_the_host_threads() {
+    assert_eq!(lanes_per_worker(2, 2, 2), 1);
+    assert_eq!(lanes_per_worker(2, 2, 1), 2);
+    assert_eq!(lanes_per_worker(1, 4, 2), 1, "never below one lane");
+    assert_eq!(lanes_per_worker(8, 2, 1), 2, "capped at the host's cores");
+
+    // qft-10 × 33 splits its states wherever a worker has two lanes.
+    let s = SubmitSpec {
+        family: "qft".into(),
+        qubits: 10,
+        batch_size: 33,
+        ..spec("alice", "split", 2, Priority::Normal)
+    };
+    let want = serial_digest(&s);
+    for devices in [1, 2] {
+        let dir = state_dir("lanes");
+        let mut cfg = test_config(dir.clone());
+        cfg.devices = devices;
+        let report = run_service(&cfg, std::slice::from_ref(&s)).unwrap();
+        let lanes = lanes_per_worker(
+            bqsim_core::default_threads(),
+            bqsim_core::host_parallelism(),
+            devices,
+        );
+        assert_eq!(report.lanes_per_worker, lanes);
+        match &report.submissions[0].outcome {
+            SubmissionOutcome::Completed { digest, .. } => assert_eq!(*digest, want),
+            other => panic!("devices={devices}: {other:?}"),
+        }
+        let header = read_journal(&journal_path(&dir, "alice", "split")).unwrap();
+        assert_eq!(header.fingerprint.threads, lanes, "devices={devices}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -119,11 +119,12 @@ run_bqsim analyze --journal "$journal"
 run_bqsim analyze --journal "$journal.ref"
 
 echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bit-for-bit)"
-# qft-6 x 32 is 2,048 output elements per launch, below the 4,096 a lane
-# needs, so it never splits; qft-10 x 32 (32,768) splits every launch
-# across the host's lanes.
+# A batch splits its states across lanes once every lane gets
+# MIN_MACS_PER_LANE (300,000) MACs: qft-6 x 32 (49,152 MACs a batch)
+# never splits; qft-12 x 32 (3,145,728) splits across every lane the host
+# offers.
 matrix_digest=""
-for qubits in 6 10; do
+for qubits in 6 12; do
     row_digest=""
     for layout in aos planar; do
         for threads in 1 4; do
@@ -145,20 +146,41 @@ for qubits in 6 10; do
         matrix_digest="$row_digest"
     fi
 done
-# Interrupt the splitting row at one lane, resume at two: the resumed
-# batches run split launches and must land on the same digest.
+# An uneven split: qft-12 x 33 runs 17 + 16 states on two lanes.
+uneven_digest=""
+for layout in aos planar; do
+    for threads in 1 2; do
+        out="$(BQSIM_LAYOUT=$layout BQSIM_THREADS=$threads \
+            run_bqsim run --family qft --qubits 12 --batches 4 --batch-size 33)"
+        d="$(printf '%s\n' "$out" | grep 'campaign digest:')"
+        lanes="$(printf '%s\n' "$out" | grep -o 'lanes=[0-9]* ([0-9+]* states)')"
+        echo "    qft-12 x 33 layout=$layout threads=$threads $lanes $d"
+        if [ "$threads" = 2 ] && [ "$(nproc)" -ge 2 ] && [ "$lanes" != "lanes=2 (17+16 states)" ]; then
+            echo "FAIL: qft-12 x 33 at threads=2 ran $lanes, want lanes=2 (17+16 states)" >&2
+            exit 1
+        fi
+        if [ -z "$uneven_digest" ]; then
+            uneven_digest="$d"
+        elif [ "$uneven_digest" != "$d" ]; then
+            echo "FAIL: qft-12 x 33 layout=$layout threads=$threads digest ($d) != reference ($uneven_digest)" >&2
+            exit 1
+        fi
+    done
+done
+# Interrupt the uneven row at one lane, resume at two: the resumed
+# batches split their states and must land on the same digest.
 mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
-interrupted_out="$(BQSIM_THREADS=1 run_bqsim run --family qft --qubits 10 --batches 4 \
-    --batch-size 32 --journal "$mj" --stop-after 2)"
+interrupted_out="$(BQSIM_THREADS=1 run_bqsim run --family qft --qubits 12 --batches 4 \
+    --batch-size 33 --journal "$mj" --stop-after 2)"
 echo "$interrupted_out" | grep -q 'journal is resumable'
-d="$(BQSIM_THREADS=2 run_bqsim run --family qft --qubits 10 --batches 4 --batch-size 32 \
+d="$(BQSIM_THREADS=2 run_bqsim run --family qft --qubits 12 --batches 4 --batch-size 33 \
     --journal "$mj" --resume | grep 'campaign digest:')"
 rm -f "$mj" "$mj.state"
-if [ "$d" != "$row_digest" ]; then
-    echo "FAIL: qft-10 interrupted at 1 lane, resumed at 2: $d != uninterrupted ($row_digest)" >&2
+if [ "$d" != "$uneven_digest" ]; then
+    echo "FAIL: qft-12 x 33 interrupted at 1 lane, resumed at 2: $d != uninterrupted ($uneven_digest)" >&2
     exit 1
 fi
-echo "    qft-10 interrupted at threads=1, resumed at threads=2: $d"
+echo "    qft-12 x 33 interrupted at threads=1, resumed at threads=2: $d"
 
 echo "==> precision matrix gate ({f64,f32} x threads {1,4}; thread-stable, no quarantine at 1e-4)"
 declare -A prec_digest=()

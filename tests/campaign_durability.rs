@@ -9,7 +9,7 @@ use bqsim_campaign::{
     audit_journal, campaign_digest, read_journal, run_campaign, state_path, CampaignOptions,
     CampaignResult, IntegrityBudget,
 };
-use bqsim_core::{random_input_batch, BqSimOptions};
+use bqsim_core::{random_input_batch, BqSimOptions, BqSimulator};
 use bqsim_faults::FaultBudget;
 use bqsim_num::Complex;
 use bqsim_qcir::{generators, Circuit};
@@ -262,13 +262,17 @@ proptest! {
 }
 
 /// The lane count is not part of the plan: a campaign interrupted at two
-/// spMM lanes resumes at one (and one at two) with the uninterrupted
-/// digest. The shape is large enough (256 rows × 64 states) that launches
-/// really split into lanes.
+/// state lanes resumes at one (and one at two) with the uninterrupted
+/// digest. The shape is large enough (qft-10 × 33, 675,840 MACs a batch)
+/// that on a multi-core host its batches really split their states.
 #[test]
 fn resume_at_a_different_thread_count_is_bit_identical() {
-    let circuit = generators::qft(8);
-    let inputs = inputs_for(&circuit, 3, 64);
+    let circuit = generators::qft(10);
+    let inputs = inputs_for(&circuit, 3, 33);
+    if bqsim_core::host_parallelism() >= 2 {
+        let sim = BqSimulator::compile(&circuit, opts_with(2)).unwrap();
+        assert_eq!(sim.state_shares(33), [17, 16], "batches must split");
+    }
     let reference = run_campaign(&circuit, opts_with(1), &inputs, &CampaignOptions::default())
         .expect("reference campaign");
     for (first, second) in [(2, 1), (1, 2)] {

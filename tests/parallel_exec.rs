@@ -1,14 +1,19 @@
-//! Host-parallelism properties: row-partitioned spMM lanes — the only host
+//! Host-parallelism properties: state lanes — a batch's states split into
+//! contiguous shares, each swept on its own thread, the only host
 //! parallelism of functional execution — must be **bit-identical** to one
-//! lane, for clean runs and for fault-recovered runs, at shapes where the
-//! launches really split. Also covers the compile-level ELL conversion
-//! cache: a layered circuit converts each distinct fused gate exactly once.
+//! lane, outputs, fault accounting and virtual timeline alike, for clean
+//! and fault-recovered runs at shapes where the states really split. The
+//! row-partitioned `EllSpmmKernel` lanes (a direct kernel call, not used
+//! by the executor) must agree with one lane too. Also covers the
+//! compile-level ELL conversion cache: a layered circuit converts each
+//! distinct fused gate exactly once.
 
 use bqsim_core::kernels::EllSpmmKernel;
 use bqsim_core::{
-    random_input_batch, BqSimOptions, BqSimulator, EllCache, HybridConverter, RunRequest,
+    host_parallelism, random_input_batch, BqSimOptions, BqSimulator, BqsimError, EllCache,
+    HybridConverter, RunRequest, MIN_MACS_PER_LANE,
 };
-use bqsim_faults::{FaultBudget, RecoveryPolicy};
+use bqsim_faults::{CancelToken, FaultBudget, RecoveryPolicy};
 use bqsim_gpu::{DeviceMemory, DeviceSpec, Kernel};
 use bqsim_num::Complex;
 use bqsim_qcir::{generators, Circuit};
@@ -40,7 +45,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For random circuits at 128–256 rows × 64 states, threads {1, 2, 7}
-    /// give the same `f64` bits (`==`, no tolerance) on a clean run. The
+    /// give the same `f64` bits (`==`, no tolerance) on a clean run, and
+    /// the first gate's direct kernel call would split its rows. The
     /// simulator caps lanes at the host's core count, so on a one-core
     /// host the runs compare equal trivially;
     /// `row_partitioned_spmm_matches_single_lane` below pins the
@@ -103,6 +109,95 @@ proptest! {
             prop_assert_eq!(rec.health.fault_count(), serial_rec.health.fault_count());
         }
     }
+}
+
+/// Shapes above the state-lane floor whose states split unevenly across
+/// two lanes (and, at 65 states, up to four): graph-13 × 3 (638,976 MACs
+/// a batch), qft-10 × 33 (675,840) and qft-10 × 65 (1,331,200).
+fn state_lane_shapes() -> [(Circuit, usize); 3] {
+    [
+        (generators::graph_state(13), 3),
+        (generators::qft(10), 33),
+        (generators::qft(10), 65),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Threads {2, 7} split each batch's states into lanes and must land on
+    /// threads 1's outputs (`==`), `RunHealth` (`==`) and virtual
+    /// timeline length, on a clean run and under seeded transient, OOM and
+    /// device-loss plans — the OOM ladder's rebuilt launch and the
+    /// dense fallback after a lost device included.
+    #[test]
+    fn state_lanes_are_bit_identical_to_one_lane(
+        input_seed in 0u64..1000,
+        fault_seed in 0u64..200,
+    ) {
+        let policy = RecoveryPolicy::default();
+        let budgets = [
+            FaultBudget::transient(2, 1, 1),
+            FaultBudget { ooms: 1, ..FaultBudget::default() },
+            FaultBudget { device_losses: 1, ..FaultBudget::transient(1, 1, 0) },
+        ];
+        for (circuit, batch_size) in state_lane_shapes() {
+            let n = circuit.num_qubits();
+            let batches = vec![random_input_batch(n, batch_size, input_seed)];
+            let serial = BqSimulator::compile(&circuit, lane_opts(1)).unwrap();
+            prop_assert!(
+                serial.mac_per_input() * batch_size as u64 >= 2 * MIN_MACS_PER_LANE,
+                "{} x {} must be above the floor", circuit.name(), batch_size
+            );
+            let plans: Vec<_> = budgets
+                .iter()
+                .map(|b| serial.seeded_fault_plan(fault_seed, 1, b))
+                .collect();
+            let run = |sim: &BqSimulator, plan: Option<usize>| {
+                let req = RunRequest::batches(&batches);
+                match plan {
+                    Some(i) => sim.execute(&req.with_faults(&plans[i], &policy)),
+                    None => sim.execute(&req),
+                }
+                .unwrap()
+            };
+            let cases = [None, Some(0), Some(1), Some(2)];
+            let want: Vec<_> = cases.iter().map(|&p| run(&serial, p)).collect();
+            for threads in [2usize, 7] {
+                let sim = BqSimulator::compile(&circuit, lane_opts(threads)).unwrap();
+                let shares = sim.state_shares(batch_size);
+                prop_assert_eq!(shares.len() > 1, host_parallelism() > 1);
+                for (&plan, want) in cases.iter().zip(&want) {
+                    let got = run(&sim, plan);
+                    let at = format!("{n} qubits x {batch_size}, {threads} threads, plan {plan:?}");
+                    prop_assert!(got.outputs == want.outputs, "{}: outputs differ", at);
+                    prop_assert_eq!(&got.health, &want.health, "{}: health differs", at);
+                    prop_assert_eq!(
+                        got.timeline.total_ns(),
+                        want.timeline.total_ns(),
+                        "{}: timeline differs", at
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A fired token cancels a run whose states split across lanes: every
+/// share stops at its first task boundary and the run is `Cancelled`,
+/// never a partial output.
+#[test]
+fn cancelled_state_lanes_return_cancelled() {
+    let [_, (circuit, batch_size), _] = state_lane_shapes();
+    let sim = BqSimulator::compile(&circuit, lane_opts(2)).unwrap();
+    let batches = vec![random_input_batch(circuit.num_qubits(), batch_size, 5)];
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let req = RunRequest {
+        cancel: Some(&cancel),
+        ..RunRequest::batches(&batches)
+    };
+    assert!(matches!(sim.execute(&req), Err(BqsimError::Cancelled)));
 }
 
 fn lane_batches(n: usize, num_batches: usize, seed: u64) -> Vec<Vec<Vec<Complex>>> {
