@@ -29,12 +29,11 @@
 //!            edge targets  num_edges x u32
 //!            node levels   num_nodes x u8
 //!            node edges    num_nodes x 4 x u32
-//!   tuning (version >= 2 only):
+//!   tuning:
 //!     present u64 (0 = none, 1 = present), then when present:
-//!     precision u64 (0 f64 / 1 f32), layout u64 (0 aos / 1 planar),
-//!     threads u64, use_pattern u64 (0/1), probe_ns u64; any other tag
-//!     is corruption (a store entry from a build with more axes is a
-//!     miss that recompiles, never a guess)
+//!     precision u64 (0 f64 / 1 f32), use_pattern u64 (0/1),
+//!     probe_ns u64; any other tag is corruption (a store entry from a
+//!     build with more axes is a miss that recompiles, never a guess)
 //! ```
 //!
 //! Every multi-byte field is little-endian. Loading is
@@ -43,22 +42,18 @@
 //! per-element framing, no length prefixes inside arrays — so a warm
 //! load is dominated by the file read, not decoding.
 
-use bqsim_ell::{EllMatrix, GpuDd, GpuDdEdge, GpuDdNode, Layout, Precision};
+use bqsim_ell::{EllMatrix, GpuDd, GpuDdEdge, GpuDdNode, Precision};
 use bqsim_num::Complex;
 use std::fmt;
 
 /// File magic: "BQsim Artifact Format".
 pub const MAGIC: [u8; 4] = *b"BQAF";
 
-/// Current format version. Version 2 appended the optional tuning
-/// section after the gate table; everything before it is byte-for-byte
-/// the version-1 layout, so the loader still reads version-1 files
-/// (they simply carry no [`TuningRecord`] — the caller probes on load
-/// instead of treating the artifact as corrupt).
-pub const ARTIFACT_VERSION: u32 = 2;
-
-/// Oldest format version [`decode_artifact`] still reads.
-pub const MIN_ARTIFACT_VERSION: u32 = 1;
+/// The one format version [`decode_artifact`] reads. Version 3 dropped
+/// the tuning record's layout and thread fields. A store owes no
+/// backward compatibility: a file of any other version is corrupt, and
+/// the loader recompiles and republishes over it.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// FNV-1a 64 offset basis (same constants as the campaign journal's
 /// checksum discipline; duplicated here because this crate sits below
@@ -165,11 +160,8 @@ pub struct GateRecord {
 pub struct TuningRecord {
     /// Numeric precision the probes selected.
     pub precision: Precision,
-    /// Amplitude memory layout the probes selected.
-    pub layout: Layout,
-    /// spMM lane count the probes selected (>= 1).
-    pub threads: usize,
-    /// Whether the pattern-compressed spMM arm won its probe.
+    /// Whether the pattern-compressed spMM arm won its probe (read only
+    /// by the `f32` planar kernels).
     pub use_pattern: bool,
     /// Wall-clock nanoseconds of the winning probe (provenance for
     /// reports; not consulted when applying the record).
@@ -180,10 +172,8 @@ impl fmt::Display for TuningRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "precision={} layout={} threads={} pattern={}",
+            "precision={} pattern={}",
             self.precision.token(),
-            self.layout.token(),
-            self.threads,
             if self.use_pattern { "on" } else { "off" }
         )
     }
@@ -226,8 +216,8 @@ pub struct CircuitArtifact {
     /// The compiled gates, in execution order.
     pub gates: Vec<GateRecord>,
     /// Empirically tuned execution configuration, if a probe pass ran.
-    /// `None` on version-1 files and on artifacts published before
-    /// tuning — the loader falls back to probe-on-load.
+    /// `None` on artifacts published before tuning — the loader falls
+    /// back to probe-on-load.
     pub tuning: Option<TuningRecord>,
 }
 
@@ -304,11 +294,6 @@ pub fn encode_artifact(a: &CircuitArtifact) -> Vec<u8> {
                 Precision::F64 => 0,
                 Precision::F32 => 1,
             });
-            w.u64(match t.layout {
-                Layout::Aos => 0,
-                Layout::Planar => 1,
-            });
-            w.u64(t.threads as u64);
             w.u64(t.use_pattern as u64);
             w.u64(t.probe_ns);
         }
@@ -412,10 +397,9 @@ pub fn decode_artifact(
         return Err(corrupt("bad magic (not a BQAF file)"));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-    if !(MIN_ARTIFACT_VERSION..=ARTIFACT_VERSION).contains(&version) {
+    if version != ARTIFACT_VERSION {
         return Err(corrupt(format!(
-            "version {version} (this build reads \
-             {MIN_ARTIFACT_VERSION}..={ARTIFACT_VERSION})"
+            "version {version} (this build reads {ARTIFACT_VERSION})"
         )));
     }
     let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
@@ -531,45 +515,23 @@ pub fn decode_artifact(
             work_max_row_steps,
         });
     }
-    // Version 1 ends at the gate table; version 2 appends the tuning
-    // section. Each version enforces its own exact end so trailing
-    // bytes stay an error in both.
-    let tuning = if version >= 2 {
-        match r.u64()? {
-            0 => None,
-            1 => {
-                let precision = match r.u64()? {
-                    0 => Precision::F64,
-                    1 => Precision::F32,
-                    t => return Err(corrupt(format!("unknown tuning precision tag {t}"))),
-                };
-                let layout = match r.u64()? {
-                    0 => Layout::Aos,
-                    1 => Layout::Planar,
-                    t => return Err(corrupt(format!("unknown tuning layout tag {t}"))),
-                };
-                let threads = r.u64()? as usize;
-                if threads == 0 {
-                    return Err(corrupt("tuning thread count 0".to_string()));
-                }
-                let use_pattern = match r.u64()? {
-                    0 => false,
-                    1 => true,
-                    v => return Err(corrupt(format!("tuning use_pattern tag {v}"))),
-                };
-                let probe_ns = r.u64()?;
-                Some(TuningRecord {
-                    precision,
-                    layout,
-                    threads,
-                    use_pattern,
-                    probe_ns,
-                })
-            }
-            v => return Err(corrupt(format!("tuning presence flag {v}"))),
-        }
-    } else {
-        None
+    // Struct fields evaluate in the order written: the on-disk order.
+    let tuning = match r.u64()? {
+        0 => None,
+        1 => Some(TuningRecord {
+            precision: match r.u64()? {
+                0 => Precision::F64,
+                1 => Precision::F32,
+                t => return Err(corrupt(format!("unknown tuning precision tag {t}"))),
+            },
+            use_pattern: match r.u64()? {
+                0 => false,
+                1 => true,
+                v => return Err(corrupt(format!("tuning use_pattern tag {v}"))),
+            },
+            probe_ns: r.u64()?,
+        }),
+        v => return Err(corrupt(format!("tuning presence flag {v}"))),
     };
     if r.at != payload.len() {
         return Err(corrupt(format!(

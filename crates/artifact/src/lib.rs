@@ -34,7 +34,7 @@ pub mod store;
 
 pub use format::{
     decode_artifact, encode_artifact, fnv1a, fnv1a_extend, ArtifactError, CircuitArtifact,
-    GateRecord, TuningRecord, ARTIFACT_VERSION, MAGIC, MIN_ARTIFACT_VERSION,
+    GateRecord, TuningRecord, ARTIFACT_VERSION, MAGIC,
 };
 pub use store::{
     ArtifactStore, Flight, FlightGuard, LoadOutcome, StoreEntry, StoreStats,
@@ -110,21 +110,6 @@ mod tests {
         }
     }
 
-    /// Rewrites v2 bytes of a tuning-free artifact into genuine v1
-    /// bytes: drop the 8-byte "no tuning" trailer (v1 ends at the gate
-    /// table), stamp version 1, and re-derive payload_len and CRC.
-    fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
-        let payload = &v2[32..v2.len() - 8];
-        let mut out = Vec::with_capacity(32 + payload.len());
-        out.extend_from_slice(&v2[..4]);
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&v2[8..16]);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
     #[test]
     fn encode_decode_is_identity() {
         let a = sample_artifact(0xdead_beef_cafe_f00d);
@@ -141,22 +126,17 @@ mod tests {
 
     #[test]
     fn tuning_record_roundtrips() {
-        use bqsim_ell::{Layout, Precision};
+        use bqsim_ell::Precision;
         let mut a = sample_artifact(0xabcd);
         a.tuning = Some(TuningRecord {
             precision: Precision::F32,
-            layout: Layout::Planar,
-            threads: 4,
             use_pattern: true,
             probe_ns: 123_456,
         });
         let bytes = encode_artifact(&a);
         let back = decode_artifact(&bytes, Some(0xabcd)).unwrap();
         assert_eq!(back, a);
-        assert_eq!(
-            back.tuning.unwrap().to_string(),
-            "precision=f32 layout=planar threads=4 pattern=on"
-        );
+        assert_eq!(back.tuning.unwrap().to_string(), "precision=f32 pattern=on");
         // Tuning is execution metadata: the artifact key and everything
         // before the tuning section are unchanged by its presence.
         let plain = encode_artifact(&sample_artifact(0xabcd));
@@ -165,7 +145,7 @@ mod tests {
         // Tag 2 was the retired third precision: a CRC-valid file that
         // carries it is corrupt (so the store recompiles), never f64.
         let mut retired = bytes.clone();
-        let tag = retired.len() - 5 * 8;
+        let tag = retired.len() - 3 * 8;
         retired[tag..tag + 8].copy_from_slice(&2u64.to_le_bytes());
         let crc = fnv1a(&retired[32..]);
         retired[24..32].copy_from_slice(&crc.to_le_bytes());
@@ -174,33 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn version1_files_still_decode_without_tuning() {
-        let a = sample_artifact(0x5150);
-        let v2 = encode_artifact(&a);
-        let v1 = downgrade_to_v1(&v2);
-        assert_eq!(&v1[4..8], &1u32.to_le_bytes());
-        let back = decode_artifact(&v1, Some(0x5150)).unwrap();
-        assert_eq!(back.tuning, None);
-        assert_eq!(back.gates, a.gates);
-        assert_eq!(back.qasm, a.qasm);
-        // The corruption discipline holds for old files too: every
-        // single-byte flip of a v1 file is still rejected.
-        for at in 0..v1.len() {
-            let mut bytes = v1.clone();
-            bytes[at] ^= 0x40;
-            assert!(
-                decode_artifact(&bytes, Some(0x5150)).is_err(),
-                "v1 byte {at}: corruption accepted"
-            );
+    fn previous_versions_are_rejected() {
+        // No backward compatibility: a file stamped with any earlier
+        // version is corrupt, so the store recompiles over it.
+        for version in 1..ARTIFACT_VERSION {
+            let mut bytes = encode_artifact(&sample_artifact(0x5150));
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match decode_artifact(&bytes, Some(0x5150)) {
+                Err(ArtifactError::Corrupt(why)) => assert!(why.contains("version"), "{why}"),
+                other => panic!("version {version} accepted: {other:?}"),
+            }
         }
-        // Trailing bytes after a v1 gate table stay an error.
-        let mut padded = v1.clone();
-        padded.extend_from_slice(&[0u8; 8]);
-        let plen = (padded.len() - 32) as u64;
-        padded[16..24].copy_from_slice(&plen.to_le_bytes());
-        let crc = fnv1a(&padded[32..]);
-        padded[24..32].copy_from_slice(&crc.to_le_bytes());
-        assert!(decode_artifact(&padded, Some(0x5150)).is_err());
     }
 
     #[test]

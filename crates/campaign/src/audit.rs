@@ -103,7 +103,6 @@ mod tests {
             artifact: 4,
             fault_seed: None,
             threads: 1,
-            layout: bqsim_core::Layout::Planar,
             precision: bqsim_core::Precision::F64,
             num_batches,
             batch_size: 1,

@@ -48,7 +48,7 @@
 
 use crate::checksum::{fnv1a, parse_hex_u64};
 use crate::inputs::Generator;
-use bqsim_core::{Layout, Precision};
+use bqsim_core::Precision;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 
 /// Identity of a campaign plan, persisted in the journal header and
 /// verified on `--resume`: resuming under a different circuit, option
-/// set, input set, fault seed, layout, or precision would silently
+/// set, input set, fault seed, or precision would silently
 /// produce a run that is *not* bit-identical to the uninterrupted one, so
 /// every such field must match exactly. `threads` is recorded but not
 /// compared (see [`Fingerprint::mismatch`]).
@@ -66,8 +66,8 @@ pub struct Fingerprint {
     /// count, and every gate with its parameters).
     pub circuit: u64,
     /// FNV-1a over the `BqSimOptions` debug rendering (device, CPU, τ,
-    /// launch/exec modes, ablation flags) — *excluding* `threads`, layout
-    /// and precision, which are recorded as their own fields below.
+    /// launch/exec modes, ablation flags) — *excluding* `threads` and
+    /// precision, which are recorded as their own fields below.
     pub options: u64,
     /// Where the inputs come from: `None` for explicit batches, else the
     /// generator that makes batch `b` from the shape fields below.
@@ -93,17 +93,12 @@ pub struct Fingerprint {
     /// every count and a resume may use a different one. Kept in the
     /// header so every existing journal still parses.
     pub threads: usize,
-    /// Effective amplitude layout (`BqSimOptions::effective_layout()`).
-    /// Fingerprinted as its own field so the mismatch report can name
-    /// it: both layouts are proven bit-identical, but a resume must still
-    /// replay the campaign it joined, not a variant.
-    pub layout: Layout,
     /// Effective amplitude precision
-    /// (`BqSimOptions::effective_precision()`). Named in the header for
-    /// the same reason as `layout`, and more so: narrow precisions are
-    /// *not* bit-identical to `f64`, so resuming a campaign under a
-    /// different precision would splice incompatible amplitudes into one
-    /// digest.
+    /// (`BqSimOptions::effective_precision()`), which also fixes the
+    /// layout. Fingerprinted as its own field so the mismatch report can
+    /// name it: narrow precisions are *not* bit-identical to `f64`, so
+    /// resuming a campaign under a different precision would splice
+    /// incompatible amplitudes into one digest.
     pub precision: Precision,
     /// Total batches in the campaign.
     pub num_batches: usize,
@@ -152,9 +147,6 @@ impl Fingerprint {
         }
         if self.fault_seed != other.fault_seed {
             return Some("fault_seed");
-        }
-        if self.layout != other.layout {
-            return Some("layout");
         }
         if self.precision != other.precision {
             return Some("precision");
@@ -311,7 +303,7 @@ fn render_header(fp: &Fingerprint, mode: StateMode) -> String {
     };
     format!(
         "plan circuit={:016x} options={:016x} source={} inputs={:016x} artifact={:016x} \
-         fault_seed={} threads={} layout={} precision={} batches={} batch_size={} amps={} \
+         fault_seed={} threads={} precision={} batches={} batch_size={} amps={} \
          state={}",
         fp.circuit,
         fp.options,
@@ -321,7 +313,6 @@ fn render_header(fp: &Fingerprint, mode: StateMode) -> String {
         fp.artifact,
         seed,
         fp.threads,
-        fp.layout.token(),
         fp.precision.token(),
         fp.num_batches,
         fp.batch_size,
@@ -561,10 +552,10 @@ fn parse_kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Parses the `plan` header; `None` when it is malformed. A header that
-/// is well-formed except for a precision token this build does not execute
-/// (a journal written when `precision=mixed` existed) is a campaign this
-/// build cannot resume, not damage: it is a fingerprint mismatch on
-/// `precision`.
+/// is well-formed except for a retired field is a campaign this build
+/// cannot resume, not damage: a `layout=` token (written when the layout
+/// was a choice) is a fingerprint mismatch on `layout`, and a precision
+/// this build does not execute (`precision=mixed`) one on `precision`.
 fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), JournalError>> {
     let mut t = payload.split(' ');
     if t.next()? != "plan" {
@@ -595,14 +586,21 @@ fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), Journa
         Some(seed.parse().ok()?)
     };
     let threads = parse_kv(t.next()?, "threads")?.parse().ok()?;
-    let layout = Layout::parse(parse_kv(t.next()?, "layout")?)?;
-    let precision = Precision::parse(parse_kv(t.next()?, "precision")?);
+    let mut next = t.next()?;
+    let retired_layout = parse_kv(next, "layout").is_some();
+    if retired_layout {
+        next = t.next()?;
+    }
+    let precision = Precision::parse(parse_kv(next, "precision")?);
     let num_batches = parse_kv(t.next()?, "batches")?.parse().ok()?;
     let batch_size = parse_kv(t.next()?, "batch_size")?.parse().ok()?;
     let amps = parse_kv(t.next()?, "amps")?.parse().ok()?;
     let mode = StateMode::parse(parse_kv(t.next()?, "state")?)?;
     if t.next().is_some() {
         return None;
+    }
+    if retired_layout {
+        return Some(Err(JournalError::FingerprintMismatch { field: "layout" }));
     }
     let Some(precision) = precision else {
         return Some(Err(JournalError::FingerprintMismatch {
@@ -618,7 +616,6 @@ fn parse_header(payload: &str) -> Option<Result<(Fingerprint, StateMode), Journa
             artifact,
             fault_seed,
             threads,
-            layout,
             precision,
             num_batches,
             batch_size,
@@ -756,7 +753,6 @@ mod tests {
             artifact: 0x4444,
             fault_seed: Some(42),
             threads: 4,
-            layout: Layout::Planar,
             precision: Precision::F64,
             num_batches: 3,
             batch_size: 2,
@@ -815,8 +811,6 @@ mod tests {
         cleanup(&path);
     }
 
-    /// A journal written when `precision=mixed` existed is refused as a
-    /// plan mismatch (exit 4), not parsed as f64 and not called corrupt.
     #[test]
     fn header_names_the_input_source_and_older_headers_read_as_explicit() {
         let path = tmp("source-token");
@@ -841,6 +835,26 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A header written when the layout was a choice carries a
+    /// `layout=` token: whatever its value, the campaign is refused as a
+    /// plan mismatch on `layout`, never parsed or called corrupt.
+    #[test]
+    fn retired_layout_token_is_a_fingerprint_mismatch() {
+        let path = tmp("retired-layout");
+        let header = render_header(&fp(), StateMode::ChecksumOnly);
+        for layout in ["aos", "planar", "diagonal"] {
+            let old = header.replace(" precision=", &format!(" layout={layout} precision="));
+            std::fs::write(&path, render_line(&old)).unwrap();
+            match read_journal(&path) {
+                Err(JournalError::FingerprintMismatch { field: "layout" }) => {}
+                other => panic!("layout={layout}: expected a layout mismatch, got {other:?}"),
+            }
+        }
+        cleanup(&path);
+    }
+
+    /// A journal written when `precision=mixed` existed is refused as a
+    /// plan mismatch (exit 4), not parsed as f64 and not called corrupt.
     #[test]
     fn retired_precision_token_is_a_fingerprint_mismatch() {
         let path = tmp("retired-precision");
@@ -858,7 +872,7 @@ mod tests {
         // Any other malformed header field is still a missing header.
         std::fs::write(
             &path,
-            render_line(&header.replace(" layout=planar ", " layout=diagonal ")),
+            render_line(&header.replace(" threads=4 ", " threads=many ")),
         )
         .unwrap();
         assert!(matches!(
@@ -979,8 +993,8 @@ mod tests {
         assert_eq!(a.mismatch(&b), None);
         b.threads = 1;
         assert_eq!(a.mismatch(&b), None, "lane count never changes outputs");
-        b.layout = Layout::Aos;
-        assert_eq!(a.mismatch(&b), Some("layout"));
+        b.precision = Precision::F32;
+        assert_eq!(a.mismatch(&b), Some("precision"));
         b = fp();
         b.fault_seed = None;
         assert_eq!(a.mismatch(&b), Some("fault_seed"));

@@ -133,7 +133,6 @@ mod tests {
             artifact: 0,
             fault_seed: None,
             threads: 1,
-            layout: bqsim_core::Layout::Planar,
             precision: bqsim_core::Precision::F64,
             num_batches: 3,
             batch_size: 1,

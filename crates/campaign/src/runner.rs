@@ -553,12 +553,12 @@ fn run_on(
 /// renderings (pure data, no addresses). Explicit input batches are
 /// hashed over the raw bit patterns of every amplitude; a generated
 /// source is named by its generator and shape, and only batch 0's bytes
-/// are hashed. The effective amplitude layout and precision are
-/// deliberately excluded from the options hash and carried as their own
-/// fields so a mismatch report can name them — the most common way to
-/// accidentally change a plan between sessions is `BQSIM_LAYOUT` or
-/// `BQSIM_PRECISION`. `threads` (state lanes) is recorded too but never
-/// refuses a resume: it cannot change an output bit.
+/// are hashed. The effective precision (which fixes the layout) is
+/// deliberately excluded from the options hash and carried as its own
+/// field so a mismatch report can name it — the most common way to
+/// accidentally change a plan between sessions is `BQSIM_PRECISION`.
+/// `threads` (state lanes) is recorded too but never refuses a resume:
+/// it cannot change an output bit.
 pub fn plan_fingerprint<'a>(
     circuit: &Circuit,
     opts: &BqSimOptions,
@@ -633,7 +633,6 @@ fn fingerprint_with(
         artifact: artifact_key(circuit, opts),
         fault_seed,
         threads: opts.threads,
-        layout: opts.effective_layout(),
         precision: opts.effective_precision(),
         num_batches: inputs.len(),
         batch_size,

@@ -39,32 +39,18 @@ const KEY_SCHEMA_VERSION: u32 = 1;
 /// Included: τ, device and CPU specs (they parameterise the modelled
 /// conversion times stored in the artifact), and the forced-conversion /
 /// skip-fusion / skip-ELL / generic-spMM ablation flags. Excluded —
-/// deliberately — are `threads`, `launch_mode`, `exec_mode`, `layout`,
+/// deliberately — are `threads`, `launch_mode`, `exec_mode`,
 /// `precision`, and `use_pattern`: they change how a compiled circuit
 /// is *executed*, never what the compile produces, so runs that differ
 /// only in those share one artifact (the bit-identity guarantee across
-/// threads and layouts is what makes this sound, and the proptest suite
-/// holds it; layout and precision ride as a tuning record inside the
-/// artifact rather than forking its key — this is what lets
-/// [`BqSimulator::apply_tuning`] guarantee the key never moves).
+/// threads is what makes this sound, and the proptest suite holds it;
+/// precision rides as a tuning record inside the artifact rather than
+/// forking its key — this is what lets [`BqSimulator::apply_tuning`]
+/// guarantee the key never moves).
 pub fn artifact_key(circuit: &Circuit, opts: &BqSimOptions) -> u64 {
-    // The layout token is pinned, not tunable. Schema 1 originally
-    // rendered `effective_layout()` here, which forked the artifact
-    // whenever the auto-tuner moved the layout axis; since the compiled
-    // content is layout-independent, the token now renders only the
-    // *ablation-determined* layout — the sole compile-relevant component
-    // of the old value — keeping every previously published key for
-    // default (planar) and ablation compiles stable without a schema
-    // bump, while runs that differ only in the requested layout now
-    // alias to one artifact.
-    let pinned_layout = if opts.skip_ell || opts.generic_spmm {
-        bqsim_ell::Layout::Aos
-    } else {
-        bqsim_ell::Layout::Planar
-    };
     let repr = format!(
         "bqaf v{KEY_SCHEMA_VERSION} circuit={circuit:?} tau={} device={:?} cpu={:?} \
-         force={:?} skip_fusion={} skip_ell={} generic_spmm={} layout={:?}",
+         force={:?} skip_fusion={} skip_ell={} generic_spmm={}",
         opts.tau,
         opts.device,
         opts.cpu,
@@ -72,7 +58,6 @@ pub fn artifact_key(circuit: &Circuit, opts: &BqSimOptions) -> u64 {
         opts.skip_fusion,
         opts.skip_ell,
         opts.generic_spmm,
-        pinned_layout,
     );
     fnv1a(repr.as_bytes())
 }
@@ -591,7 +576,7 @@ mod tests {
             artifact_key(
                 &circuit,
                 &BqSimOptions {
-                    layout: bqsim_ell::Layout::Aos,
+                    precision: bqsim_ell::Precision::F32,
                     ..opts.clone()
                 }
             )
@@ -603,7 +588,7 @@ mod tests {
     fn applying_a_tuning_record_never_moves_the_artifact_key() {
         // The `--precision auto` campaign path applies the tuner's
         // record to its options and re-derives the key for the store;
-        // every tunable axis (precision, layout, threads, pattern) must
+        // every tunable axis (precision, pattern) must
         // therefore be execution-only in the key's eyes, or tuning
         // would fork the artifact and strand the stored record.
         let circuit = generators::ghz(3);
@@ -618,8 +603,6 @@ mod tests {
         let before = artifact_key(&circuit, &sim.opts);
         sim.apply_tuning(&bqsim_artifact::TuningRecord {
             precision: bqsim_ell::Precision::F32,
-            layout: bqsim_ell::Layout::Aos,
-            threads: 4,
             use_pattern: false,
             probe_ns: 1,
         });

@@ -694,7 +694,7 @@ fn resplit_gates(sim: &BqSimulator) -> Result<Vec<ConvertedGate>, BqsimError> {
 mod tests {
     use super::*;
     use crate::simulator::random_input_batch;
-    use bqsim_ell::{Layout, Precision};
+    use bqsim_ell::Precision;
     use bqsim_faults::FaultBudget;
     use bqsim_qcir::generators;
 
@@ -756,17 +756,10 @@ mod tests {
                 },
             )),
         ];
-        // AoS runs the f64 reference whatever precision it is asked for,
-        // so these are all three executed kinds.
-        let kinds = [
-            (Layout::Aos, Precision::F64),
-            (Layout::Planar, Precision::F64),
-            (Layout::Planar, Precision::F32),
-        ];
-        for (layout, precision) in kinds {
+        // The layout follows the precision: f64 runs AoS, f32 planar.
+        for precision in [Precision::F64, Precision::F32] {
             for threads in [1, 2] {
                 let opts = BqSimOptions {
-                    layout,
                     precision,
                     threads,
                     ..BqSimOptions::default()

@@ -63,13 +63,12 @@ pub use error::BqsimError;
 pub use executor::{host_parallelism, BatchExecutor, MAX_GRAPH_TASKS, MIN_MACS_PER_LANE};
 pub use fusion::{bqcs_aware_fusion, greedy_fusion, FusedGate};
 pub use simulator::{
-    default_layout, default_precision, default_threads, random_input_batch, validate_env,
-    BatchSource, BqSimOptions, BqSimulator, CompileWall, ResolvedExec, RunBreakdown, RunRequest,
-    RunResult,
+    default_precision, default_threads, random_input_batch, validate_env, BatchSource,
+    BqSimOptions, BqSimulator, CompileWall, ResolvedExec, RunBreakdown, RunRequest, RunResult,
 };
 pub use tune::{tune_or_stored, ProbeSample, TuneOutcome, TuningSource, PROBE_BATCH};
 
-// Re-exported so layout/precision selection composes without a direct
+// Re-exported so precision selection composes without a direct
 // `bqsim-ell` dependency (mirrors the fault-plan re-exports below).
 pub use bqsim_ell::{precision_tolerance, Layout, Precision};
 // Re-exported so campaign/serve/CLI open stores without depending on

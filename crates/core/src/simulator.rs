@@ -56,47 +56,39 @@ pub struct BqSimOptions {
     /// Force the generic (pre-fast-path) spMM inner loop — the ablation
     /// baseline for the shape-specialised kernels.
     pub generic_spmm: bool,
-    /// Amplitude memory layout on the simulated device: batch-major planar
-    /// planes feed the SIMD-tiled microkernels; interleaved AoS is the
-    /// ablation baseline. Both produce **bit-identical** amplitudes. The
-    /// default honours `BQSIM_LAYOUT` and falls back to planar.
-    pub layout: Layout,
-    /// Amplitude precision of the planar execution path: `f64` (the
-    /// bit-identity reference) or `f32` (narrow storage and arithmetic).
-    /// Only the planar layout has narrow kernels, so
-    /// [`BqSimOptions::effective_precision`] falls back to `f64`
-    /// whenever the effective layout is AoS. The default honours
+    /// Amplitude precision: `f64` (the bit-identity reference) or `f32`
+    /// (narrow storage and arithmetic). The layout follows it (see
+    /// [`BqSimOptions::effective_layout`]). The default honours
     /// `BQSIM_PRECISION` and falls back to `f64`.
     pub precision: Precision,
-    /// Whether the planar kernels exploit the ELL pattern-compression
-    /// annotation. Bit-identical either way (the annotation only dedups
-    /// dispatch decisions); the auto-tuner probes both settings.
+    /// Whether the `f32` planar kernels exploit the ELL
+    /// pattern-compression annotation. Bit-identical either way (the
+    /// annotation only dedups dispatch decisions); the auto-tuner probes
+    /// both settings. The `f64` AoS kernels never read it.
     pub use_pattern: bool,
 }
 
 impl BqSimOptions {
-    /// The layout the run actually executes with. The DD-direct ablation
-    /// kernel and the generic spMM baseline only exist in interleaved
-    /// form, so `skip_ell` and `generic_spmm` force [`Layout::Aos`]
-    /// regardless of the requested layout.
-    pub fn effective_layout(&self) -> Layout {
+    /// The precision the run actually executes with. The `skip_ell` and
+    /// `generic_spmm` ablation kernels exist only in `f64`, so they run
+    /// it whatever precision is requested.
+    pub fn effective_precision(&self) -> Precision {
         if self.skip_ell || self.generic_spmm {
-            Layout::Aos
+            Precision::F64
         } else {
-            self.layout
+            self.precision
         }
     }
 
-    /// The precision the run actually executes with. The narrow (`f32`
-    /// plane) kernels exist only on the planar spMM path, so any
-    /// configuration whose [`effective_layout`](Self::effective_layout)
-    /// is AoS — including the `skip_ell` and `generic_spmm` ablations —
-    /// silently runs the `f64` reference.
-    pub fn effective_precision(&self) -> Precision {
-        if self.effective_layout() == Layout::Planar {
-            self.precision
-        } else {
-            Precision::F64
+    /// The amplitude layout the run executes with, a fact derived from
+    /// [`effective_precision`](Self::effective_precision): `f64` runs the
+    /// interleaved AoS kernels (the paper's §3.3.1 block-per-row,
+    /// batch-strided layout), `f32` the planar kernels, the only path
+    /// with narrow planes and pattern compression.
+    pub fn effective_layout(&self) -> Layout {
+        match self.effective_precision() {
+            Precision::F64 => Layout::Aos,
+            Precision::F32 => Layout::Planar,
         }
     }
 }
@@ -124,10 +116,6 @@ fn env_threads() -> Result<Option<usize>, String> {
     })
 }
 
-fn env_layout() -> Result<Option<Layout>, String> {
-    env_value("BQSIM_LAYOUT", "`aos` or `planar`", Layout::parse)
-}
-
 /// `auto` is recognised but reads as unset: it is a tuner request the CLI
 /// resolves, not a precision.
 fn env_precision() -> Result<Option<Precision>, String> {
@@ -141,19 +129,24 @@ fn env_precision() -> Result<Option<Precision>, String> {
     .map(Option::flatten)
 }
 
-/// Checks `BQSIM_THREADS`, `BQSIM_LAYOUT` and `BQSIM_PRECISION`: a set
-/// but unrecognised value is an error naming the variable. The
-/// `default_*` functions below cannot fail (they back `Default`), so
-/// they fall back on such a value; a front end calls this first so a
-/// misspelt or retired token is a usage error rather than a silent `f64`.
+/// Checks `BQSIM_THREADS` and `BQSIM_PRECISION`: a set but unrecognised
+/// value is an error naming the variable. The `default_*` functions
+/// below cannot fail (they back `Default`), so they fall back on such a
+/// value; a front end calls this first so a misspelt or retired token is
+/// a usage error rather than a silent `f64`. `BQSIM_LAYOUT` is retired:
+/// set to anything, it is an error.
 ///
 /// # Errors
 ///
 /// The first offending variable, with the values it accepts.
 pub fn validate_env() -> Result<(), String> {
     env_threads()?;
-    env_layout()?;
     env_precision()?;
+    if std::env::var_os("BQSIM_LAYOUT").is_some() {
+        return Err("BQSIM_LAYOUT is retired: the layout follows the precision \
+                    (f64 runs aos, f32 runs planar)"
+            .to_string());
+    }
     Ok(())
 }
 
@@ -164,12 +157,6 @@ pub fn default_threads() -> usize {
         .ok()
         .flatten()
         .unwrap_or_else(crate::executor::host_parallelism)
-}
-
-/// Default amplitude layout: `BQSIM_LAYOUT` if set to a recognised token
-/// (`aos` / `planar`), else [`Layout::Planar`].
-pub fn default_layout() -> Layout {
-    env_layout().ok().flatten().unwrap_or_default()
 }
 
 /// Default amplitude precision: `BQSIM_PRECISION` if set to a recognised
@@ -193,7 +180,6 @@ impl Default for BqSimOptions {
             skip_ell: false,
             threads: default_threads(),
             generic_spmm: false,
-            layout: default_layout(),
             precision: default_precision(),
             use_pattern: true,
         }
@@ -403,13 +389,14 @@ pub struct BqSimulator {
 }
 
 /// The execution configuration actually in effect for a simulator's next
-/// run: effective precision and layout plus the tunable execution axes.
+/// run: effective precision, the layout it implies, state lanes and the
+/// pattern toggle.
 /// Rendered by the CLI's `resolved` summary line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedExec {
     /// Effective amplitude precision.
     pub precision: Precision,
-    /// Effective amplitude layout.
+    /// Amplitude layout, derived from the precision.
     pub layout: Layout,
     /// State lanes per batch.
     pub threads: usize,
@@ -528,15 +515,11 @@ impl BqSimulator {
     pub(crate) fn with_exec(
         &self,
         precision: Precision,
-        layout: Layout,
-        threads: usize,
         use_pattern: bool,
         generic_spmm: bool,
     ) -> BqSimulator {
         self.sibling(BqSimOptions {
             precision,
-            layout,
-            threads: threads.max(1),
             use_pattern,
             generic_spmm,
             exec_mode: ExecMode::Functional,
@@ -545,15 +528,14 @@ impl BqSimulator {
     }
 
     /// Applies an auto-tuner decision to the execution-only options:
-    /// precision, layout, state lanes, and the pattern-compression
-    /// toggle. The compiled gates are untouched — none of these axes
-    /// affect compilation — so applying a tuning can never fork the
-    /// artifact key. The tuner never selects `generic_spmm` (probed for
-    /// honesty, ablation-only), so it is deliberately not applied.
+    /// precision and the pattern-compression toggle. The compiled gates
+    /// are untouched — neither axis affects compilation — so applying a
+    /// tuning can never fork the artifact key. State lanes stay the
+    /// requested `threads`. The tuner never selects `generic_spmm`
+    /// (probed for honesty, ablation-only), so it is deliberately not
+    /// applied.
     pub fn apply_tuning(&mut self, rec: &bqsim_artifact::TuningRecord) {
         self.opts.precision = rec.precision;
-        self.opts.layout = rec.layout;
-        self.opts.threads = rec.threads.max(1);
         self.opts.use_pattern = rec.use_pattern;
         self.stored_tuning = Some(*rec);
     }
@@ -828,23 +810,29 @@ mod tests {
     fn layouts_and_threads_produce_bit_identical_amplitudes() {
         let circuit = generators::vqe(5, 3);
         let batches: Vec<_> = (0..2).map(|b| random_input_batch(5, 4, b as u64)).collect();
-        let mut outs = Vec::new();
-        for layout in [Layout::Aos, Layout::Planar] {
+        // The layout follows the precision: f64 runs AoS, f32 planar.
+        for (precision, layout) in [
+            (Precision::F64, Layout::Aos),
+            (Precision::F32, Layout::Planar),
+        ] {
+            let mut outs = Vec::new();
             for threads in [1usize, 4] {
                 let sim = BqSimulator::compile(
                     &circuit,
                     BqSimOptions {
-                        layout,
+                        precision,
                         threads,
                         ..BqSimOptions::default()
                     },
                 )
                 .unwrap();
+                assert_eq!(sim.resolved_options().layout, layout);
                 outs.push(sim.run_batches(&batches).unwrap().outputs);
             }
-        }
-        for o in &outs[1..] {
-            assert_eq!(o, &outs[0], "layout × threads grid must be bit-identical");
+            assert_eq!(
+                outs[1], outs[0],
+                "{precision} must be bit-identical across threads"
+            );
         }
     }
 
@@ -853,22 +841,21 @@ mod tests {
         for opts in [
             BqSimOptions {
                 skip_ell: true,
-                layout: Layout::Planar,
+                precision: Precision::F32,
                 ..BqSimOptions::default()
             },
             BqSimOptions {
                 generic_spmm: true,
-                layout: Layout::Planar,
+                precision: Precision::F32,
                 ..BqSimOptions::default()
             },
         ] {
+            assert_eq!(opts.effective_precision(), Precision::F64);
             assert_eq!(opts.effective_layout(), Layout::Aos);
-            // The AoS-only ablation kernels still run (and agree with the
-            // oracle) even when planar was requested.
+            // The f64-only ablation kernels still run (and agree with the
+            // oracle) even when f32 was requested.
             assert_outputs_match(&generators::ghz(4), opts);
         }
-        let planar = BqSimOptions::default();
-        assert_eq!(planar.effective_layout(), planar.layout);
     }
 
     #[test]

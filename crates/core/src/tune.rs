@@ -1,12 +1,16 @@
 //! Empirical per-circuit auto-tuning of the execution axes.
 //!
 //! The compile pipeline is analytical (its cost model picks conversion
-//! paths), but the best *execution* configuration — precision, amplitude
-//! layout, spMM lane count, pattern compression — depends on the
-//! compiled circuit's real ELL shapes and the host it runs on, so it is
-//! measured, not modelled: [`tune_or_stored`] runs short probe batches
-//! through the actual compiled gates, one per candidate configuration,
-//! and keeps the fastest one that is *valid*.
+//! paths), but the best *execution* configuration — precision and, at
+//! `f32`, pattern compression — depends on the compiled circuit's real
+//! ELL shapes and the host it runs on, so it is measured, not modelled:
+//! [`tune_or_stored`] runs short probe batches through the actual
+//! compiled gates, one per candidate configuration, and keeps the
+//! fastest one that is *valid*. The candidates are `f64`, `f32` with
+//! pattern compression on and off, and the `generic_spmm` ablation arm.
+//! Nothing else is a choice: the layout follows the precision (`f64`
+//! runs AoS, `f32` planar), and state lanes follow the requested
+//! `threads` and [`MIN_MACS_PER_LANE`](crate::MIN_MACS_PER_LANE).
 //!
 //! Validity has two gates:
 //!
@@ -18,7 +22,7 @@
 //!   budget is tighter than its precision can meet.
 //! * **Empirical**: the probe's observed L2-norm drift must stay within
 //!   its own tolerance estimate, **and** its outputs must agree
-//!   elementwise with the `f64` reference (`candidate_valid`'s
+//!   elementwise with the `f64` candidate's (`candidate_valid`'s
 //!   relative-error bound) — norm drift alone would wave through a
 //!   norm-preserving wrong kernel (sign, conjugation, and permutation
 //!   bugs all preserve norms), so a broken narrow kernel can never win.
@@ -32,7 +36,7 @@
 use crate::error::BqsimError;
 use crate::simulator::{random_input_batch, BqSimulator, ResolvedExec};
 use bqsim_artifact::{ArtifactStore, TuningRecord};
-use bqsim_ell::{precision_tolerance, Layout, Precision};
+use bqsim_ell::{precision_tolerance, Precision};
 use bqsim_num::approx::l2_norm;
 use bqsim_num::Complex;
 use std::time::Instant;
@@ -60,9 +64,8 @@ const REL_ERROR_HEADROOM: f64 = 4.0;
 /// The empirical validity gate: a candidate may win only when its
 /// observed norm drift stays inside `tolerance` *and* its outputs agree
 /// with the `f64` reference elementwise. The second check is what
-/// catches norm-preserving wrong kernels; the `f64` arms pass it with
-/// `rel_error == 0` exactly (bit-identity across layouts, threads, and
-/// the pattern toggle).
+/// catches norm-preserving wrong kernels; the `f64` arm is the reference
+/// and passes it with `rel_error == 0` exactly.
 fn candidate_valid(generic: bool, drift: f64, rel_error: f64, tolerance: f64) -> bool {
     !generic && drift <= tolerance && rel_error <= tolerance * REL_ERROR_HEADROOM
 }
@@ -160,13 +163,10 @@ pub fn tune_or_stored(
         }
     }
 
-    let opts = &sim.opts;
-    if opts.skip_ell || opts.generic_spmm {
+    if sim.opts.skip_ell || sim.opts.generic_spmm {
         let resolved = sim.resolved_options();
         let record = TuningRecord {
             precision: resolved.precision,
-            layout: resolved.layout,
-            threads: resolved.threads.max(1),
             use_pattern: resolved.use_pattern,
             probe_ns: 0,
         };
@@ -177,59 +177,34 @@ pub fn tune_or_stored(
             samples: Vec::new(),
         });
     }
-    let requested_threads = opts.threads.max(1);
     let depth = sim.gates().len();
-
     let probe_inputs = random_input_batch(sim.num_qubits(), PROBE_BATCH, PROBE_SEED);
-    // The f64 reference is bit-identical across layouts, threads, and
-    // the pattern toggle, so one serial planar run anchors every
-    // narrow-precision comparison.
-    let reference = sim
-        .with_exec(Precision::F64, Layout::Planar, 1, true, false)
-        .run_batches(std::slice::from_ref(&probe_inputs))?
-        .outputs
-        .remove(0);
 
-    let mut thread_counts = vec![1];
-    if requested_threads > 1 {
-        thread_counts.push(requested_threads);
-    }
     // Candidate order is the deterministic tie-break: strictly faster
     // wins, so on equal times the earlier (more conservative) candidate
-    // is kept — f64 before narrow, pattern on before off.
-    let mut candidates = Vec::new();
-    for &layout in &[Layout::Planar, Layout::Aos] {
-        for &precision in &[Precision::F64, Precision::F32] {
-            if precision != Precision::F64 && layout != Layout::Planar {
-                continue; // narrow kernels exist only on the planar path
-            }
-            if precision.rank() < floor.rank() {
-                continue;
-            }
-            // f64 is the quarantine-retry terminal, so it is never
-            // pruned a priori — a valid winner must always exist even
-            // under a budget tighter than the f64 estimate itself.
-            if let Some(budget) = integrity_budget {
-                if precision != Precision::F64 && precision_tolerance(depth, precision) > budget {
-                    continue; // would be quarantined at run time
-                }
-            }
-            for &use_pattern in &[true, false] {
-                for &threads in &thread_counts {
-                    candidates.push((precision, layout, threads, use_pattern, false));
-                }
-            }
-        }
+    // is kept — f64 before narrow, pattern on before off. `f64` comes
+    // first and is never pruned: it is the quarantine-retry terminal, so
+    // a valid winner always exists, and its outputs are the reference
+    // every later candidate is compared against. The AoS kernels it runs
+    // never read the pattern toggle, so it is probed once.
+    let mut candidates = vec![(Precision::F64, true, false)];
+    let narrow_ok = Precision::F32.rank() >= floor.rank()
+        && integrity_budget
+            .is_none_or(|budget| precision_tolerance(depth, Precision::F32) <= budget);
+    if narrow_ok {
+        candidates.push((Precision::F32, true, false));
+        candidates.push((Precision::F32, false, false));
     }
     // The generic-spMM ablation arm: measured so reports can show what
     // the shape-specialised kernels buy, never applied.
-    candidates.push((Precision::F64, Layout::Aos, requested_threads, true, true));
+    candidates.push((Precision::F64, true, true));
 
+    let mut reference: Option<Vec<Vec<Complex>>> = None;
     let mut samples = Vec::with_capacity(candidates.len());
     let mut probes = 0u64;
-    let mut best: Option<(u64, TuningRecord)> = None;
-    for (precision, layout, threads, use_pattern, generic) in candidates {
-        let probe = sim.with_exec(precision, layout, threads, use_pattern, generic);
+    let mut best: Option<TuningRecord> = None;
+    for (precision, use_pattern, generic) in candidates {
+        let probe = sim.with_exec(precision, use_pattern, generic);
         let mut ns = u64::MAX;
         let mut outputs = Vec::new();
         for _ in 0..PROBE_REPEATS {
@@ -239,36 +214,24 @@ pub fn tune_or_stored(
             outputs = run.outputs;
             probes += 1;
         }
-        let (drift, rel_error) = probe_errors(&probe_inputs, &reference, &outputs[0]);
+        let got = outputs.swap_remove(0);
+        let reference = reference.get_or_insert_with(|| got.clone());
+        let (drift, rel_error) = probe_errors(&probe_inputs, reference, &got);
         let valid = candidate_valid(
             generic,
             drift,
             rel_error,
             precision_tolerance(depth, precision),
         );
-        let improves = match &best {
-            None => true,
-            Some((t, _)) => ns < *t,
-        };
-        if valid && improves {
-            best = Some((
-                ns,
-                TuningRecord {
-                    precision,
-                    layout,
-                    threads,
-                    use_pattern,
-                    probe_ns: ns,
-                },
-            ));
+        if valid && best.is_none_or(|b| ns < b.probe_ns) {
+            best = Some(TuningRecord {
+                precision,
+                use_pattern,
+                probe_ns: ns,
+            });
         }
         samples.push(ProbeSample {
-            exec: ResolvedExec {
-                precision,
-                layout,
-                threads,
-                use_pattern,
-            },
+            exec: probe.resolved_options(),
             generic_spmm: generic,
             ns,
             drift,
@@ -277,15 +240,13 @@ pub fn tune_or_stored(
         });
     }
 
-    // The f64 arms are always probed and should not fail their gates
-    // within the loose tolerance model; if a pathological circuit ever
-    // defeats the model anyway, degrade to the conservative f64
-    // reference configuration instead of panicking — auto-tuning must
-    // never be the reason a run dies.
-    let record = best.map(|(_, rec)| rec).unwrap_or(TuningRecord {
+    // The f64 arm is always probed and should not fail its gates within
+    // the loose tolerance model; if a pathological circuit ever defeats
+    // the model anyway, degrade to the conservative f64 reference
+    // configuration instead of panicking — auto-tuning must never be the
+    // reason a run dies.
+    let record = best.unwrap_or(TuningRecord {
         precision: Precision::F64,
-        layout: Layout::Planar,
-        threads: 1,
         use_pattern: true,
         probe_ns: 0,
     });
@@ -368,9 +329,28 @@ mod tests {
         // The decision was applied to the simulator.
         let resolved = sim.resolved_options();
         assert_eq!(resolved.precision, outcome.record.precision);
-        assert_eq!(resolved.layout, outcome.record.layout);
-        assert_eq!(resolved.threads, outcome.record.threads);
         assert_eq!(resolved.use_pattern, outcome.record.use_pattern);
+    }
+
+    #[test]
+    fn tuning_keeps_the_requested_lanes_and_probes_only_the_precision_arms() {
+        let circuit = generators::qft(10);
+        let untuned = BqSimulator::compile(&circuit, opts()).unwrap();
+        let mut sim = BqSimulator::compile(&circuit, opts()).unwrap();
+        // A 1e-9 budget prunes f32 a priori: only f64 and the generic arm
+        // run, each `PROBE_REPEATS` times.
+        let outcome = tune_or_stored(&mut sim, Precision::F32, Some(1e-9), None).unwrap();
+        let arms: Vec<_> = outcome
+            .samples
+            .iter()
+            .map(|s| (s.exec.precision, s.generic_spmm))
+            .collect();
+        assert_eq!(arms, [(Precision::F64, false), (Precision::F64, true)]);
+        assert_eq!(outcome.probes, 2 * PROBE_REPEATS as u64);
+        assert_eq!(outcome.record.precision, Precision::F64);
+        // Lanes follow `threads` and the work-size floor, not the tuner.
+        assert_eq!(sim.resolved_options().threads, 2);
+        assert_eq!(sim.state_shares(64), untuned.state_shares(64));
     }
 
     #[test]
@@ -457,8 +437,6 @@ mod tests {
         // Forge a stored f32 record (tuned under some looser budget)...
         sim.apply_tuning(&TuningRecord {
             precision: Precision::F32,
-            layout: Layout::Planar,
-            threads: 1,
             use_pattern: true,
             probe_ns: 1,
         });
@@ -478,8 +456,6 @@ mod tests {
         let (mut f64_warm, _) = BqSimulator::compile_or_load(&circuit, opts(), &store).unwrap();
         f64_warm.stored_tuning = Some(TuningRecord {
             precision: Precision::F64,
-            layout: Layout::Planar,
-            threads: 1,
             use_pattern: true,
             probe_ns: 1,
         });
@@ -499,8 +475,6 @@ mod tests {
         // Forge a stored f32 record, then demand at least f64.
         sim.apply_tuning(&TuningRecord {
             precision: Precision::F32,
-            layout: Layout::Planar,
-            threads: 1,
             use_pattern: true,
             probe_ns: 1,
         });
@@ -528,7 +502,7 @@ mod tests {
         let outcome = tune_or_stored(&mut sim, Precision::F32, None, None).unwrap();
         assert_eq!(outcome.probes, 0);
         assert_eq!(outcome.record.precision, Precision::F64);
-        assert_eq!(outcome.record.layout, Layout::Aos);
+        assert_eq!(sim.resolved_options().layout, bqsim_ell::Layout::Aos);
     }
 
     #[test]
@@ -541,8 +515,8 @@ mod tests {
             .unwrap()
             .outputs;
         let mut sim = BqSimulator::compile(&circuit, opts()).unwrap();
-        // Floor f64 so the tuner may only move layout/threads/pattern —
-        // axes the bit-identity guarantee covers.
+        // Floor f64 so the tuner may only choose f64 — whose AoS kernels
+        // ignore the pattern toggle, so the bits cannot move.
         tune_or_stored(&mut sim, Precision::F64, None, None).unwrap();
         let tuned = sim.run_batches(&batches).unwrap().outputs;
         assert_eq!(baseline, tuned);

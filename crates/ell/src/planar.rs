@@ -26,9 +26,10 @@
 //! [`EllMatrix::spmm_rows`] (same operand order, same association, same
 //! value-pattern dispatch), so the `f64` instantiation is bit-identical
 //! to the AoS path — including signed zeros and NaN payloads. That is what
-//! lets `BqSimOptions::layout` switch layouts without perturbing campaign
-//! digests, and what the `spmm_layouts` property test pins down (for both
-//! lane types, against a scalar reference evaluated in the lane type).
+//! lets the simulator run `f64` on the AoS kernels and keep planar `f64`
+//! as the tests' reference, and what the `spmm_layouts` property test
+//! pins down (for both lane types, against a scalar reference evaluated
+//! in the lane type).
 //!
 //! **Pattern execution.** When the matrix carries a detected row pattern
 //! (see [`EllMatrix::detect_pattern`]), the planar kernels read values and
@@ -52,34 +53,26 @@ use core::ops::{Add, AddAssign, Mul, Sub};
 /// `batch % TILE != 0` exercises the vectoriser's scalar epilogue.
 pub const TILE: usize = 8;
 
-/// Which amplitude memory layout the pipeline's state buffers use.
+/// Which amplitude memory layout a state buffer uses. The simulator
+/// derives it from the precision: `f64` runs AoS, `f32` runs planar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
-    /// Interleaved array-of-structures `Vec<Complex>` — the PR 3 layout,
-    /// kept as the ablation baseline.
+    /// Interleaved array-of-structures `Vec<Complex>` — the paper's
+    /// block-per-row, batch-strided layout, which the `f64` path runs.
     Aos,
     /// Planar structure-of-arrays [`AmpPlanes`] — separate re/im planes,
-    /// batch-major (the default).
+    /// batch-major: the only layout with `f32` planes and pattern
+    /// compression.
     #[default]
     Planar,
 }
 
 impl Layout {
-    /// Stable lowercase token, used by the CLI, `BQSIM_LAYOUT`, and the
-    /// journal fingerprint header.
+    /// Stable lowercase token, printed on the CLI's `execution:` line.
     pub fn token(self) -> &'static str {
         match self {
             Layout::Aos => "aos",
             Layout::Planar => "planar",
-        }
-    }
-
-    /// Parses a [`Layout::token`] back; `None` for anything else.
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s {
-            "aos" => Some(Layout::Aos),
-            "planar" => Some(Layout::Planar),
-            _ => None,
         }
     }
 }
@@ -634,10 +627,9 @@ mod tests {
     #[test]
     fn layout_tokens_roundtrip() {
         for l in [Layout::Aos, Layout::Planar] {
-            assert_eq!(Layout::parse(l.token()), Some(l));
             assert_eq!(format!("{l}"), l.token());
         }
-        assert_eq!(Layout::parse("soa"), None);
+        assert_ne!(Layout::Aos.token(), Layout::Planar.token());
         assert_eq!(Layout::default(), Layout::Planar);
     }
 

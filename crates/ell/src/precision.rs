@@ -5,7 +5,8 @@
 //! [`Lane`](crate::Lane) type of the planar kernel family:
 //!
 //! * [`Precision::F64`] — the reference: `f64` planes, bit-identical
-//!   across layouts and thread counts (the campaign-digest anchor).
+//!   across thread counts and bit-identical between the AoS kernels the
+//!   simulator runs it on and the planar ones (the campaign-digest anchor).
 //! * [`Precision::F32`] — `f32` planes *and* `f32` arithmetic, with
 //!   round-off compounding per gate.
 //!

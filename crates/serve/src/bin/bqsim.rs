@@ -208,7 +208,6 @@ struct Args {
     zero_input: bool,
     optimize: bool,
     threads: Option<usize>,
-    layout: Option<bqsim_core::Layout>,
     precision: Option<PrecisionArg>,
 }
 
@@ -257,7 +256,6 @@ fn parse_args() -> Result<Args, String> {
         zero_input: false,
         optimize: false,
         threads: None,
-        layout: None,
         precision: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -284,13 +282,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
                 args.threads = Some(n);
-            }
-            "--layout" => {
-                let v = value(&mut i)?;
-                args.layout = Some(
-                    bqsim_core::Layout::parse(&v)
-                        .ok_or_else(|| format!("--layout must be `aos` or `planar`, got `{v}`"))?,
-                );
             }
             "--precision" => {
                 let v = value(&mut i)?;
@@ -554,17 +545,18 @@ EXIT CODES:
 OPTIONS:
     --family <name>      built-in circuit instead of a QASM file
                          (qnn|vqe|portfolio|graph|tsp|routing|supremacy|ghz|qft)
-    --precision <p>      amplitude precision of the planar kernels:
-                         `f64` (bit-exact baseline), `f32` (narrow
-                         storage and arithmetic), or `auto`
+    --precision <p>      amplitude precision, which fixes the layout:
+                         `f64` (bit-exact baseline, interleaved AoS
+                         kernels), `f32` (narrow storage and arithmetic,
+                         planar kernels), or `auto`
                          (empirical per-circuit tuner: applies the
                          artifact store's stored record with zero probes,
                          else probes every valid candidate and — with
                          --artifact-dir — republishes the winner under
                          the same content key; pair with --artifact-dir
                          when journaling so --resume re-resolves the
-                         same plan); f64 digests are bit-identical
-                         across layouts, threads, and tuning; narrow
+                         same plan); digests are bit-identical across
+                         threads, and f64 ones across tuning; narrow
                          runs that drift past --integrity-budget are
                          quarantined and retried at f64
                          [default: $BQSIM_PRECISION or f64]
@@ -579,11 +571,6 @@ OPTIONS:
                          1 = one thread; serve gives each of its devices
                          max(1, min(n, cores) / devices) lanes)
                          [default: $BQSIM_THREADS or available cores]
-    --layout <l>         amplitude memory layout: `planar` (batch-major
-                         planes, SIMD-tiled microkernels) or `aos`
-                         (interleaved ablation baseline); bit-identical
-                         outputs either way
-                         [default: $BQSIM_LAYOUT or planar]
     --inject-defect <d>  (analyze) seed a known defect before checking so
                          the pass that owns it must fire: race (drop a
                          hazard edge; `races`) or journal (a batch
@@ -634,12 +621,6 @@ OPTIONS:
 /// `BQSIM_THREADS` / available-parallelism default.
 fn effective_threads(args: &Args) -> usize {
     args.threads.unwrap_or_else(bqsim_core::default_threads)
-}
-
-/// Amplitude layout for this invocation: `--layout` wins, else the
-/// `BQSIM_LAYOUT` / planar default.
-fn effective_layout(args: &Args) -> bqsim_core::Layout {
-    args.layout.unwrap_or_else(bqsim_core::default_layout)
 }
 
 /// Amplitude precision for this invocation: `--precision` wins, then
@@ -764,7 +745,6 @@ fn run_analysis(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError> {
         tau: args.tau,
         skip_fusion: args.skip_fusion,
         threads: effective_threads(args),
-        layout: effective_layout(args),
         precision: concrete_precision(args, "analyze")?,
         ..BqSimOptions::default()
     };
@@ -812,7 +792,6 @@ fn run_faults_demo(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError>
         },
         skip_fusion: args.skip_fusion,
         threads: effective_threads(args),
-        layout: effective_layout(args),
         precision: concrete_precision(args, "faults")?,
         ..BqSimOptions::default()
     };
@@ -939,7 +918,6 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
         },
         skip_fusion: args.skip_fusion,
         threads: effective_threads(args),
-        layout: effective_layout(args),
         precision: match precision_arg {
             PrecisionArg::Fixed(p) => p,
             // Placeholder until the tuner resolves the record below.
@@ -990,8 +968,6 @@ fn run_campaign_cmd(args: &Args, circuit: &Circuit) -> Result<ExitCode, CliError
             Some(copts.integrity.max_norm_drift),
         )?;
         opts.precision = outcome.record.precision;
-        opts.layout = outcome.record.layout;
-        opts.threads = outcome.record.threads.max(1);
         opts.use_pattern = outcome.record.use_pattern;
     }
     let threads = opts.threads.max(1);
@@ -1496,7 +1472,6 @@ fn run() -> Result<ExitCode, CliError> {
         },
         skip_fusion: args.skip_fusion,
         threads: effective_threads(&args),
-        layout: effective_layout(&args),
         precision: match precision_arg {
             PrecisionArg::Fixed(p) => p,
             // Placeholder; the tuner picks the real precision below.

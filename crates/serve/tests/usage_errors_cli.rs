@@ -2,11 +2,12 @@
 //! variables, in submissions and quotas — are usage errors (exit 2, one
 //! `error:` line naming the offender), never a panic, an allocation
 //! abort, or a silent fall back to the `f64` defaults. That includes the
-//! retired `mixed` precision, the retired `--model-check` and
-//! `--dpor-budget` flags, and the retired `renorm`, `lock-order`, `wake`
-//! and `pool` defects; a journal recorded at `precision=mixed` is refused
-//! as a plan mismatch (exit 4). The surviving defects, `race` and
-//! `journal`, are findings (exit 1) of plain `bqsim analyze`.
+//! retired `mixed` precision, the retired `--layout`, `--model-check` and
+//! `--dpor-budget` flags, `BQSIM_LAYOUT` set to anything, and the retired
+//! `renorm`, `lock-order`, `wake` and `pool` defects; a journal recorded
+//! at `precision=mixed` or with a `layout=` token is refused as a plan
+//! mismatch (exit 4). The surviving defects, `race` and `journal`, are
+//! findings (exit 1) of plain `bqsim analyze`.
 
 use bqsim_campaign::checksum::fnv1a;
 use std::path::PathBuf;
@@ -65,18 +66,13 @@ fn unrecognised_environment_values_name_their_variable() {
     for (var, value) in [
         ("BQSIM_PRECISION", "bogus"),
         ("BQSIM_PRECISION", "mixed"),
-        ("BQSIM_LAYOUT", "soa"),
         ("BQSIM_THREADS", "0"),
         ("BQSIM_THREADS", "many"),
     ] {
         assert_refused(&bqsim(GHZ3, &[(var, value)]), 2, var);
     }
     // Recognised values (and `auto`, which the CLI resolves) still run.
-    let env = [
-        ("BQSIM_PRECISION", "auto"),
-        ("BQSIM_LAYOUT", "aos"),
-        ("BQSIM_THREADS", "2"),
-    ];
+    let env = [("BQSIM_PRECISION", "auto"), ("BQSIM_THREADS", "2")];
     assert_ran(&bqsim(&format!("{GHZ3} --batches 1 --batch-size 2"), &env));
 }
 
@@ -97,6 +93,17 @@ fn retired_tokens_are_rejected_everywhere_they_were_accepted() {
     for flag in ["--model-check", "--dpor-budget 8"] {
         let out = bqsim(&format!("{analyze} {flag}"), &[]);
         assert_refused(&out, 2, flag.split(' ').next().unwrap());
+    }
+
+    // The layout follows the precision: the flag and the variable are
+    // refused whatever they say, on every subcommand.
+    for cmd in [GHZ3, analyze, "status"] {
+        for layout in ["aos", "planar"] {
+            let out = bqsim(&format!("{cmd} --layout {layout}"), &[]);
+            assert_refused(&out, 2, "--layout");
+            let out = bqsim(cmd, &[("BQSIM_LAYOUT", layout)]);
+            assert_refused(&out, 2, "BQSIM_LAYOUT");
+        }
     }
 
     let spec = "tenant=a id=j qubits=2 batches=1";
@@ -124,9 +131,12 @@ fn plain_analyze_reports_a_seeded_defect() {
     }
 }
 
-#[test]
-fn a_journal_recorded_at_the_retired_precision_is_a_plan_mismatch() {
-    let dir = scratch("journal");
+/// Interrupts a journaled campaign, re-stamps its header as an older
+/// build wrote it — `from` replaced by `to`, CRC and all, so only the
+/// token itself can be what is refused — and resumes it: the resume must
+/// exit 4 naming `field`, and leave the journal as it was.
+fn assert_restamped_header_is_a_plan_mismatch(name: &str, from: &str, to: &str, field: &str) {
+    let dir = scratch(name);
     let journal = dir.join("c.journal");
     let campaign = format!(
         "{GHZ3} --batches 2 --batch-size 2 --journal {}",
@@ -134,17 +144,34 @@ fn a_journal_recorded_at_the_retired_precision_is_a_plan_mismatch() {
     );
     assert_ran(&bqsim(&format!("{campaign} --stop-after 1"), &[]));
 
-    // Re-stamp the header as a build with `mixed` would have written it,
-    // CRC and all, so only the token itself can be what is refused.
-    let text = std::fs::read_to_string(&journal).unwrap();
-    let (header, rest) = text.split_once('\n').unwrap();
-    let payload = header.split_once(':').unwrap().1;
-    let payload = payload.replace(" precision=f64 ", " precision=mixed ");
-    assert!(payload.contains("precision=mixed"));
+    let text = std::fs::read_to_string(&journal).expect("read journal");
+    let (header, rest) = text.split_once('\n').expect("a header line");
+    let payload = header.split_once(':').expect("a CRC prefix").1;
+    assert!(payload.contains(from), "{payload}");
+    let payload = payload.replace(from, to);
     let restamped = format!("{:016x}:{payload}\n{rest}", fnv1a(payload.as_bytes()));
-    std::fs::write(&journal, restamped).unwrap();
+    std::fs::write(&journal, &restamped).expect("write journal");
 
     let out = bqsim(&format!("{campaign} --resume"), &[]);
-    assert_refused(&out, 4, "'precision'");
+    assert_refused(&out, 4, &format!("'{field}'"));
+    let after = std::fs::read_to_string(&journal).expect("read journal");
+    assert_eq!(
+        after, restamped,
+        "a refused resume leaves the journal as it was"
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_journal_recorded_at_the_retired_precision_is_a_plan_mismatch() {
+    let (f64, mixed) = (" precision=f64 ", " precision=mixed ");
+    assert_restamped_header_is_a_plan_mismatch("journal", f64, mixed, "precision");
+}
+
+#[test]
+fn a_journal_recorded_with_a_layout_is_a_plan_mismatch() {
+    // A build with `--layout` wrote `layout=` between `threads=` and
+    // `precision=`.
+    let (from, to) = (" precision=f64 ", " layout=aos precision=f64 ");
+    assert_restamped_header_is_a_plan_mismatch("journal-layout", from, to, "layout");
 }

@@ -118,7 +118,7 @@ echo "==> bqsim analyze --journal (exactly-once completion, fingerprint, orderin
 run_bqsim analyze --journal "$journal"
 run_bqsim analyze --journal "$journal.ref"
 
-echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bit-for-bit)"
+echo "==> thread campaign digest matrix (threads 1/4 must agree bit-for-bit)"
 # A batch splits its states across lanes once every lane gets
 # MIN_MACS_PER_LANE (300,000) MACs: qft-6 x 32 (49,152 MACs a batch)
 # never splits; qft-12 x 32 (3,145,728) splits across every lane the host
@@ -126,47 +126,54 @@ echo "==> layout x thread campaign digest matrix (aos/planar x 1/4 must agree bi
 matrix_digest=""
 for qubits in 6 12; do
     row_digest=""
-    for layout in aos planar; do
-        for threads in 1 4; do
-            mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
-            d="$(BQSIM_LAYOUT=$layout BQSIM_THREADS=$threads \
-                run_bqsim run --family qft --qubits "$qubits" --batches 4 --batch-size 32 \
-                --journal "$mj" | grep 'campaign digest:')"
-            rm -f "$mj" "$mj.state"
-            echo "    qft-$qubits layout=$layout threads=$threads $d"
-            if [ -z "$row_digest" ]; then
-                row_digest="$d"
-            elif [ "$row_digest" != "$d" ]; then
-                echo "FAIL: qft-$qubits layout=$layout threads=$threads digest ($d) != reference ($row_digest)" >&2
-                exit 1
-            fi
-        done
+    for threads in 1 4; do
+        mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"
+        d="$(BQSIM_THREADS=$threads \
+            run_bqsim run --family qft --qubits "$qubits" --batches 4 --batch-size 32 \
+            --journal "$mj" | grep 'campaign digest:')"
+        rm -f "$mj" "$mj.state"
+        echo "    qft-$qubits threads=$threads $d"
+        if [ -z "$row_digest" ]; then
+            row_digest="$d"
+        elif [ "$row_digest" != "$d" ]; then
+            echo "FAIL: qft-$qubits threads=$threads digest ($d) != reference ($row_digest)" >&2
+            exit 1
+        fi
     done
     if [ "$qubits" = 6 ]; then
         matrix_digest="$row_digest"
     fi
 done
-# An uneven split: qft-12 x 33 runs 17 + 16 states on two lanes.
-uneven_digest=""
-for layout in aos planar; do
+# An uneven split: qft-12 x 33 runs 17 + 16 states on two lanes, at f64
+# (AoS kernels) and at f32 (planar kernels), so both layouts keep their
+# state-lane coverage. The 1e-4 budget keeps f32 batches from retrying
+# at f64, which would run AoS again.
+declare -A uneven=()
+for precision in f64 f32; do
     for threads in 1 2; do
-        out="$(BQSIM_LAYOUT=$layout BQSIM_THREADS=$threads \
-            run_bqsim run --family qft --qubits 12 --batches 4 --batch-size 33)"
+        out="$(BQSIM_THREADS=$threads \
+            run_bqsim run --family qft --qubits 12 --batches 4 --batch-size 33 \
+            --precision "$precision" --integrity-budget 1e-4)"
         d="$(printf '%s\n' "$out" | grep 'campaign digest:')"
         lanes="$(printf '%s\n' "$out" | grep -o 'lanes=[0-9]* ([0-9+]* states)')"
-        echo "    qft-12 x 33 layout=$layout threads=$threads $lanes $d"
-        if [ "$threads" = 2 ] && [ "$(nproc)" -ge 2 ] && [ "$lanes" != "lanes=2 (17+16 states)" ]; then
-            echo "FAIL: qft-12 x 33 at threads=2 ran $lanes, want lanes=2 (17+16 states)" >&2
+        echo "    qft-12 x 33 precision=$precision threads=$threads $lanes $d"
+        if ! printf '%s\n' "$out" | grep -q ' 0 quarantined, 0 retried at f64'; then
+            echo "FAIL: qft-12 x 33 precision=$precision threads=$threads retried at f64" >&2
             exit 1
         fi
-        if [ -z "$uneven_digest" ]; then
-            uneven_digest="$d"
-        elif [ "$uneven_digest" != "$d" ]; then
-            echo "FAIL: qft-12 x 33 layout=$layout threads=$threads digest ($d) != reference ($uneven_digest)" >&2
+        if [ "$threads" = 2 ] && [ "$(nproc)" -ge 2 ] && [ "$lanes" != "lanes=2 (17+16 states)" ]; then
+            echo "FAIL: qft-12 x 33 $precision at threads=2 ran $lanes, want lanes=2 (17+16 states)" >&2
+            exit 1
+        fi
+        if [ -z "${uneven[$precision]:-}" ]; then
+            uneven[$precision]="$d"
+        elif [ "${uneven[$precision]}" != "$d" ]; then
+            echo "FAIL: qft-12 x 33 precision=$precision threads=$threads digest ($d) != reference (${uneven[$precision]})" >&2
             exit 1
         fi
     done
 done
+uneven_digest="${uneven[f64]}"
 # Interrupt the uneven row at one lane, resume at two: the resumed
 # batches split their states and must land on the same digest.
 mj="$(mktemp -u "${TMPDIR:-/tmp}/bqsim-ci-matrix-XXXXXX.journal")"

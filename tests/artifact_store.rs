@@ -1,16 +1,17 @@
 //! Artifact-store round-trip properties (the PR 8 compile-once
 //! contract): a circuit executable published by one compile and loaded
 //! by a later one must run **bit-identically** — `f64::to_bits`
-//! equality over every output amplitude — across both amplitude
-//! layouts and across worker-thread counts (the content key excludes
-//! execution-only options, so one artifact serves every `threads`
-//! setting). Corrupt artifacts must degrade to a recompile that
+//! equality over every output amplitude — at both precisions (and so
+//! both amplitude layouts) and across worker-thread counts (the content
+//! key excludes execution-only options, so one artifact serves every
+//! `precision` and `threads` setting). Corrupt artifacts, and files of
+//! any other format version, must degrade to a recompile that
 //! republishes and still matches, never to an error.
 
 use bqsim_campaign::{campaign_digest, run_campaign, CampaignOptions};
 use bqsim_core::{
-    artifact_key, random_input_batch, tune_or_stored, ArtifactStore, BqSimOptions, BqSimulator,
-    CompileSource, Layout, Precision, TuningSource,
+    artifact_key, random_input_batch, ArtifactStore, BqSimOptions, BqSimulator, CompileSource,
+    Precision,
 };
 use bqsim_num::Complex;
 use bqsim_qcir::generators;
@@ -53,11 +54,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// compile → store → load → execute is bit-identical to the direct
-    /// compile across {aos, planar} × threads {1, 4}. The very first
-    /// compile publishes; every later combination loads it warm — the
-    /// content key excludes execution-only options, so **one** artifact
-    /// serves every layout and thread count (which is also what keeps
-    /// the auto-tuner's layout moves from forking artifacts).
+    /// compile across {f64 (aos), f32 (planar)} × threads {1, 4}. The
+    /// very first compile publishes; every later combination loads it
+    /// warm — the content key excludes execution-only options, so
+    /// **one** artifact serves every precision and thread count (which
+    /// is also what keeps the auto-tuner's precision moves from forking
+    /// artifacts).
     #[test]
     fn store_round_trip_is_bit_identical_across_layouts_and_threads(
         seed in 0u64..1_000,
@@ -67,11 +69,11 @@ proptest! {
         let circuit = generators::random_circuit(n, gates, seed);
         let batches = vec![random_input_batch(n, 3, seed ^ 0x5eed)];
         let dir = store_dir("roundtrip");
-        let mut bits = Vec::new();
         let mut first = true;
-        for layout in [Layout::Aos, Layout::Planar] {
+        for precision in [Precision::F64, Precision::F32] {
+            let mut bits = Vec::new();
             for threads in [1usize, 4] {
-                let opts = BqSimOptions { threads, layout, ..BqSimOptions::default() };
+                let opts = BqSimOptions { threads, precision, ..BqSimOptions::default() };
                 // Direct compile, no store: the reference output.
                 let reference = BqSimulator::compile(&circuit, opts.clone()).unwrap()
                     .run_batches(&batches).unwrap();
@@ -86,7 +88,7 @@ proptest! {
                 } else {
                     prop_assert!(
                         source.is_warm(),
-                        "layout {layout:?} threads {threads} must reuse the one artifact, \
+                        "{precision} threads {threads} must reuse the one artifact, \
                          got {source:?}"
                     );
                 }
@@ -94,11 +96,8 @@ proptest! {
                 prop_assert_eq!(output_bits(&run.outputs), output_bits(&reference.outputs));
                 bits.push(output_bits(&run.outputs));
             }
-        }
-        // Every layout × thread combination agrees bit for bit over one
-        // artifact.
-        for other in &bits[1..] {
-            prop_assert_eq!(&bits[0], other);
+            // Every thread count agrees bit for bit over one artifact.
+            prop_assert_eq!(&bits[0], &bits[1]);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -161,55 +160,58 @@ proptest! {
     }
 }
 
-/// A checked-in `.bqc` written by the version-1 (pre-tuning) build loads
-/// warm under the *same* content key — the key schema is pinned
-/// independently of the format version — carries no tuning record
-/// (probe-on-load, not corruption), and executes bit-identically to a
-/// fresh compile. Tuning it republishes a version-2 file in place.
+/// A store owes no backward compatibility: a file stamped with the
+/// previous format version, under the current content key, is a miss
+/// that recompiles through the corrupt→recompile path, republishes the
+/// current version, and lands on an unchanged campaign digest.
 #[test]
-fn version1_fixture_loads_warm_and_upgrades_in_place() {
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/ghz3_v1.bqc");
+fn a_previous_version_file_recompiles_with_an_unchanged_digest() {
     let circuit = generators::ghz(3);
     let opts = BqSimOptions::default();
     let key = artifact_key(&circuit, &opts);
     assert_eq!(
-        key, 0x84a7_7614_d7c4_4155,
-        "the artifact key schema moved: version-1 stores would recompile everything"
+        key, 0x5a72_c1f5_8191_c078,
+        "the artifact key schema moved: every store would recompile"
     );
+    let batches = vec![random_input_batch(3, 4, 21), random_input_batch(3, 4, 22)];
+    let dir = store_dir("previous-version");
+    let copts = CampaignOptions {
+        artifact_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let cold = run_campaign(&circuit, opts.clone(), &batches, &copts).unwrap();
+    assert!(matches!(
+        cold.compile_source,
+        Some(CompileSource::Cold { published: true })
+    ));
 
-    let dir = store_dir("v1-fixture");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::copy(&fixture, dir.join(format!("{key:016x}.bqc"))).unwrap();
+    // Re-stamp the published file with the previous version. The stamp
+    // sits in the header, outside the payload CRC, so only the version
+    // check can refuse it.
     let store = ArtifactStore::open(&dir).unwrap();
     let entries = store.entries().unwrap();
-    assert_eq!((entries.len(), entries[0].version), (1, 1));
+    let current = entries[0].version;
+    assert_eq!((entries.len(), entries[0].key), (1, key));
+    let path = &entries[0].path;
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[4..8].copy_from_slice(&(current - 1).to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
 
-    let (mut sim, source) = BqSimulator::compile_or_load(&circuit, opts.clone(), &store).unwrap();
-    assert!(source.is_warm(), "v1 file must load warm, got {source:?}");
-    assert_eq!(sim.stored_tuning(), None, "v1 carries no tuning record");
-
-    let batches = vec![random_input_batch(3, 4, 21)];
-    let cold = BqSimulator::compile(&circuit, opts.clone()).unwrap();
+    let warm = run_campaign(&circuit, opts, &batches, &copts).unwrap();
+    match &warm.compile_source {
+        Some(CompileSource::RecompiledCorrupt { warning }) => {
+            assert!(warning.contains("version"), "{warning}");
+        }
+        other => panic!("a previous-version file must recompile, got {other:?}"),
+    }
     assert_eq!(
-        output_bits(&sim.run_batches(&batches).unwrap().outputs),
-        output_bits(&cold.run_batches(&batches).unwrap().outputs),
-        "v1 artifact must execute bit-identically to a fresh compile"
+        campaign_digest(&warm.checksums),
+        campaign_digest(&cold.checksums)
     );
-
-    // No stored record → the tuner probes, then upgrades the file to
-    // version 2 in place, still under the seed key.
-    let outcome =
-        tune_or_stored(&mut sim, Precision::F32, Some(1e-9), Some((&store, key))).unwrap();
-    assert_eq!(outcome.source, TuningSource::Probed);
-    assert!(outcome.probes > 0);
     let entries = store.entries().unwrap();
     assert_eq!(
-        (entries.len(), entries[0].version, entries[0].key),
-        (1, 2, key)
+        (entries.len(), entries[0].key, entries[0].version),
+        (1, key, current)
     );
-
-    let (warm, source) = BqSimulator::compile_or_load(&circuit, opts, &store).unwrap();
-    assert!(source.is_warm());
-    assert_eq!(warm.stored_tuning(), Some(outcome.record));
     let _ = std::fs::remove_dir_all(&dir);
 }

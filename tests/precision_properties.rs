@@ -1,8 +1,9 @@
 //! Adaptive-precision properties (the PR 10 contract): the `f64` path
 //! must be **bit-identical** — `f64::to_bits` equality, no tolerance —
-//! across amplitude layouts, worker-thread counts, and before/after the
-//! auto-tuner (tuning is an execution-plan choice, never a numerical
-//! one at `f64`). The narrow precisions trade exactness for speed under
+//! to the planar `f64` kernels (the tests' reference; production `f64`
+//! runs the AoS kernels), across worker-thread counts, and before/after
+//! the auto-tuner (tuning is an execution-plan choice, never a numerical
+//! one at `f64`); `f32` is bit-identical across thread counts. The narrow precisions trade exactness for speed under
 //! an explicit contract: their error against the `f64` reference stays
 //! within a tolerance derived from the circuit's fused depth, and when a
 //! campaign's integrity budget is tighter than a narrow precision can
@@ -11,9 +12,9 @@
 
 use bqsim_campaign::{campaign_digest, run_campaign, CampaignOptions, IntegrityBudget};
 use bqsim_core::{
-    precision_tolerance, random_input_batch, tune_or_stored, BqSimOptions, BqSimulator, Layout,
-    Precision,
+    precision_tolerance, random_input_batch, tune_or_stored, BqSimOptions, BqSimulator, Precision,
 };
+use bqsim_ell::AmpPlanes;
 use bqsim_num::approx::l2_norm;
 use bqsim_num::Complex;
 use bqsim_qcir::generators;
@@ -26,6 +27,26 @@ fn output_bits(outputs: &[Vec<Vec<Complex>>]) -> Vec<(u64, u64)> {
         .flatten()
         .flatten()
         .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+/// The planar `f64` kernels applied gate by gate to `batch`: the
+/// reference every production `f64` run must match bit for bit.
+fn planar_f64_reference(sim: &BqSimulator, batch: &[Vec<Complex>]) -> Vec<(u64, u64)> {
+    let (states, dim) = (batch.len(), batch[0].len());
+    let packed: Vec<Complex> = (0..dim)
+        .flat_map(|r| batch.iter().map(move |state| state[r]))
+        .collect();
+    let mut planes = AmpPlanes::<f64>::from_aos(&packed);
+    for gate in sim.gates() {
+        let mut out = AmpPlanes::zeroed(dim * states);
+        gate.ell.spmm_planar(&planes, &mut out, states);
+        planes = out;
+    }
+    let out = planes.to_aos();
+    (0..states)
+        .flat_map(|b| (0..dim).map(move |r| b + r * states))
+        .map(|i| (out[i].re.to_bits(), out[i].im.to_bits()))
         .collect()
 }
 
@@ -48,10 +69,11 @@ fn worst_rel_error(want: &[Vec<Complex>], got: &[Vec<Complex>]) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The `f64` path is one numerical artifact: every layout × thread
-    /// combination, tuned or untuned, produces the same bits. This is
-    /// the regression fence for the tuner refactor — a tuner that
-    /// changed `f64` math would trip it immediately.
+    /// The `f64` path is one numerical artifact: its AoS kernels match
+    /// the planar `f64` reference at every thread count, tuned or
+    /// untuned, and `f32` is bit-identical across thread counts. This is
+    /// the regression fence for the tuner — a tuner that changed `f64`
+    /// math would trip it immediately.
     #[test]
     fn f64_path_is_bit_identical_across_layouts_threads_and_tuning(
         seed in 0u64..1_000,
@@ -60,31 +82,33 @@ proptest! {
     ) {
         let circuit = generators::random_circuit(n, gates, seed);
         let batches = vec![random_input_batch(n, 3, seed ^ 0xf00d)];
-        let reference = output_bits(
-            &BqSimulator::compile(&circuit, BqSimOptions::default())
-                .unwrap()
-                .run_batches(&batches)
-                .unwrap()
-                .outputs,
-        );
-        for layout in [Layout::Aos, Layout::Planar] {
+        for precision in [Precision::F64, Precision::F32] {
+            let mut reference = None;
             for threads in [1usize, 4] {
-                let opts = BqSimOptions { layout, threads, ..BqSimOptions::default() };
+                let opts = BqSimOptions { precision, threads, ..BqSimOptions::default() };
                 let plain = BqSimulator::compile(&circuit, opts.clone()).unwrap();
+                let bits = output_bits(&plain.run_batches(&batches).unwrap().outputs);
+                let reference = reference.get_or_insert_with(|| match precision {
+                    Precision::F64 => planar_f64_reference(&plain, &batches[0]),
+                    Precision::F32 => bits.clone(),
+                });
                 prop_assert_eq!(
-                    &output_bits(&plain.run_batches(&batches).unwrap().outputs),
-                    &reference,
-                    "untuned f64 ({:?}, threads={}) diverged", layout, threads
+                    &bits,
+                    &*reference,
+                    "untuned {} (threads={}) diverged", precision, threads
                 );
-                // Tune with an f64 floor: the tuner may move layout,
-                // threads, or pattern compression, but never the bits.
+                if precision != Precision::F64 {
+                    continue;
+                }
+                // Tune with an f64 floor: the tuner may move nothing
+                // that touches the bits.
                 let mut tuned = BqSimulator::compile(&circuit, opts).unwrap();
                 let outcome = tune_or_stored(&mut tuned, Precision::F64, None, None).unwrap();
                 prop_assert_eq!(outcome.record.precision, Precision::F64);
                 prop_assert_eq!(
                     &output_bits(&tuned.run_batches(&batches).unwrap().outputs),
-                    &reference,
-                    "tuned f64 ({:?}, threads={}) diverged", layout, threads
+                    &*reference,
+                    "tuned f64 (threads={}) diverged", threads
                 );
             }
         }
@@ -109,7 +133,6 @@ proptest! {
             .unwrap();
         let opts = BqSimOptions {
             precision: Precision::F32,
-            layout: Layout::Planar,
             ..BqSimOptions::default()
         };
         let sim = BqSimulator::compile(&circuit, opts).unwrap();

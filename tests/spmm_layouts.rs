@@ -366,6 +366,8 @@ fn all_empty_rows_zero_fill_in_every_layout() {
 /// kernel (and `scripts/ci.sh`'s qft-6 matrix digest at the default
 /// budget), reproduced through the same `run_campaign` call the CLI
 /// makes. A change to either instantiation's arithmetic moves one of them.
+/// The `f64` rows now run the AoS kernels, which the tri-path properties
+/// above hold bit-identical to the planar `f64` instantiation.
 #[test]
 fn pinned_campaign_digests_hold_at_both_lane_types() {
     for (family, qubits, batches, precision, budget, want) in [
